@@ -216,6 +216,8 @@ def _write_checkpoint(path: str, payload: dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
         json.dump(payload, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -249,6 +251,13 @@ class _Output:
             try:
                 if resume_offset:
                     self._fh = open(path, "r+b")
+                    size = self._fh.seek(0, os.SEEK_END)
+                    if size < resume_offset:
+                        self._fh.close()
+                        raise UsageError(
+                            f"output {path} holds {size} bytes, fewer than the "
+                            f"{resume_offset} the checkpoint recorded"
+                        )
                     self._fh.truncate(resume_offset)
                     self._fh.seek(resume_offset)
                 else:
@@ -350,6 +359,8 @@ def _run_block_command(cfg: RunConfig, args, command: str, which: str, sink_mode
 
     def on_block(state):
         if cfg.checkpoint_path:
+            if sink is not None:
+                sink.sync()
             _write_checkpoint(
                 cfg.checkpoint_path,
                 {
@@ -499,6 +510,7 @@ def cmd_selberg(cfg: RunConfig, args) -> int:
             out.sink.write(_selberg_row(sums))
             holds = holds and sums.lemma_holds
             if cfg.checkpoint_path:
+                out.sink.sync()
                 _write_checkpoint(
                     cfg.checkpoint_path,
                     {
@@ -622,9 +634,8 @@ def _report_block_scan(name: str, cfg: RunConfig):
     raise UsageError(f"unknown report section {name}")
 
 
-def _report_quick_section(name: str, cfg: RunConfig, args, data) -> dict:
+def _report_quick_section(name: str, cfg: RunConfig, points, data) -> dict:
     if name == "selberg_points":
-        points = _selberg_points(cfg.limit, args.points)
         rows = selberg.selberg_residual_scan(data, points)
         return {
             "points": len(points),
@@ -673,12 +684,15 @@ def cmd_report(cfg: RunConfig, args) -> int:
             f"report needs --limit >= 1000000 so every section applies, "
             f"got {cfg.limit}"
         )
+    points = _selberg_points(cfg.limit, args.points)
     completed: dict = {}
     active_state = None
     if args.resume:
         if not cfg.checkpoint_path:
             raise UsageError("--resume requires --checkpoint")
         payload = _load_checkpoint(cfg.checkpoint_path, "report", cfg)
+        if payload.get("points") != points:
+            raise UsageError("checkpoint was written for different scan points")
         completed = payload["completed"]
         active_state = payload.get("scan_state")
 
@@ -693,6 +707,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
                 {
                     "command": "report",
                     "config": cfg.echo(),
+                    "points": points,
                     "completed": completed,
                     "scan_state": scan_state,
                 },
@@ -703,7 +718,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         if name in completed:
             continue
         if name in ("selberg_points", "selberg_at_104729", "fit"):
-            completed[name] = _report_quick_section(name, cfg, args, data)
+            completed[name] = _report_quick_section(name, cfg, points, data)
             checkpoint()
             continue
         if name == "partial_sums":

@@ -29,9 +29,10 @@ from .analytic import (
     dusart_bounds,
     kprime_threshold,
     li,
+    li_ascending,
 )
 from .errors import DomainError, RangeLimitError
-from .runner import BlockScan, RowSink, run_scan
+from .runner import BlockScan, RowSink, run_to_end
 from .sieve import PrimeData
 
 DEFAULT_EXPANSION_C3 = 2.0
@@ -198,9 +199,7 @@ def cg_scan(
     if limit < 3:
         raise DomainError(f"cg_scan requires limit >= 3, got {limit}")
     scan = CgScan(limit, c)
-    state, finished = run_scan(data, scan, limit=limit, workers=workers, sink=sink)
-    assert finished
-    return scan.result(state)
+    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
 
 
 # ----------------------------------------------------------------------
@@ -331,9 +330,7 @@ def delta_scan(
     if c <= 0:
         raise DomainError(f"delta_scan requires c > 0, got {c}")
     scan = DeltaScan(limit, c)
-    state, finished = run_scan(data, scan, limit=limit, workers=workers, sink=sink)
-    assert finished
-    return scan.result(state)
+    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
 
 
 def delta_samples(
@@ -406,12 +403,19 @@ class DerivScanResult:
         }
 
 
-def _deriv_block(ps_ext: np.ndarray, n0: int, c: float, c3: float):
-    """Per-prime b, k and forward differences over an extended block."""
+def _deriv_block(
+    ps_ext: np.ndarray, n0: int, c: float, c3: float, li_of=li_ascending
+):
+    """Per-prime b, k and forward differences over an extended block.
+
+    The scan takes Li by ``li_ascending``; the materialized records keep
+    the pointwise ``li`` that ``fluctuation_at`` uses, so a record and
+    the samples at its two primes share one Li path.
+    """
     pf = ps_ext.astype(np.float64)
     lg = np.log(pf)
     ns = np.arange(n0, n0 + len(pf), dtype=np.float64)
-    livals = li(pf)
+    livals = li_of(pf)
     f = ns - livals
     fhat = ns - _expansion(pf, c3)
     b = fhat * lg**3 / pf
@@ -504,9 +508,7 @@ def deriv_scan(
     if limit < 5:
         raise DomainError(f"deriv_scan requires limit >= 5, got {limit}")
     scan = DerivScan(limit, c, c3, sink_mode)
-    state, finished = run_scan(data, scan, limit=limit, workers=workers, sink=sink)
-    assert finished
-    return scan.result(state)
+    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
 
 
 def _deriv_records(
@@ -516,7 +518,7 @@ def _deriv_records(
     if count < 2:
         raise DomainError(f"no derivative records below limit {limit}")
     ps_ext = data.primes[:count]
-    b_prime, k_prime, b_rhs, k_rhs = _deriv_block(ps_ext, 1, c, c3)
+    b_prime, k_prime, b_rhs, k_rhs = _deriv_block(ps_ext, 1, c, c3, li)
     out = []
     for i in range(count - 1):
         out.append(
@@ -615,7 +617,7 @@ class SchoenfeldScan(BlockScan):
         if len(xs) == 0:
             return xs, pis, None, None
         xf = xs.astype(np.float64)
-        livals = li(xf)
+        livals = li_ascending(xf)
         ratio = np.abs(pis - livals) / (np.sqrt(xf) * np.log(xf))
         return xs, pis, livals, ratio
 
@@ -709,9 +711,7 @@ def schoenfeld_scan(
     if limit < 10:
         raise DomainError(f"schoenfeld_scan requires limit >= 10, got {limit}")
     scan = SchoenfeldScan(limit, k_all, windows)
-    state, finished = run_scan(data, scan, limit=limit, workers=workers, sink=sink)
-    assert finished
-    return scan.result(state)
+    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
 
 
 class BBoundScan(BlockScan):
@@ -797,9 +797,7 @@ def bbound_scan(
     if limit < 10:
         raise DomainError(f"bbound_scan requires limit >= 10, got {limit}")
     scan = BBoundScan(limit, bound, c3)
-    state, finished = run_scan(data, scan, limit=limit, workers=workers, sink=sink)
-    assert finished
-    return scan.result(state)
+    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
 
 
 class DusartScan(BlockScan):
@@ -878,6 +876,4 @@ def dusart_scan(
             f"dusart_scan requires limit > {DUSART_UPPER_MIN_X}, got {limit}"
         )
     scan = DusartScan(limit)
-    state, finished = run_scan(data, scan, limit=limit, workers=workers, sink=sink)
-    assert finished
-    return scan.result(state)
+    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)

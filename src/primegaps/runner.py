@@ -10,9 +10,11 @@ checkpoint/resume cycle.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
+from .errors import PrimeGapsError
 from .sieve import BLOCK_PRIMES, PrimeData
 
 
@@ -48,6 +50,11 @@ class RowSink:
         data = (line + "\n").encode("ascii")
         self._fh.write(data)
         self.offset += len(data)
+
+    def sync(self) -> None:
+        """Put every row written so far on disk, so ``offset`` is durable."""
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
 
 
 class BlockScan:
@@ -113,3 +120,13 @@ def run_scan(
             break
     total = data.block_count(limit=limit, block_size=block_size)
     return state, state["block"] >= total
+
+
+def run_to_end(data: PrimeData, scan: BlockScan, **kwargs):
+    """Fold ``scan`` over every block with ``run_scan`` and return its result."""
+    state, finished = run_scan(data, scan, **kwargs)
+    if not finished:
+        raise PrimeGapsError(
+            f"scan {scan.name!r} stopped at block {state['block']} before the end"
+        )
+    return scan.result(state)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .accum import NeumaierSum, block_sum
 from .errors import DomainError, RangeLimitError
-from .runner import BlockScan, RowSink
+from .runner import BlockScan, RowSink, run_to_end
 from .sieve import PrimeData
 
 
@@ -119,27 +119,52 @@ class SelbergSums:
         return self.s2 < self.s1
 
 
-def selberg_sums_at(data: PrimeData, x: int) -> SelbergSums:
-    v1 = s1(data, x)
+def _sums_with_s1(data: PrimeData, x: int, v1: float) -> SelbergSums:
     v2 = s2(data, x, "ordered")
     v2u = s2(data, x, "unordered")
     residual = (v1 + v2 - 2.0 * x * math.log(x)) / x
     return SelbergSums(x, v1, v2, v2u, residual)
 
 
+def selberg_sums_at(data: PrimeData, x: int) -> SelbergSums:
+    return _sums_with_s1(data, x, s1(data, x))
+
+
+def _running_s1(data: PrimeData, xs):
+    """S1 at each ascending x: one fsum per run of new primes, carried compensated.
+
+    ``log p`` is taken per run, so no table-sized temporary is made.
+    """
+    running = NeumaierSum()
+    cut = 0
+    for x in xs:
+        nxt = int(np.searchsorted(data.primes, x, side="right"))
+        if nxt > cut:
+            logs = np.log(data.primes[cut:nxt].astype(np.float64))
+            running.add(block_sum(logs * logs))
+            cut = nxt
+        yield running.value
+
+
 def selberg_residual_scan(data: PrimeData, limits) -> list[SelbergSums]:
-    """SelbergSums at each limit (ascending, each >= 4)."""
-    out = []
-    prev = None
-    for x in limits:
-        x = int(x)
+    """SelbergSums at each limit (ascending, each >= 4).
+
+    S1 is carried incrementally along the limits, as in ``lemma_scan``;
+    S2 is evaluated fresh per point.
+    """
+    xs = [int(x) for x in limits]
+    for i, x in enumerate(xs):
         if x < 4:
             raise DomainError(f"residual scan points must be >= 4, got {x}")
-        if prev is not None and x < prev:
+        if i and x < xs[i - 1]:
             raise DomainError("residual scan points must be ascending")
-        prev = x
-        out.append(selberg_sums_at(data, x))
-    return out
+    if xs and xs[-1] > data.limit:
+        raise RangeLimitError(
+            f"residual scan point {xs[-1]} beyond sieved limit {data.limit}"
+        )
+    return [
+        _sums_with_s1(data, x, v1) for x, v1 in zip(xs, _running_s1(data, xs))
+    ]
 
 
 @dataclass(frozen=True)
@@ -171,22 +196,10 @@ def lemma_scan(data: PrimeData, xs) -> LemmaScanResult:
             f"lemma_scan point {int(xs[-1])} beyond sieved limit {data.limit}"
         )
 
-    running = NeumaierSum()
-    cut = 0
     failures = []
     min_margin = math.inf
     min_at = 0
-    logs_all = None
-    for x in xs:
-        x = int(x)
-        nxt = int(np.searchsorted(data.primes, x, side="right"))
-        if nxt > cut:
-            if logs_all is None:
-                logs_all = np.log(data.primes.astype(np.float64))
-            chunk = logs_all[cut:nxt]
-            running.add(block_sum(chunk * chunk))
-            cut = nxt
-        v1 = running.value
+    for x, v1 in zip(xs.tolist(), _running_s1(data, xs)):
         v2 = s2(data, x, "ordered")
         margin = v1 - v2
         if margin < min_margin:
@@ -300,19 +313,15 @@ def partial_sum_scan(data: PrimeData, n_max: int, *, sink: RowSink | None = None
     Requires the sieve to contain at least n_max + 1 primes (the gap at
     index n_max needs its successor).
     """
-    from .runner import run_scan
-
     if n_max + 1 > len(data.primes):
         raise RangeLimitError(
             f"partial-sum scan to N={n_max} needs {n_max + 1} primes, "
             f"sieve holds {len(data.primes)}"
         )
-    scan = PartialSumScan(n_max)
-    state, finished = run_scan(
-        data, scan, limit=data.nth(n_max + 1), workers=workers, sink=sink
+    return run_to_end(
+        data, PartialSumScan(n_max), limit=data.nth(n_max + 1), workers=workers,
+        sink=sink,
     )
-    assert finished
-    return scan.result(state)
 
 
 def gap_records(data: PrimeData, n_max: int) -> list[PartialSumRecord]:

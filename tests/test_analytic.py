@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from primegaps.analytic import (
     Constants,
     _EI_SWITCH,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _ei_asymptotic,
     _ei_series,
     bprime_threshold,
     dusart_bounds,
     kprime_threshold,
     li,
+    li_ascending,
     monotonicity_threshold,
     skewes_log10,
     skewes_mean_kprime,
@@ -20,6 +25,8 @@ from primegaps.analytic import (
     smooth_s2,
 )
 from primegaps.errors import DomainError
+from primegaps.fluct import _gap_pairs, _jump_grid
+from primegaps.sieve import PrimeData
 
 from .oracles import li_quad
 
@@ -89,6 +96,96 @@ def test_li_asymptotic_branch_matches_high_precision():
     for x in (1e18, 1e20, 1e25):
         ref = float(mp.li(x) - mp.li(2))
         assert li(x) == pytest.approx(ref, rel=1e-12)
+
+
+def _li_ascending_worst_rel(xs):
+    fast = li_ascending(xs)
+    ref = li(xs)
+    assert fast[0] == ref[0]
+    nz = ref != 0.0
+    assert np.all(fast[~nz] == 0.0)
+    return float(np.max(np.abs(fast[nz] - ref[nz]) / ref[nz]))
+
+
+def test_li_ascending_on_scan_grids_to_1e7():
+    # Every block exactly as the scans call it: the jump grid (p - 1, p)
+    # of the ratio scan and the primes of the derivative scan.
+    limit = 10**7
+    data = PrimeData.build(limit)
+    worst_grid = worst_primes = 0.0
+    points = 0
+    for block in data.blocks(limit=limit):
+        xs, _ = _jump_grid(block, limit)
+        ps, succ = _gap_pairs(block, limit)
+        ps_ext = np.concatenate([ps, [succ[-1]]]).astype(np.float64)
+        worst_grid = max(worst_grid, _li_ascending_worst_rel(xs.astype(np.float64)))
+        worst_primes = max(worst_primes, _li_ascending_worst_rel(ps_ext))
+        points += len(xs)
+    assert points == 2 * 664579 - 2  # every prime and every p - 1 but 1 and 2
+    assert worst_grid <= 1e-12
+    assert worst_primes <= 1e-12
+
+
+def test_li_ascending_rule_is_10_point_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert tuple(nodes[5:]) == _GL_NODES
+    assert tuple(weights[5:]) == _GL_WEIGHTS
+    assert np.array_equal(nodes[:5], -nodes[:4:-1])
+    assert np.array_equal(weights[:5], weights[:4:-1])
+
+
+def test_li_ascending_anchor_equals_li():
+    for xs in ([2.0, 3.0], [10.0, 11.0, 13.0], [1e8 - 1, 1e8], [7.5]):
+        assert li_ascending(np.array(xs))[0] == li(xs[0])
+
+
+def test_li_ascending_equal_neighbours_add_zero():
+    out = li_ascending(np.array([1e6, 1e6, 1e6 + 2, 1e6 + 2]))
+    assert out[0] == out[1]
+    assert out[2] == out[3]
+    assert li_ascending(np.array([2.0, 2.0, 2.0])).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_li_ascending_wide_steps_take_the_ei_difference():
+    xs = np.array([2.0, 1e3, 1e9, 1e12])
+    assert li_ascending(xs) == pytest.approx(li(xs), rel=1e-13)
+
+
+def test_li_ascending_domain_errors():
+    with pytest.raises(DomainError):
+        li_ascending(np.array([10.0, 9.0]))
+    with pytest.raises(DomainError):
+        li_ascending(np.array([1.5, 3.0]))
+    with pytest.raises(DomainError):
+        li_ascending(np.array([3.0, np.nan]))
+    with pytest.raises(DomainError):
+        li_ascending(np.array([[3.0, 4.0]]))
+    assert len(li_ascending(np.array([]))) == 0
+
+
+# Log-uniform points in [2, 1e12], and a cluster of prime-gap-sized
+# steps so that the quadrature steps are drawn as well as the wide ones.
+_X = st.floats(min_value=math.log(2.0), max_value=math.log(1e12)).map(
+    lambda w: min(1e12, max(2.0, math.exp(w)))
+)
+_STEPS = st.lists(st.floats(min_value=0.0, max_value=300.0), max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_X, min_size=1, max_size=20), _X, _STEPS)
+def test_li_ascending_property_against_mpmath(values, base, steps):
+    import mpmath
+
+    cluster = np.minimum(1e12, base + np.cumsum(steps))
+    xs = np.sort(np.concatenate([values, [base], cluster]))
+    out = li_ascending(xs)
+    with mpmath.workdps(30):
+        li2 = mpmath.li(2)
+        refs = [float(mpmath.li(x) - li2) for x in xs]
+    for got, ref in zip(out, refs):
+        # Li vanishes at 2, where relative error loses its meaning; the
+        # absolute floor only matters for values below 1.
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_smooth_closed_forms():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +292,80 @@ def test_report_requires_million(capsys):
 
 def test_usage_error_unknown_command():
     assert main(["frobnicate"]) == 2
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs the CLI with every checkpoint write counted; after the third one
+# the process dies at once, as under SIGKILL: no buffers are flushed.
+_KILL_AFTER_THIRD_CHECKPOINT = """
+import os, sys
+from primegaps import cli
+write = cli._write_checkpoint
+calls = [0]
+def write_then_die(path, payload):
+    write(path, payload)
+    calls[0] += 1
+    if calls[0] == 3:
+        os._exit(9)
+cli._write_checkpoint = write_then_die
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _run_cli(pre_args, args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *pre_args, *args], cwd=cwd, env=env,
+        capture_output=True, timeout=300,
+    )
+
+
+def test_scan_resume_after_hard_kill_byte_identical(tmp_path, capsys):
+    args = ["scan", "--which", "delta", "--limit", "2000000",
+            "--out", "a.csv", "--checkpoint", "a.ckpt"]
+    killed = _run_cli(["-c", _KILL_AFTER_THIRD_CHECKPOINT], args, tmp_path)
+    assert killed.returncode == 9
+    ckpt = json.loads((tmp_path / "a.ckpt").read_text())
+    assert ckpt["scan_state"]["block"] == 3
+    assert (tmp_path / "a.csv").stat().st_size >= ckpt["sink_offset"]
+    resumed = _run_cli(["-m", "primegaps.cli"], [*args, "--resume"], tmp_path)
+    assert resumed.returncode == 1  # violations {1, 2, 4} at c = 1
+    ref = tmp_path / "ref.csv"
+    main(["scan", "--which", "delta", "--limit", "2000000", "--out", str(ref)])
+    blob = (tmp_path / "a.csv").read_bytes()
+    assert b"\0" not in blob
+    assert blob == ref.read_bytes()
+
+
+def test_resume_refuses_output_shorter_than_checkpoint(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    ck = tmp_path / "d.ckpt"
+    args = ["scan", "--which", "delta", *LIMIT_1E6, "--out", str(out),
+            "--checkpoint", str(ck)]
+    assert main([*args, "--stop-after-blocks", "1"]) == 0
+    size = out.stat().st_size
+    assert json.loads(ck.read_text())["sink_offset"] == size
+    with open(out, "r+b") as fh:
+        fh.truncate(size - 10)
+    assert main([*args, "--resume"]) == 2
+    assert out.stat().st_size == size - 10  # left as found
+
+
+def test_report_resume_refuses_changed_points(tmp_path, capsys):
+    ck = tmp_path / "r.ckpt"
+    args = ["report", *LIMIT_1E6, "--checkpoint", str(ck)]
+    assert main([*args, "--points", "8", "--stop-after-blocks", "1"]) == 0
+    assert main([*args, "--points", "32", "--resume"]) == 2
+    capsys.readouterr()
+    assert main([*args, "--points", "8", "--resume"]) == 0
+    assert json.loads(capsys.readouterr().out)["selberg_points"]["points"] == 8
+
+
+def test_report_identical_under_python_O(tmp_path):
+    args = ["-m", "primegaps.cli", "report", *LIMIT_1E6]
+    plain = _run_cli([], args, tmp_path)
+    optimized = _run_cli(["-O"], args, tmp_path)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout

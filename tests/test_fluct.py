@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from primegaps.analytic import bprime_threshold, kprime_threshold, li
-from primegaps.errors import DomainError, RangeLimitError
+from primegaps.errors import DomainError, PrimeGapsError, RangeLimitError
 from primegaps.fluct import (
     bbound_scan,
     bprime_records,
@@ -19,8 +19,8 @@ from primegaps.fluct import (
     kprime_records,
     schoenfeld_scan,
 )
-from primegaps.runner import RowSink, run_scan
-from primegaps.fluct import DerivScan
+from primegaps.runner import RowSink, run_scan, run_to_end
+from primegaps.fluct import CgScan, DerivScan
 
 # Frozen regression values (1e6 scans, double-checked against the
 # quadrature li oracle and hand evaluation at small x).
@@ -217,6 +217,14 @@ def test_records_identical_across_workers(data_1e6):
         assert finished
         outs.append(buf.getvalue())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_run_to_end_raises_when_stopped_early(data_1e6):
+    # An explicit error, not an assert, so it holds under python -O too.
+    scan = CgScan(10**6, 1.0)
+    assert run_to_end(data_1e6, scan, limit=10**6).violations == [1, 2, 4]
+    with pytest.raises(PrimeGapsError, match="stopped at block 1"):
+        run_to_end(data_1e6, scan, limit=10**6, stop_after_blocks=1)
 
 
 def test_interpolate_derivative(data_1e6):

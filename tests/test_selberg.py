@@ -149,6 +149,28 @@ def test_residual_scan(data_1e6):
     assert rows[0].s2_unordered < rows[0].s2
 
 
+def test_residual_scan_matches_pointwise_sums(data_1e6):
+    xs = [4, 10, 11, 11, 1000, 104729, 10**6]
+    rows = selberg_residual_scan(data_1e6, xs)
+    for x, row in zip(xs, rows):
+        ref = selberg_sums_at(data_1e6, x)
+        assert row.x == x
+        assert row.s1 == pytest.approx(ref.s1, rel=1e-14)
+        assert row.s2 == ref.s2 and row.s2_unordered == ref.s2_unordered
+        assert row.residual_per_x == pytest.approx(ref.residual_per_x, rel=1e-13)
+    assert rows[2] == rows[3]
+    assert selberg_residual_scan(data_1e6, []) == []
+
+
+def test_residual_scan_errors(data_1e6):
+    with pytest.raises(DomainError):
+        selberg_residual_scan(data_1e6, [10, 3])
+    with pytest.raises(DomainError):
+        selberg_residual_scan(data_1e6, [100, 10])
+    with pytest.raises(RangeLimitError):
+        selberg_residual_scan(data_1e6, [10, 10**6 + 1])
+
+
 def test_residual_identity_incremental_at_100_random_x(data_1e6):
     # s1 + s2 must change by exactly the new terms across integer steps.
     rng = np.random.default_rng(47)
