@@ -11,32 +11,10 @@ checkpoint/resume cycle.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 from .errors import PrimeGapsError
-from .sieve import BLOCK_PRIMES, PrimeData
-
-
-def ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
-    """Map fn over items, yielding results in input order.
-
-    With workers > 1 a bounded window of futures keeps the pool busy
-    without buffering unbounded payloads.
-    """
-    if workers <= 1 or len(items) <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    window = workers + 2
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = {}
-        submit = 0
-        for i in range(len(items)):
-            while submit < len(items) and submit < i + window:
-                pending[submit] = pool.submit(fn, items[submit])
-                submit += 1
-            yield pending.pop(i).result()
+from .sieve import BLOCK_PRIMES, PrimeData, ordered_map
 
 
 class RowSink:
@@ -78,6 +56,28 @@ class BlockScan:
         return None
 
 
+class FusedScan(BlockScan):
+    """Several scans folded in one pass over the blocks.
+
+    ``run_scan`` maps and reduces each block through the sub-scans in
+    turn, so each sees the same blocks in the same order as it would
+    alone and its result is bit-identical to a separate run, while only
+    one sub-scan's payload is alive at a time.  The state is ``{name:
+    sub_state}``: one state, one checkpoint.  Fold it without a sink.
+    """
+
+    name = "fused"
+
+    def __init__(self, scans: dict[str, BlockScan]):
+        self.scans = scans
+
+    def start(self) -> dict:
+        return {name: scan.start() for name, scan in self.scans.items()}
+
+    def result(self, state: dict) -> dict:
+        return {name: scan.result(state[name]) for name, scan in self.scans.items()}
+
+
 def run_scan(
     data: PrimeData,
     scan: BlockScan,
@@ -102,16 +102,21 @@ def run_scan(
         state["block"] = 0
         if sink is not None and scan.header() is not None:
             sink.write(scan.header())
-    start_block = state["block"]
-    blocks = [
-        b
-        for b in data.blocks(limit=limit, block_size=block_size)
-        if b.index >= start_block
+    # Each block is folded through its parts in turn; a plain scan is its
+    # only part and owns the whole state (key None).
+    parts = list(scan.scans.items()) if isinstance(scan, FusedScan) else [(None, scan)]
+    steps = [
+        (block, key, part)
+        for block in data.blocks(limit=limit, block_size=block_size)
+        if block.index >= state["block"]
+        for key, part in parts
     ]
+    payloads = ordered_map(lambda step: step[2].map_block(step[0]), steps, workers)
     done = 0
-    for payload in ordered_map(scan.map_block, blocks, workers):
-        block = blocks[done]
-        scan.reduce(state, payload, sink)
+    for (block, key, part), payload in zip(steps, payloads):
+        part.reduce(state if key is None else state[key], payload, sink)
+        if key != parts[-1][0]:
+            continue
         state["block"] = block.index + 1
         done += 1
         if on_block is not None:

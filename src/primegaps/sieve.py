@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -115,6 +115,27 @@ def _sieve_odd_segment(lo: int, hi: int, odd_bases: np.ndarray) -> np.ndarray:
     return lo + 2 * np.nonzero(mask)[0].astype(np.int64)
 
 
+def ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """Map fn over items, yielding results in input order.
+
+    With workers > 1 a bounded window of futures keeps the pool busy
+    without buffering unbounded payloads.
+    """
+    if workers <= 1 or len(items) <= 1:
+        for item in items:
+            yield fn(item)
+        return
+    window = workers + 2
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = {}
+        submit = 0
+        for i in range(len(items)):
+            while submit < len(items) and submit < i + window:
+                pending[submit] = pool.submit(fn, items[submit])
+                submit += 1
+            yield pending.pop(i).result()
+
+
 def iter_segments(plan: SievePlan) -> Iterator[np.ndarray]:
     """Yield arrays of primes per segment, in ascending order.
 
@@ -137,25 +158,9 @@ def iter_segments(plan: SievePlan) -> Iterator[np.ndarray]:
     if head is not None:
         yield head
 
-    if plan.worker_count == 1 or len(spans) <= 1:
-        for lo, hi in spans:
-            yield _sieve_odd_segment(lo, hi, odd_bases)
-        return
-
-    window = plan.worker_count + 2
-    with ThreadPoolExecutor(max_workers=plan.worker_count) as pool:
-        pending = {}
-        next_submit = 0
-        next_yield = 0
-        while next_yield < len(spans):
-            while next_submit < len(spans) and next_submit < next_yield + window:
-                lo, hi = spans[next_submit]
-                pending[next_submit] = pool.submit(
-                    _sieve_odd_segment, lo, hi, odd_bases
-                )
-                next_submit += 1
-            yield pending.pop(next_yield).result()
-            next_yield += 1
+    yield from ordered_map(
+        lambda span: _sieve_odd_segment(*span, odd_bases), spans, plan.worker_count
+    )
 
 
 def primes_up_to(

@@ -369,3 +369,50 @@ def test_report_identical_under_python_O(tmp_path):
     optimized = _run_cli(["-O"], args, tmp_path)
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
+
+
+def _to_version_1(ck):
+    new = json.loads(ck.read_text())
+    ck.write_text(json.dumps({
+        "version": 1, "command": "scan", "which": "delta",
+        "config": new["key"]["config"], "scan_state": new["scan_state"],
+        "sink_offset": new["sink_offset"],
+    }))
+
+
+_DELTA = ["scan", "--which", "delta", *LIMIT_1E6]
+
+
+@pytest.mark.parametrize(
+    "first, resumed, edit",
+    [
+        pytest.param(_DELTA, [*_DELTA, "--format", "json"], None, id="csv-to-json"),
+        pytest.param([*_DELTA, "--format", "json"], _DELTA, None, id="json-to-csv"),
+        pytest.param(_DELTA, ["scan", "--which", "cg", *LIMIT_1E6], None,
+                     id="which"),
+        pytest.param(["figure1", *LIMIT_1E6], ["scan", "--which", "k", *LIMIT_1E6],
+                     None, id="figure1-to-scan"),
+        pytest.param(["selberg", *LIMIT_1E5, "--points", "12"],
+                     ["selberg", *LIMIT_1E5, "--points", "8"], None, id="points"),
+        pytest.param(_DELTA, _DELTA, _to_version_1, id="version-1"),
+    ],
+)
+def test_resume_refuses_changed_key(tmp_path, capsys, first, resumed, edit):
+    out = tmp_path / "out"
+    ck = tmp_path / "ck.json"
+    tail = ["--out", str(out), "--checkpoint", str(ck)]
+    assert main([*first, *tail, "--stop-after-blocks", "1"]) == 0
+    if edit is not None:
+        edit(ck)
+    before = out.read_bytes() if out.exists() else None
+    assert main([*resumed, *tail, "--resume"]) == 2
+    assert (out.read_bytes() if out.exists() else None) == before
+
+
+@pytest.mark.parametrize("command", [["scan", "--which", "delta"], ["report"]])
+def test_unwritable_checkpoint_path(tmp_path, capsys, command):
+    ck = tmp_path / "no-such-dir" / "a.ckpt"
+    code = main([*command, *LIMIT_1E6, "--out", str(tmp_path / "a.out"),
+                 "--checkpoint", str(ck)])
+    assert code == 2
+    assert "cannot write checkpoint" in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -19,8 +21,15 @@ from primegaps.fluct import (
     kprime_records,
     schoenfeld_scan,
 )
-from primegaps.runner import RowSink, run_scan, run_to_end
-from primegaps.fluct import CgScan, DerivScan
+from primegaps.runner import FusedScan, RowSink, run_scan, run_to_end
+from primegaps.fluct import (
+    BBoundScan,
+    CgScan,
+    DerivScan,
+    DusartScan,
+    SchoenfeldScan,
+)
+from primegaps.selberg import PartialSumScan
 
 # Frozen regression values (1e6 scans, double-checked against the
 # quadrature li oracle and hand evaluation at small x).
@@ -225,6 +234,38 @@ def test_run_to_end_raises_when_stopped_early(data_1e6):
     assert run_to_end(data_1e6, scan, limit=10**6).violations == [1, 2, 4]
     with pytest.raises(PrimeGapsError, match="stopped at block 1"):
         run_to_end(data_1e6, scan, limit=10**6, stop_after_blocks=1)
+
+
+def _plain(result):
+    return json.loads(json.dumps(dataclasses.asdict(result)))
+
+
+def _report_scans(data):
+    return {
+        "partial_sums": PartialSumScan(len(data.primes) - 1),
+        "cramer_granville": CgScan(10**6, 1.0),
+        "conditions": DerivScan(10**6, 1.0),
+        "schoenfeld": SchoenfeldScan(10**6, 1.0 / 3.0),
+        "b_bound": BBoundScan(10**6, 5.0),
+        "dusart": DusartScan(10**6),
+    }
+
+
+def test_fused_scan_resumed_equals_each_scan_alone(data_1e6):
+    # Blocks of 8192 primes give the 1e6 table ten blocks, so the stop at
+    # block 3 falls mid-run; the default size gives only three.
+    fold = {"limit": 10**6, "block_size": 8192}
+    fused = FusedScan(_report_scans(data_1e6))
+    state, finished = run_scan(data_1e6, fused, stop_after_blocks=3, **fold)
+    assert not finished and state["block"] == 3
+    state = json.loads(json.dumps(state))  # as a checkpoint stores it
+    state, finished = run_scan(data_1e6, fused, workers=2, state=state, **fold)
+    assert finished
+    results = fused.result(state)
+    for name, scan in _report_scans(data_1e6).items():
+        alone = run_to_end(data_1e6, scan, **fold)
+        # exact equality; the round trip only turns tuples into lists
+        assert _plain(results[name]) == _plain(alone), name
 
 
 def test_interpolate_derivative(data_1e6):
