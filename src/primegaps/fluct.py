@@ -39,10 +39,6 @@ DEFAULT_EXPANSION_C3 = 2.0
 SCHOENFELD_CUTOFF = 2657
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 # ----------------------------------------------------------------------
 # Point evaluation
 
@@ -164,12 +160,10 @@ class CgScan(BlockScan):
             if ratio[j] > state["tail_max"]:
                 state["tail_max"] = float(ratio[j])
                 state["tail_at"] = int(ps[j])
-        for i in viol:
-            state["violations"].append(n0 + int(i))
-            if sink is not None:
-                sink.write(
-                    f"{n0 + int(i)},{int(ps[i])},{int(g[i])},{_fmt(ratio[i])}"
-                )
+        state["violations"].extend((n0 + viol).tolist())
+        if sink is not None:
+            sink.write_rows("{},{},{},{!r}", n0 + viol, ps[viol],
+                            g[viol].astype(np.int64), ratio[viol])
 
     def result(self, state):
         violations = state["violations"]
@@ -297,8 +291,7 @@ class DeltaScan(BlockScan):
         for i in viol:
             state["violations"].append(n0 + int(i))
         if sink is not None:
-            for i in range(len(ps)):
-                sink.write(f"{int(ps[i])},{_fmt(delta[i])},{_fmt(delta_hat[i])}")
+            sink.write_rows("{},{!r},{!r}", ps, delta, delta_hat)
         state["count"] += len(ps)
         state["final"] = float(delta[-1]) if len(ps) else state.get("final", 0.0)
         prefix.add(total)
@@ -469,19 +462,14 @@ class DerivScan(BlockScan):
             state["b_violations"].append((n0 + int(i), int(ps[i])))
         for i in np.nonzero(~k_ok)[0]:
             state["k_violations"].append((n0 + int(i), int(ps[i])))
-        if sink is not None:
-            if self.sink_mode == "figure":
-                for i in range(len(ps)):
-                    sink.write(
-                        f"{int(ps[i])},{_fmt(k_prime[i])},{_fmt(k_rhs[i])}"
-                    )
-            else:
-                for i in range(len(ps)):
-                    sink.write(
-                        f"{n0 + i},{int(ps[i])},{_fmt(b_prime[i])},"
-                        f"{_fmt(k_prime[i])},{_fmt(b_rhs[i])},{_fmt(k_rhs[i])},"
-                        f"{str(bool(b_ok[i])).lower()},{str(bool(k_ok[i])).lower()}"
-                    )
+        if sink is not None and self.sink_mode == "figure":
+            sink.write_rows("{},{!r},{!r}", ps, k_prime, k_rhs)
+        elif sink is not None:
+            sink.write_rows(
+                "{},{},{!r},{!r},{!r},{!r},{},{}",
+                np.arange(n0, n0 + len(ps)), ps, b_prime, k_prime, b_rhs, k_rhs,
+                np.where(b_ok, "true", "false"), np.where(k_ok, "true", "false"),
+            )
         state["count"] += len(ps)
 
     def result(self, state):
@@ -489,8 +477,9 @@ class DerivScan(BlockScan):
             limit=self.limit,
             c=self.c,
             count=state["count"],
-            b_violations=state["b_violations"],
-            k_violations=state["k_violations"],
+            # a state resumed from JSON holds lists; a fresh one tuples
+            b_violations=[tuple(v) for v in state["b_violations"]],
+            k_violations=[tuple(v) for v in state["k_violations"]],
         )
 
 
@@ -648,10 +637,7 @@ class SchoenfeldScan(BlockScan):
                 if m > state["windows"][name]:
                     state["windows"][name] = m
         if sink is not None:
-            for i in range(len(xs)):
-                sink.write(
-                    f"{int(xs[i])},{int(pis[i])},{_fmt(livals[i])},{_fmt(ratio[i])}"
-                )
+            sink.write_rows("{},{},{!r},{!r}", xs, pis, livals, ratio)
 
     def result(self, state):
         return SchoenfeldResult(
@@ -749,8 +735,7 @@ class BBoundScan(BlockScan):
         for i in np.nonzero(ab >= self.bound)[0]:
             state["violations"].append(int(xs[i]))
         if sink is not None:
-            for i in range(len(xs)):
-                sink.write(f"{int(xs[i])},{int(pis[i])},{_fmt(b[i])}")
+            sink.write_rows("{},{},{!r}", xs, pis, b)
 
     def result(self, state):
         return BBoundResult(
@@ -829,13 +814,10 @@ class DusartScan(BlockScan):
             return
         lower, upper = bounds
         state["checked"] += len(xs)
-        for i in bad:
-            i = int(i)
-            state["violations"].append(int(xs[i]))
-            if sink is not None:
-                sink.write(
-                    f"{int(xs[i])},{int(pis[i])},{_fmt(lower[i])},{_fmt(upper[i])}"
-                )
+        state["violations"].extend(xs[bad].tolist())
+        if sink is not None:
+            sink.write_rows("{},{},{!r},{!r}", xs[bad], pis[bad],
+                            lower[bad], upper[bad])
 
     def result(self, state):
         return DusartResult(

@@ -29,6 +29,15 @@ class RowSink:
         self._fh.write(data)
         self.offset += len(data)
 
+    def write_rows(self, row_fmt: str, *cols) -> None:
+        """Write a block's rows in one ``write``: row i is ``row_fmt`` over each
+        column's i-th ``tolist()`` value (``{!r}`` of a float is ``repr``).
+
+        A block with no rows writes nothing, so no blank line.
+        """
+        if len(cols[0]):
+            self.write("\n".join(map(row_fmt.format, *(c.tolist() for c in cols))))
+
     def sync(self) -> None:
         """Put every row written so far on disk, so ``offset`` is durable."""
         self._fh.flush()

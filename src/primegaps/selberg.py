@@ -275,11 +275,8 @@ class PartialSumScan(BlockScan):
         if len(false_idx):
             state["last_false"] = n0 + int(false_idx[-1])
         if sink is not None:
-            for i in range(take):
-                sink.write(
-                    f"{n0 + i},{gap_cum[i]},{float(logsq[i])!r},"
-                    f"{str(bool(holds[i])).lower()}"
-                )
+            sink.write_rows("{},{},{!r},{}", np.arange(n0, n0 + take), gap_cum, logsq,
+                            np.where(holds, "true", "false"))
         state["count"] += take
         if take:
             state["gap_sum"] = int(gap_cum[-1])

@@ -3,7 +3,8 @@
 Each oracle deliberately takes a different computational route from the
 library path it checks: trial division vs the segmented sieve, adaptive
 quadrature vs the exponential-integral branches, direct pair loops and
-long-double accumulation vs the theta-table sums.
+long-double accumulation vs the theta-table sums, one f-string per CSV
+row vs the per-block batched row sink.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from primegaps.accum import NeumaierSum
 
 
 def trial_division_primes(limit: int) -> np.ndarray:
@@ -106,3 +109,116 @@ def pair_terms_at(primes, x: int) -> float:
                 term = math.log(p) * math.log(q)
                 total += term if p == q else 2.0 * term
     return total
+
+
+# ----------------------------------------------------------------------
+# CSV rows, one f-string per row: the scans' row formatting before it was
+# batched per block.  Each ``*_rows`` takes a scan's state before its
+# ``reduce`` and the block's payload, and returns that block's lines.
+
+
+def _fmt(v) -> str:
+    return repr(float(v))
+
+
+def _flag(v) -> str:
+    return str(bool(v)).lower()
+
+
+def _cg_rows(scan, state, payload):
+    n0, ps, g, ratio, viol = payload
+    if ratio is None:
+        return []
+    return [f"{n0 + int(i)},{int(ps[i])},{int(g[i])},{_fmt(ratio[i])}" for i in viol]
+
+
+def _delta_rows(scan, state, payload):
+    n0, ps, lg, local, total, viol, b_exp = payload
+    delta = NeumaierSum.from_state(state["prefix"]).value + local
+    pf = ps.astype(np.float64)
+    delta_hat = delta - pf * lg + ((scan.c + 1.0) / scan.c) * pf
+    return [
+        f"{int(ps[i])},{_fmt(delta[i])},{_fmt(delta_hat[i])}" for i in range(len(ps))
+    ]
+
+
+def _deriv_rows(scan, state, payload):
+    n0, ps, cols = payload
+    if cols is None:
+        return []
+    b_prime, k_prime, b_rhs, k_rhs = cols
+    if scan.sink_mode == "figure":
+        return [
+            f"{int(ps[i])},{_fmt(k_prime[i])},{_fmt(k_rhs[i])}" for i in range(len(ps))
+        ]
+    return [
+        f"{n0 + i},{int(ps[i])},{_fmt(b_prime[i])},{_fmt(k_prime[i])},"
+        f"{_fmt(b_rhs[i])},{_fmt(k_rhs[i])},"
+        f"{_flag(b_prime[i] > b_rhs[i])},{_flag(k_prime[i] > k_rhs[i])}"
+        for i in range(len(ps))
+    ]
+
+
+def _schoenfeld_rows(scan, state, payload):
+    xs, pis, livals, ratio = payload
+    if ratio is None:
+        return []
+    return [
+        f"{int(xs[i])},{int(pis[i])},{_fmt(livals[i])},{_fmt(ratio[i])}"
+        for i in range(len(xs))
+    ]
+
+
+def _bbound_rows(scan, state, payload):
+    xs, pis, b = payload
+    if b is None:
+        return []
+    return [f"{int(xs[i])},{int(pis[i])},{_fmt(b[i])}" for i in range(len(xs))]
+
+
+def _dusart_rows(scan, state, payload):
+    xs, pis, bounds, bad = payload
+    if bounds is None:
+        return []
+    lower, upper = bounds
+    return [
+        f"{int(xs[i])},{int(pis[i])},{_fmt(lower[i])},{_fmt(upper[i])}" for i in bad
+    ]
+
+
+def _partial_sum_rows(scan, state, payload):
+    n0, ps, succ, local, total = payload
+    take = max(0, min(len(ps), scan.n_max - state["count"]))
+    gap_cum = state["gap_sum"] + np.cumsum(succ[:take] - ps[:take])
+    logsq = NeumaierSum.from_state(state["logsq"]).value + local[:take]
+    return [
+        f"{n0 + i},{gap_cum[i]},{float(logsq[i])!r},{_flag(gap_cum[i] < logsq[i])}"
+        for i in range(take)
+    ]
+
+
+_ROWS = {
+    "cg": _cg_rows,
+    "delta": _delta_rows,
+    "deriv": _deriv_rows,
+    "schoenfeld": _schoenfeld_rows,
+    "bbound": _bbound_rows,
+    "dusart": _dusart_rows,
+    "partial_sums": _partial_sum_rows,
+}
+
+
+def csv_rows_oracle(scan, data, limit: int) -> bytes:
+    """The CSV bytes ``scan`` writes up to ``limit``, formatted row by row.
+
+    Folds the scan's own ``map_block`` and ``reduce`` over the default
+    blocks, sinkless, and formats each row from the payload on the side.
+    """
+    rows_of = _ROWS[scan.name]
+    lines = [scan.header()]
+    state = scan.start()
+    for block in data.blocks(limit=limit):
+        payload = scan.map_block(block)
+        lines += rows_of(scan, state, payload)
+        scan.reduce(state, payload, None)
+    return ("\n".join(lines) + "\n").encode("ascii")

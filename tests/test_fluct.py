@@ -268,6 +268,19 @@ def test_fused_scan_resumed_equals_each_scan_alone(data_1e6):
         assert _plain(results[name]) == _plain(alone), name
 
 
+def test_deriv_scan_resumed_from_json_equals_uninterrupted(data_1e6):
+    # A JSON checkpoint turns the violation tuples into lists; the
+    # result must not show which of the two runs it came from.
+    fold = {"limit": 10**6, "block_size": 8192}
+    scan = DerivScan(10**6, 1.0)
+    state, finished = run_scan(data_1e6, scan, stop_after_blocks=3, **fold)
+    assert not finished
+    state = json.loads(json.dumps(state))
+    state, finished = run_scan(data_1e6, scan, state=state, **fold)
+    assert finished
+    assert scan.result(state) == run_to_end(data_1e6, scan, **fold)
+
+
 def test_interpolate_derivative(data_1e6):
     recs = bprime_records(data_1e6, 10**3, 1.0)
     r5, r6 = recs[4], recs[5]
