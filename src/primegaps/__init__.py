@@ -33,51 +33,38 @@ from .errors import (
 from .fit import FitResult, bin_average_k, fit_from_data, fit_skewes, sample_fluctuations
 from .fluct import (
     BBoundResult,
-    DeltaSample,
     DeltaScanResult,
-    DerivRecord,
     DerivScanResult,
     DusartResult,
     FluctuationSample,
     ScanReport,
     SchoenfeldResult,
     bbound_scan,
-    bprime_records,
     cg_scan,
-    delta_samples,
     delta_scan,
     deriv_scan,
     dusart_scan,
     fluctuation_at,
-    interpolate_derivative,
-    kprime_records,
     schoenfeld_scan,
 )
 from .selberg import (
     LemmaScanResult,
-    PartialSumRecord,
     PartialSumResult,
     SelbergSums,
-    gap_records,
     lemma_scan,
     partial_sum_scan,
     s1,
-    s1_exceeds_s2,
     s2,
-    s2_halfrange,
     selberg_residual_scan,
     selberg_sums_at,
     theta,
 )
 from .sieve import (
     PrimeData,
-    PrimeGap,
     SievePlan,
-    gap_stream,
     nth_prime,
     prime_count,
     primes_up_to,
-    write_gap_stream,
 )
 
 __version__ = "0.1.0"
@@ -86,9 +73,7 @@ __all__ = [
     "BBoundResult",
     "Constants",
     "DEFAULT_CONSTANTS",
-    "DeltaSample",
     "DeltaScanResult",
-    "DerivRecord",
     "DerivScanResult",
     "DomainError",
     "DusartResult",
@@ -96,10 +81,8 @@ __all__ = [
     "FluctuationSample",
     "InsufficientDataError",
     "LemmaScanResult",
-    "PartialSumRecord",
     "PartialSumResult",
     "PrimeData",
-    "PrimeGap",
     "PrimeGapsError",
     "RangeLimitError",
     "ResourceLimitError",
@@ -110,10 +93,8 @@ __all__ = [
     "SingularFitError",
     "bbound_scan",
     "bin_average_k",
-    "bprime_records",
     "bprime_threshold",
     "cg_scan",
-    "delta_samples",
     "delta_scan",
     "deriv_scan",
     "dusart_bounds",
@@ -121,10 +102,6 @@ __all__ = [
     "fit_from_data",
     "fit_skewes",
     "fluctuation_at",
-    "gap_records",
-    "gap_stream",
-    "interpolate_derivative",
-    "kprime_records",
     "kprime_threshold",
     "lemma_scan",
     "li",
@@ -135,9 +112,7 @@ __all__ = [
     "prime_count",
     "primes_up_to",
     "s1",
-    "s1_exceeds_s2",
     "s2",
-    "s2_halfrange",
     "sample_fluctuations",
     "schoenfeld_scan",
     "selberg_residual_scan",
@@ -147,5 +122,4 @@ __all__ = [
     "smooth_s1",
     "smooth_s2",
     "theta",
-    "write_gap_stream",
 ]

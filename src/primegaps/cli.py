@@ -623,9 +623,8 @@ _S1S2_POINT = 104729
 
 
 def _selberg_at_reference(data: PrimeData) -> dict:
-    v1 = selberg.s1(data, _S1S2_POINT)
-    v2o = selberg.s2(data, _S1S2_POINT, "ordered")
-    v2u = selberg.s2(data, _S1S2_POINT, "unordered")
+    sums = selberg.selberg_sums_at(data, _S1S2_POINT)
+    v1, v2o, v2u = sums.s1, sums.s2, sums.s2_unordered
     return {
         "x": _S1S2_POINT,
         "s1": v1,

@@ -10,7 +10,7 @@ after substituting u = log log log x, so it is solved in closed form by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +40,8 @@ def sample_fluctuations(
     """
     if x_min < 2 or x_max <= x_min:
         raise DomainError("need 2 <= x_min < x_max")
+    if stride < 1:
+        raise DomainError(f"stride must be >= 1, got {stride}")
     lo = int(np.searchsorted(data.primes, x_min, side="left"))
     hi = int(np.searchsorted(data.primes, x_max, side="right"))
     idx = np.arange(lo, hi, stride)
@@ -101,15 +103,7 @@ class FitResult:
     alpha_drop_last_delta: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "A": self.A,
-            "alpha": self.alpha,
-            "log10_sk1": self.log10_sk1,
-            "rms_residual": self.rms_residual,
-            "bin_count": self.bin_count,
-            "x_range": list(self.x_range),
-            "alpha_drop_last_delta": self.alpha_drop_last_delta,
-        }
+        return asdict(self)
 
 
 def _solve(us: np.ndarray, ks: np.ndarray) -> tuple[float, float, float]:

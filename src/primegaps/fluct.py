@@ -17,7 +17,7 @@ edges of each jump of the prime-counting step function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .analytic import (
     li,
     li_ascending,
 )
-from .errors import DomainError, RangeLimitError
+from .errors import DomainError
 from .runner import BlockScan, RowSink, run_to_end
 from .sieve import PrimeData
 
@@ -94,14 +94,7 @@ class ScanReport:
     thresholds: dict
 
     def to_json(self) -> dict:
-        return {
-            "limit": self.limit,
-            "c": self.c,
-            "violations": list(self.violations),
-            "max_ratio": self.max_ratio,
-            "max_ratio_at": self.max_ratio_at,
-            "thresholds": dict(self.thresholds),
-        }
+        return asdict(self)
 
 
 def _gap_pairs(block, limit):
@@ -201,15 +194,6 @@ def cg_scan(
 
 
 @dataclass(frozen=True)
-class DeltaSample:
-    """Gap-deficit sum at a prime, and its smooth-part remainder."""
-
-    p: int
-    delta: float
-    delta_hat: float
-
-
-@dataclass(frozen=True)
 class DeltaScanResult:
     limit: int
     c: float
@@ -220,15 +204,7 @@ class DeltaScanResult:
     max_bhat_drift_at: int
 
     def to_json(self) -> dict:
-        return {
-            "limit": self.limit,
-            "c": self.c,
-            "violations": list(self.violations),
-            "count": self.count,
-            "final_delta": self.final_delta,
-            "max_bhat_drift": self.max_bhat_drift,
-            "max_bhat_drift_at": self.max_bhat_drift_at,
-        }
+        return asdict(self)
 
 
 class DeltaScan(BlockScan):
@@ -326,46 +302,8 @@ def delta_scan(
     return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
 
 
-def delta_samples(
-    data: PrimeData, limit: int, c: float = 1.0
-) -> list[DeltaSample]:
-    """Materialized DeltaSamples for moderate limits."""
-    if limit < 3:
-        raise DomainError(f"delta_samples requires limit >= 3, got {limit}")
-    count = data.pi(limit)
-    ps = data.primes[:count]
-    if count < len(data.primes):
-        succ = data.primes[1 : count + 1]
-        gaps = (succ - ps).astype(np.float64)
-    else:
-        gaps = (ps[1:] - ps[:-1]).astype(np.float64)
-    lg = np.log(ps.astype(np.float64))
-    terms = lg[: len(gaps)] ** 2 - gaps / c
-    delta = np.concatenate([[0.0], np.cumsum(terms)])[:count]
-    pf = ps.astype(np.float64)
-    delta_hat = delta - pf * lg + ((c + 1.0) / c) * pf
-    return [
-        DeltaSample(int(ps[i]), float(delta[i]), float(delta_hat[i]))
-        for i in range(count)
-    ]
-
-
 # ----------------------------------------------------------------------
 # Discrete derivatives of b and k at primes
-
-
-@dataclass(frozen=True)
-class DerivRecord:
-    """Forward-difference derivatives of b and k at p_n, with their bounds."""
-
-    n: int
-    p: int
-    b_prime: float
-    k_prime: float
-    b_rhs: float
-    k_rhs: float
-    b_ok: bool
-    k_ok: bool
 
 
 @dataclass(frozen=True)
@@ -385,30 +323,15 @@ class DerivScanResult:
         return not [n for n, p in self.k_violations if p > 3]
 
     def to_json(self) -> dict:
-        return {
-            "limit": self.limit,
-            "c": self.c,
-            "count": self.count,
-            "b_violations": [list(v) for v in self.b_violations],
-            "k_violations": [list(v) for v in self.k_violations],
-            "b_pass": self.b_pass(),
-            "k_pass": self.k_pass(),
-        }
+        return {**asdict(self), "b_pass": self.b_pass(), "k_pass": self.k_pass()}
 
 
-def _deriv_block(
-    ps_ext: np.ndarray, n0: int, c: float, c3: float, li_of=li_ascending
-):
-    """Per-prime b, k and forward differences over an extended block.
-
-    The scan takes Li by ``li_ascending``; the materialized records keep
-    the pointwise ``li`` that ``fluctuation_at`` uses, so a record and
-    the samples at its two primes share one Li path.
-    """
+def _deriv_block(ps_ext: np.ndarray, n0: int, c: float, c3: float):
+    """Per-prime b, k and forward differences over an extended block."""
     pf = ps_ext.astype(np.float64)
     lg = np.log(pf)
     ns = np.arange(n0, n0 + len(pf), dtype=np.float64)
-    livals = li_of(pf)
+    livals = li_ascending(pf)
     f = ns - livals
     fhat = ns - _expansion(pf, c3)
     b = fhat * lg**3 / pf
@@ -498,62 +421,6 @@ def deriv_scan(
         raise DomainError(f"deriv_scan requires limit >= 5, got {limit}")
     scan = DerivScan(limit, c, c3, sink_mode)
     return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
-
-
-def _deriv_records(
-    data: PrimeData, limit: int, c: float, c3: float
-) -> list[DerivRecord]:
-    count = data.pi(limit)
-    if count < 2:
-        raise DomainError(f"no derivative records below limit {limit}")
-    ps_ext = data.primes[:count]
-    b_prime, k_prime, b_rhs, k_rhs = _deriv_block(ps_ext, 1, c, c3, li)
-    out = []
-    for i in range(count - 1):
-        out.append(
-            DerivRecord(
-                n=i + 1,
-                p=int(ps_ext[i]),
-                b_prime=float(b_prime[i]),
-                k_prime=float(k_prime[i]),
-                b_rhs=float(b_rhs[i]),
-                k_rhs=float(k_rhs[i]),
-                b_ok=bool(b_prime[i] > b_rhs[i]),
-                k_ok=bool(k_prime[i] > k_rhs[i]),
-            )
-        )
-    return out
-
-
-def bprime_records(
-    data: PrimeData, limit: int, c: float = 1.0, *, c3: float = DEFAULT_EXPANSION_C3
-) -> list[DerivRecord]:
-    """DerivRecords for the b-side condition scan (limit >= 7)."""
-    if limit < 7:
-        raise DomainError(f"bprime_records requires limit >= 7, got {limit}")
-    return _deriv_records(data, limit, c, c3)
-
-
-def kprime_records(
-    data: PrimeData, limit: int, c: float = 1.0, *, c3: float = DEFAULT_EXPANSION_C3
-) -> list[DerivRecord]:
-    """DerivRecords for the k-side condition scan (limit >= 5)."""
-    if limit < 5:
-        raise DomainError(f"kprime_records requires limit >= 5, got {limit}")
-    return _deriv_records(data, limit, c, c3)
-
-
-def interpolate_derivative(x: float, records, field: str = "b_prime") -> float:
-    """Piecewise-linear interpolation of prime-anchored derivative values."""
-    if not records:
-        raise DomainError("no records to interpolate")
-    ps = np.array([r.p for r in records], dtype=np.float64)
-    vals = np.array([getattr(r, field) for r in records], dtype=np.float64)
-    if x < ps[0] or x > ps[-1]:
-        raise RangeLimitError(
-            f"x = {x} outside the anchored range [{ps[0]}, {ps[-1]}]"
-        )
-    return float(np.interp(x, ps, vals))
 
 
 # ----------------------------------------------------------------------
@@ -666,17 +533,7 @@ class SchoenfeldResult:
     window_max: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "limit": self.limit,
-            "k_all": self.k_all,
-            "max_ratio": self.max_ratio,
-            "max_ratio_at": self.max_ratio_at,
-            "max_after_cutoff": self.max_after_cutoff,
-            "max_after_cutoff_at": self.max_after_cutoff_at,
-            "cutoff": SCHOENFELD_CUTOFF,
-            "x_star": self.x_star,
-            "window_max": dict(self.window_max),
-        }
+        return {**asdict(self), "cutoff": SCHOENFELD_CUTOFF}
 
 
 def schoenfeld_scan(
@@ -759,14 +616,7 @@ class BBoundResult:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "limit": self.limit,
-            "bound": self.bound,
-            "max_abs_b": self.max_abs_b,
-            "max_abs_b_at": self.max_abs_b_at,
-            "violations": list(self.violations),
-            "pass": self.passed(),
-        }
+        return {**asdict(self), "pass": self.passed()}
 
 
 def bbound_scan(
@@ -837,12 +687,7 @@ class DusartResult:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "limit": self.limit,
-            "violations": list(self.violations),
-            "checked": self.checked,
-            "pass": self.passed(),
-        }
+        return {**asdict(self), "pass": self.passed()}
 
 
 def dusart_scan(

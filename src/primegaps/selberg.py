@@ -6,9 +6,8 @@ Chebyshev-theta prefix table with a hyperbola split,
 
     S2(x) = 2 * sum_{p <= sqrt(x)} log p * theta(x // p) - theta(isqrt(x))^2,
 
-which touches pi(sqrt(x)) primes instead of pi(x/2).  A one-pass
-variant over p <= x/2 and a direct pair loop (test oracle) pin the
-value down independently.
+which touches pi(sqrt(x)) primes instead of pi(x/2).  The test suite
+checks it against a one-pass sum over p <= x/2 and a direct pair loop.
 """
 
 from __future__ import annotations
@@ -81,27 +80,6 @@ def s2(data: PrimeData, x: int, pairing: str = "ordered") -> float:
         return ordered
     diagonal = s1(data, root)
     return (ordered - diagonal) / 2.0 + diagonal
-
-
-def s2_halfrange(data: PrimeData, x: int) -> float:
-    """Ordered S2 by the one-pass sum over p <= x/2 (cross-check path)."""
-    if x < 4:
-        raise DomainError(f"s2_halfrange requires x >= 4, got {x}")
-    if x // 2 > data.limit:
-        raise RangeLimitError(
-            f"s2_halfrange({x}) needs primes up to {x // 2}, beyond the "
-            f"sieved limit {data.limit}"
-        )
-    idx = int(np.searchsorted(data.primes, x // 2, side="right"))
-    ps = data.primes[:idx]
-    logs = np.log(ps.astype(np.float64))
-    thetas = _theta_at(data, x // ps)
-    return block_sum(logs * thetas)
-
-
-def s1_exceeds_s2(data: PrimeData, x: int) -> bool:
-    """True iff the ordered pair sum stays below the squared-log sum at x."""
-    return s2(data, x, "ordered") < s1(data, x)
 
 
 @dataclass(frozen=True)
@@ -210,16 +188,6 @@ def lemma_scan(data: PrimeData, xs) -> LemmaScanResult:
     return LemmaScanResult(len(xs), not failures, failures, min_margin, min_at)
 
 
-@dataclass(frozen=True)
-class PartialSumRecord:
-    """Running gap sum vs running squared-log sum at index N."""
-
-    N: int
-    gap_sum: int
-    logsq_sum: float
-    holds: bool
-
-
 class PartialSumScan(BlockScan):
     """Per-N comparison sum(g_n) < sum(log^2 p_n), folded over prime blocks.
 
@@ -319,24 +287,3 @@ def partial_sum_scan(data: PrimeData, n_max: int, *, sink: RowSink | None = None
         data, PartialSumScan(n_max), limit=data.nth(n_max + 1), workers=workers,
         sink=sink,
     )
-
-
-def gap_records(data: PrimeData, n_max: int) -> list[PartialSumRecord]:
-    """Materialized PartialSumRecords for moderate n_max."""
-    if n_max + 1 > len(data.primes):
-        raise RangeLimitError(
-            f"need {n_max + 1} primes for records to N={n_max}, "
-            f"sieve holds {len(data.primes)}"
-        )
-    ps = data.primes[: n_max + 1].astype(np.int64)
-    logs = np.log(ps[:-1].astype(np.float64))
-    logsq = np.cumsum(logs * logs)
-    gap_sum = ps[1:] - 2
-    out = []
-    for i in range(n_max):
-        out.append(
-            PartialSumRecord(
-                i + 1, int(gap_sum[i]), float(logsq[i]), bool(gap_sum[i] < logsq[i])
-            )
-        )
-    return out

@@ -1,4 +1,4 @@
-"""Segmented prime sieve, gap stream, and prime-counting lookups.
+"""Segmented prime sieve, prime-counting lookups and prime blocks.
 
 The sieve works on odd integers only, one cache-sized segment at a
 time.  Segments can be produced by a thread pool; consumers always see
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,15 +25,6 @@ DEFAULT_MEMORY_BUDGET = 6 << 30  # bytes; generous for desk-scale scans
 # part in the compensated-summation grouping, so changing this constant
 # changes low-order bits of scan outputs.
 BLOCK_PRIMES = 1 << 15
-
-
-@dataclass(frozen=True)
-class PrimeGap:
-    """One record of the gap stream: the n-th prime and its gap."""
-
-    n: int
-    p: int
-    g: int
 
 
 @dataclass(frozen=True)
@@ -289,25 +280,3 @@ class PrimeData:
     ) -> int:
         count = len(self.primes) if limit is None else self.pi(limit)
         return (count + block_size - 1) // block_size
-
-
-def gap_stream(plan: SievePlan) -> Iterator[PrimeGap]:
-    """PrimeGap records for every prime p_n with p_{n+1} <= plan.limit."""
-    n = 0
-    prev = None
-    for segment in iter_segments(plan):
-        for p in segment:
-            p = int(p)
-            if prev is not None:
-                n += 1
-                yield PrimeGap(n, prev, p - prev)
-            prev = p
-
-
-def write_gap_stream(plan: SievePlan, out: TextIO) -> int:
-    """Write the gap stream as ASCII "n,p,g" lines; returns the row count."""
-    rows = 0
-    for rec in gap_stream(plan):
-        out.write(f"{rec.n},{rec.p},{rec.g}\n")
-        rows += 1
-    return rows

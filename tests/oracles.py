@@ -3,18 +3,21 @@
 Each oracle deliberately takes a different computational route from the
 library path it checks: trial division vs the segmented sieve, adaptive
 quadrature vs the exponential-integral branches, direct pair loops and
-long-double accumulation vs the theta-table sums, one f-string per CSV
-row vs the per-block batched row sink.
+long-double accumulation vs the theta-table sums, pointwise ``li`` vs
+the scans' per-block quadrature steps, one f-string per CSV row vs the
+per-block batched row sink.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 
 from primegaps.accum import NeumaierSum
+from primegaps.analytic import bprime_threshold, kprime_threshold, li
 
 
 def trial_division_primes(limit: int) -> np.ndarray:
@@ -70,6 +73,14 @@ def s2_pair_loop(primes, x: int, pairing: str = "ordered") -> float:
     return float(total)
 
 
+def s2_halfrange(data, x: int) -> float:
+    """Ordered S2 as one pass over p <= x/2: the sum of log p * theta(x // p)."""
+    ps = data.primes[data.primes <= x // 2]
+    theta = np.concatenate([[0.0], data.cumlog()])
+    thetas = theta[np.searchsorted(data.primes, x // ps, side="right")]
+    return math.fsum(np.log(ps.astype(np.float64)) * thetas)
+
+
 def pair_product_table(primes, limit: int):
     """All ordered prime-pair products pq <= limit with their log-term weights.
 
@@ -109,6 +120,46 @@ def pair_terms_at(primes, x: int) -> float:
                 term = math.log(p) * math.log(q)
                 total += term if p == q else 2.0 * term
     return total
+
+
+class DerivRecord(NamedTuple):
+    """Forward-difference derivatives of b and k at p_n, with their bounds."""
+
+    n: int
+    p: int
+    b_prime: float
+    k_prime: float
+    b_rhs: float
+    k_rhs: float
+    b_ok: bool
+    k_ok: bool
+
+
+def deriv_records_li(data, limit: int, c: float = 1.0, c3: float = 2.0):
+    """DerivRecords for every p_n with p_{n+1} <= limit, Li taken pointwise.
+
+    Each Li value comes from ``li`` (the exponential-integral path that
+    ``fluctuation_at`` uses), over the whole range at once; the scans step
+    Li block by block with ``li_ascending``.  b is formed as the scans form
+    it, so b' is the same float on both paths.
+    """
+    count = data.pi(limit)
+    pf = data.primes[:count].astype(np.float64)
+    lg = np.log(pf)
+    ns = np.arange(1, count + 1, dtype=np.float64)
+    b = (ns - (pf / lg + pf / lg**2 + c3 * pf / lg**3)) * lg**3 / pf
+    k = (ns - li(pf)) / (np.sqrt(pf) * lg)
+    dp = np.diff(pf)
+    b_prime = np.diff(b) / dp
+    k_prime = np.diff(k) / dp
+    b_rhs = bprime_threshold(pf[:-1], c)
+    k_rhs = kprime_threshold(pf[:-1], c)
+    return [
+        DerivRecord(i + 1, int(pf[i]), float(b_prime[i]), float(k_prime[i]),
+                    float(b_rhs[i]), float(k_rhs[i]),
+                    bool(b_prime[i] > b_rhs[i]), bool(k_prime[i] > k_rhs[i]))
+        for i in range(count - 1)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -106,6 +106,23 @@ def test_fit_requires_limit(capsys):
     assert main(["fit", "--limit", "5000"]) == 2
 
 
+def test_fit_stride_below_one_is_usage_error(capsys):
+    for stride in ("0", "-1"):
+        assert main(["fit", *LIMIT_1E5, "--stride", stride]) == 2
+        assert f"error: stride must be >= 1, got {stride}" in capsys.readouterr().err
+
+
+def test_package_exports():
+    import primegaps
+
+    names = primegaps.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(primegaps, name) for name in names)
+    star = {}
+    exec("from primegaps import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+
+
 def test_fit_real_run(tmp_path, capsys):
     out = tmp_path / "binned.csv"
     code = main(["fit", *LIMIT_1E6, "--stride", "200", "--out", str(out)])

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -10,15 +11,11 @@ from primegaps.analytic import bprime_threshold, kprime_threshold, li
 from primegaps.errors import DomainError, PrimeGapsError, RangeLimitError
 from primegaps.fluct import (
     bbound_scan,
-    bprime_records,
     cg_scan,
-    delta_samples,
     delta_scan,
     deriv_scan,
     dusart_scan,
     fluctuation_at,
-    interpolate_derivative,
-    kprime_records,
     schoenfeld_scan,
 )
 from primegaps.runner import FusedScan, RowSink, run_scan, run_to_end
@@ -30,6 +27,8 @@ from primegaps.fluct import (
     SchoenfeldScan,
 )
 from primegaps.selberg import PartialSumScan
+
+from .oracles import deriv_records_li
 
 # Frozen regression values (1e6 scans, double-checked against the
 # quadrature li oracle and hand evaluation at small x).
@@ -107,9 +106,22 @@ def test_cg_scan_limit_100():
 # ----------------------------------------------------------------------
 # delta scan
 
+DeltaRow = namedtuple("DeltaRow", "p delta delta_hat")
+
+
+def _delta_rows(data, limit, c):
+    """The delta scan's CSV rows up to ``limit``, parsed."""
+    buf = io.BytesIO()
+    delta_scan(data, limit, c, sink=RowSink(buf))
+    lines = buf.getvalue().decode("ascii").splitlines()[1:]
+    return [
+        DeltaRow(int(p), float(d), float(dh))
+        for p, d, dh in (line.split(",") for line in lines)
+    ]
+
 
 def test_delta_samples_start(data_1e6):
-    samples = delta_samples(data_1e6, 10, 1.0)
+    samples = _delta_rows(data_1e6, 10, 1.0)
     assert samples[0].p == 2 and samples[0].delta == 0.0
     # delta(3) has the single term log^2 2 - g_1/c with g_1 = 1
     assert samples[1].p == 3
@@ -129,7 +141,7 @@ def test_delta_violations_equal_cg_violations(data_1e6):
 
 
 def test_delta_telescoping(data_1e6):
-    samples = delta_samples(data_1e6, 10**4, 1.0)
+    samples = _delta_rows(data_1e6, 10**4, 1.0)
     for i in range(len(samples) - 1):
         p, g = samples[i].p, samples[i + 1].p - samples[i].p
         step = samples[i + 1].delta - samples[i].delta
@@ -138,7 +150,7 @@ def test_delta_telescoping(data_1e6):
 
 def test_delta_equals_partial_sum_view(data_1e6):
     # The discrete partial sums D(N) coincide with delta at the next prime.
-    samples = delta_samples(data_1e6, 10**4, 1.0)
+    samples = _delta_rows(data_1e6, 10**4, 1.0)
     c = 1.0
     running = 0.0
     for i in range(len(samples) - 1):
@@ -148,7 +160,7 @@ def test_delta_equals_partial_sum_view(data_1e6):
 
 
 def test_delta_hat_definition(data_1e6):
-    samples = delta_samples(data_1e6, 10**3, 2.0)
+    samples = _delta_rows(data_1e6, 10**3, 2.0)
     c = 2.0
     for s in samples[-5:]:
         expected = s.delta - s.p * math.log(s.p) + ((c + 1.0) / c) * s.p
@@ -177,7 +189,7 @@ def test_deriv_scan_violations(data_1e6):
 
 
 def test_bprime_records_match_independent_recomputation(data_1e6):
-    recs = bprime_records(data_1e6, 10**5, 1.0)
+    recs = deriv_records_li(data_1e6, 10**5, 1.0)
     assert len(recs) == data_1e6.pi(10**5) - 1
     rng = np.random.default_rng(5)
     for i in rng.integers(0, len(recs) - 1, size=20):
@@ -200,7 +212,9 @@ def test_bprime_constant_case_passes_beyond_e():
 
 
 def test_kprime_twin_gap_magnitude(data_1e6):
-    recs = kprime_records(data_1e6, 10**4, 1.0)
+    # The records take Li by the same pointwise li() as fluctuation_at:
+    # li()'s own error near 4019 exceeds the 1e-15 slack.
+    recs = deriv_records_li(data_1e6, 10**4, 1.0)
     for r, nxt in zip(recs, recs[1:]):
         if nxt.p - r.p == 2:
             a = fluctuation_at(data_1e6, r.p)
@@ -209,10 +223,26 @@ def test_kprime_twin_gap_magnitude(data_1e6):
 
 
 def test_kprime_sign_logic(data_1e6):
-    recs = kprime_records(data_1e6, 10**4, 1.0)
+    recs = deriv_records_li(data_1e6, 10**4, 1.0)
     for r in recs:
         if r.p > math.e and r.k_prime >= 0:
             assert r.k_ok
+
+
+def test_deriv_scan_rows_match_pointwise_li_records(data_1e6):
+    # The scan steps Li by li_ascending; the oracle takes li() per prime.
+    buf = io.BytesIO()
+    res = deriv_scan(data_1e6, 10**6, 1.0, sink=RowSink(buf))
+    lines = buf.getvalue().decode("ascii").splitlines()
+    assert lines[0] == "n,p,b_prime,k_prime,b_rhs,k_rhs,b_ok,k_ok"
+    rows = [line.split(",") for line in lines[1:]]
+    recs = deriv_records_li(data_1e6, 10**6, 1.0)
+    assert len(rows) == len(recs) == res.count == 78497
+    for row, r in zip(rows, recs):
+        assert (int(row[0]), int(row[1])) == (r.n, r.p)
+        assert float(row[2]) == r.b_prime
+        assert abs(float(row[3]) - r.k_prime) <= 2e-14
+        assert (row[6] == "true", row[7] == "true") == (r.b_ok, r.k_ok)
 
 
 def test_records_identical_across_workers(data_1e6):
@@ -279,25 +309,6 @@ def test_deriv_scan_resumed_from_json_equals_uninterrupted(data_1e6):
     state, finished = run_scan(data_1e6, scan, state=state, **fold)
     assert finished
     assert scan.result(state) == run_to_end(data_1e6, scan, **fold)
-
-
-def test_interpolate_derivative(data_1e6):
-    recs = bprime_records(data_1e6, 10**3, 1.0)
-    r5, r6 = recs[4], recs[5]
-    assert interpolate_derivative(r5.p, recs) == r5.b_prime
-    mid = (r5.p + r6.p) / 2.0
-    assert interpolate_derivative(mid, recs) == pytest.approx(
-        (r5.b_prime + r6.b_prime) / 2.0, rel=1e-12
-    )
-    eps = 1e-9
-    left = interpolate_derivative(r6.p - eps, recs)
-    right = interpolate_derivative(r6.p + eps, recs)
-    assert left == pytest.approx(right, abs=1e-6)
-    assert interpolate_derivative(r5.p, recs, field="k_prime") == r5.k_prime
-    with pytest.raises(RangeLimitError):
-        interpolate_derivative(1.0, recs)
-    with pytest.raises(RangeLimitError):
-        interpolate_derivative(10**6, recs)
 
 
 # ----------------------------------------------------------------------

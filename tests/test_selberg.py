@@ -1,5 +1,6 @@
 import io
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,13 +9,10 @@ from primegaps.errors import DomainError, RangeLimitError
 from primegaps.runner import RowSink, run_scan
 from primegaps.selberg import (
     PartialSumScan,
-    gap_records,
     lemma_scan,
     partial_sum_scan,
     s1,
-    s1_exceeds_s2,
     s2,
-    s2_halfrange,
     selberg_residual_scan,
     selberg_sums_at,
     theta,
@@ -24,6 +22,7 @@ from .oracles import (
     pair_product_table,
     pair_terms_at,
     s1_longdouble,
+    s2_halfrange,
     s2_pair_loop,
 )
 
@@ -109,11 +108,9 @@ def test_s2_halfrange_matches_hyperbola(data_1e6):
 
 
 def test_lemma_check(data_1e6):
-    assert s1_exceeds_s2(data_1e6, 10)
-    assert s1_exceeds_s2(data_1e6, 4)
     rng = np.random.default_rng(31)
-    for x in rng.integers(4, 10**6, size=25):
-        assert s1_exceeds_s2(data_1e6, int(x))
+    xs = sorted([10, 4, *rng.integers(4, 10**6, size=25).tolist()])
+    assert lemma_scan(data_1e6, xs).all_hold
 
 
 def test_lemma_scan_matches_pointwise(data_1e6):
@@ -192,8 +189,22 @@ def test_selberg_sums_at_104729_difference(data_1e6):
     assert sums.s1 - sums.s2_unordered == pytest.approx(686787.2532994939, rel=1e-10)
 
 
+PartialSumRow = namedtuple("PartialSumRow", "N gap_sum logsq_sum holds")
+
+
+def _partial_sum_rows(data, n_max):
+    """The partial-sum scan's CSV rows up to index ``n_max``, parsed."""
+    buf = io.BytesIO()
+    partial_sum_scan(data, n_max, sink=RowSink(buf))
+    lines = buf.getvalue().decode("ascii").splitlines()[1:]
+    return [
+        PartialSumRow(int(n), int(g), float(lsq), holds == "true")
+        for n, g, lsq, holds in (line.split(",") for line in lines)
+    ]
+
+
 def test_gap_records_first_six(data_1e6):
-    recs = gap_records(data_1e6, 6)
+    recs = _partial_sum_rows(data_1e6, 6)
     assert [r.holds for r in recs] == [False, False, False, False, True, True]
     assert recs[0].gap_sum == 1
     assert recs[0].logsq_sum == pytest.approx(math.log(2.0) ** 2, rel=1e-14)

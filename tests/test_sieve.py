@@ -1,18 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 
 from primegaps.errors import DomainError, RangeLimitError, ResourceLimitError
-from primegaps.sieve import (
-    PrimeGap,
-    SievePlan,
-    gap_stream,
-    nth_prime,
-    prime_count,
-    primes_up_to,
-    write_gap_stream,
-)
+from primegaps.sieve import SievePlan, nth_prime, prime_count, primes_up_to
 
 from .oracles import trial_division_primes
 
@@ -94,48 +84,43 @@ def test_memory_budget_error_names_budget():
         primes_up_to(10**7, memory_budget=1024)
 
 
+def _gaps(limit, **kwargs):
+    """(n, p_n, g_n) for every prime p_n with p_{n+1} <= limit."""
+    ps = primes_up_to(limit, **kwargs)
+    return list(zip(range(1, len(ps)), ps[:-1].tolist(), np.diff(ps).tolist()))
+
+
 def test_gap_stream_first_records():
-    recs = list(gap_stream(SievePlan(30)))
-    assert recs[0] == PrimeGap(1, 2, 1)
-    assert recs[3] == PrimeGap(4, 7, 4)
+    recs = _gaps(30)
+    assert recs[0] == (1, 2, 1)
+    assert recs[3] == (4, 7, 4)
     # primes <= 30: 2 3 5 7 11 13 17 19 23 29 -> 9 records
     assert len(recs) == 9
-    assert recs[-1] == PrimeGap(9, 23, 6)
+    assert recs[-1] == (9, 23, 6)
 
 
 def test_gap_stream_invariants(data_1e5):
-    recs = list(gap_stream(SievePlan(10**5)))
+    recs = _gaps(10**5)
     assert len(recs) == data_1e5.pi(10**5) - 1
     # gaps telescope to (last prime <= limit) - 2
-    assert sum(r.g for r in recs) == data_1e5.nth(data_1e5.pi(10**5)) - 2
-    gs = np.array([r.g for r in recs])
+    assert sum(g for n, p, g in recs) == data_1e5.nth(data_1e5.pi(10**5)) - 2
+    ns, ps, gs = (np.array(col) for col in zip(*recs))
     assert gs[0] == 1
     assert np.all(gs[1:] % 2 == 0)
-    ns = np.array([r.n for r in recs])
-    ps = np.array([r.p for r in recs])
     assert np.all(np.diff(ns) == 1)
     assert np.all(np.diff(ps) > 0)
 
 
 def test_gap_stream_record_count_1e6(data_1e6):
-    n = sum(1 for _ in gap_stream(SievePlan(10**6, worker_count=2)))
+    n = len(_gaps(10**6, workers=2))
     assert n == 78497
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_gap_stream_bytes_identical_across_workers(workers):
-    out = io.StringIO()
-    write_gap_stream(SievePlan(10**5, segment_size=8192, worker_count=workers), out)
-    expected = io.StringIO()
-    write_gap_stream(SievePlan(10**5, segment_size=8192, worker_count=1), expected)
-    assert out.getvalue() == expected.getvalue()
-
-
-def test_write_gap_stream_format():
-    out = io.StringIO()
-    rows = write_gap_stream(SievePlan(12), out)
-    assert rows == 4
-    assert out.getvalue() == "1,2,1\n2,3,2\n3,5,2\n4,7,4\n"
+    out = primes_up_to(10**5, segment_size=8192, workers=workers)
+    expected = primes_up_to(10**5, segment_size=8192, workers=1)
+    assert np.array_equal(out, expected)
 
 
 def test_block_iteration_covers_everything(data_1e5):
