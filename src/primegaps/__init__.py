@@ -61,6 +61,7 @@ from .selberg import (
 )
 from .sieve import (
     PrimeData,
+    PrimeStream,
     SievePlan,
     nth_prime,
     prime_count,
@@ -83,6 +84,7 @@ __all__ = [
     "LemmaScanResult",
     "PartialSumResult",
     "PrimeData",
+    "PrimeStream",
     "PrimeGapsError",
     "RangeLimitError",
     "ResourceLimitError",

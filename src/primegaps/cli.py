@@ -8,7 +8,8 @@ Configuration precedence: command-line flags, then PRIMEGAPS_* env
 variables, then a --config key=value file, then built-in defaults.
 Long scans accept --checkpoint PATH (state written after every block)
 and --resume to continue; a resumed run reproduces the uninterrupted
-output byte for byte.
+output byte for byte.  ``scan`` and ``figure1`` fold over a streamed
+sieve; ``selberg``, ``fit`` and ``report`` hold the prime table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import fluct, selberg
 from .analytic import Constants
 from .errors import PrimeGapsError
 from .runner import BlockScan, FusedScan, RowSink, run_scan
-from .sieve import DEFAULT_SEGMENT_SIZE, PrimeData
+from .sieve import DEFAULT_SEGMENT_SIZE, PrimeData, PrimeStream
 
 ENV_PREFIX = "PRIMEGAPS_"
 CHECKPOINT_VERSION = 2
@@ -323,7 +324,7 @@ def _emit_summary(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
-def _fold(data: PrimeData, scan: BlockScan, cfg: RunConfig, args,
+def _fold(data: PrimeData | PrimeStream, scan: BlockScan, cfg: RunConfig, args,
           ckpt: _Checkpoint, stop_summary: dict, sink: RowSink | None = None):
     """Run ``scan`` from the checkpoint, saving after every block.
 
@@ -413,7 +414,7 @@ def _run_block_command(cfg: RunConfig, args, command: str, which: str, sink_mode
     if cfg.checkpoint_path and cfg.output_path is None and cfg.format == "csv":
         raise UsageError("checkpointed CSV runs need --out")
 
-    data = cfg.prime_data()
+    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
     scan = entry.make(cfg, sink_mode)
     out = _Output(cfg.output_path if cfg.format == "csv" else None, ckpt.offset)
     sink = out.sink if cfg.format == "csv" else None
@@ -494,9 +495,9 @@ def _write_plot_script(path: str, csv_name: str) -> None:
 
 
 def _selberg_points(limit: int, count: int) -> list[int]:
-    pts = np.unique(
-        np.rint(np.geomspace(10, limit, max(2, count))).astype(np.int64)
-    )
+    if count < 2:
+        raise UsageError(f"--points must be >= 2, got {count}")
+    pts = np.unique(np.rint(np.geomspace(10, limit, count)).astype(np.int64))
     pts = pts[pts >= 4]
     if len(pts) == 0 or pts[-1] != limit:
         pts = np.append(pts, limit)

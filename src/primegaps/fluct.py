@@ -33,7 +33,7 @@ from .analytic import (
 )
 from .errors import DomainError
 from .runner import BlockScan, RowSink, run_to_end
-from .sieve import PrimeData
+from .sieve import PrimeData, PrimeStream
 
 DEFAULT_EXPANSION_C3 = 2.0
 SCHOENFELD_CUTOFF = 2657
@@ -175,7 +175,7 @@ class CgScan(BlockScan):
 
 
 def cg_scan(
-    data: PrimeData,
+    data: PrimeData | PrimeStream,
     limit: int,
     c: float = 1.0,
     *,
@@ -286,7 +286,7 @@ class DeltaScan(BlockScan):
 
 
 def delta_scan(
-    data: PrimeData,
+    data: PrimeData | PrimeStream,
     limit: int,
     c: float = 1.0,
     *,
@@ -407,7 +407,7 @@ class DerivScan(BlockScan):
 
 
 def deriv_scan(
-    data: PrimeData,
+    data: PrimeData | PrimeStream,
     limit: int,
     c: float = 1.0,
     *,
@@ -537,7 +537,7 @@ class SchoenfeldResult:
 
 
 def schoenfeld_scan(
-    data: PrimeData,
+    data: PrimeData | PrimeStream,
     limit: int,
     *,
     k_all: float = 1.0 / 3.0,
@@ -620,7 +620,7 @@ class BBoundResult:
 
 
 def bbound_scan(
-    data: PrimeData,
+    data: PrimeData | PrimeStream,
     limit: int,
     bound: float = 5.0,
     *,
@@ -691,7 +691,7 @@ class DusartResult:
 
 
 def dusart_scan(
-    data: PrimeData,
+    data: PrimeData | PrimeStream,
     limit: int,
     *,
     workers: int = 1,

@@ -6,15 +6,21 @@ state dict.  Because blocks are consumed strictly in index order and
 all floating-point grouping is tied to the fixed block size, a scan's
 output is byte-identical for any worker count and across a
 checkpoint/resume cycle.
+
+The fold is lazy: it takes blocks from any source with
+``blocks(limit=, block_size=)`` one at a time, so over a
+``sieve.PrimeStream`` it holds only the blocks in flight, never the
+prime table.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import islice
 from typing import Callable
 
 from .errors import PrimeGapsError
-from .sieve import BLOCK_PRIMES, PrimeData, ordered_map
+from .sieve import BLOCK_PRIMES, PrimeData, PrimeStream, ordered_map
 
 
 class RowSink:
@@ -88,7 +94,7 @@ class FusedScan(BlockScan):
 
 
 def run_scan(
-    data: PrimeData,
+    data: PrimeData | PrimeStream,
     scan: BlockScan,
     *,
     limit: int | None = None,
@@ -102,9 +108,11 @@ def run_scan(
     """Fold a BlockScan over the prime blocks of ``data``.
 
     Returns ``(state, finished)``; call ``scan.result(state)`` once
-    finished.  Pass a previously checkpointed ``state`` to resume: the
-    fold restarts at ``state["block"]`` and reproduces the
-    uninterrupted run bit for bit.
+    finished.  ``finished`` means the blocks ran out, also when
+    ``stop_after_blocks`` ends the fold on the last block.  Pass a
+    previously checkpointed ``state`` to resume: the fold skips the
+    blocks before ``state["block"]`` and reproduces the uninterrupted
+    run bit for bit.
     """
     if state is None:
         state = scan.start()
@@ -114,29 +122,32 @@ def run_scan(
     # Each block is folded through its parts in turn; a plain scan is its
     # only part and owns the whole state (key None).
     parts = list(scan.scans.items()) if isinstance(scan, FusedScan) else [(None, scan)]
-    steps = [
-        (block, key, part)
+    first = state["block"]
+    blocks = (
+        block
         for block in data.blocks(limit=limit, block_size=block_size)
-        if block.index >= state["block"]
+        if block.index >= first
+    )
+    # A stop below one block still folds one, so a stopped run leaves a checkpoint.
+    count = None if stop_after_blocks is None else max(stop_after_blocks, 1)
+    steps = (
+        (block, key, part)
+        for block in islice(blocks, count)
         for key, part in parts
-    ]
-    payloads = ordered_map(lambda step: step[2].map_block(step[0]), steps, workers)
-    done = 0
-    for (block, key, part), payload in zip(steps, payloads):
+    )
+    folded = ordered_map(lambda step: step[2].map_block(step[0]), steps, workers)
+    for (block, key, part), payload in folded:
         part.reduce(state if key is None else state[key], payload, sink)
         if key != parts[-1][0]:
             continue
         state["block"] = block.index + 1
-        done += 1
         if on_block is not None:
             on_block(state)
-        if stop_after_blocks is not None and done >= stop_after_blocks:
-            break
-    total = data.block_count(limit=limit, block_size=block_size)
-    return state, state["block"] >= total
+    # islice took exactly ``count`` blocks, so the next one, if any, is unread.
+    return state, next(blocks, None) is None
 
 
-def run_to_end(data: PrimeData, scan: BlockScan, **kwargs):
+def run_to_end(data: PrimeData | PrimeStream, scan: BlockScan, **kwargs):
     """Fold ``scan`` over every block with ``run_scan`` and return its result."""
     state, finished = run_scan(data, scan, **kwargs)
     if not finished:

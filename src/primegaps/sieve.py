@@ -4,14 +4,22 @@ The sieve works on odd integers only, one cache-sized segment at a
 time.  Segments can be produced by a thread pool; consumers always see
 them in ascending order, so every downstream accumulation is
 deterministic regardless of the worker count.
+
+Blocks of primes come from one of two sources with the same
+``blocks(limit=, block_size=)``: ``PrimeData`` holds the whole table
+and answers ``pi``/``nth``/``cumlog`` lookups, ``PrimeStream`` sieves
+as the blocks are consumed and holds about one block and one segment.
+Only a held table is checked against the memory budget.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +41,8 @@ class SievePlan:
 
     Output is a pure function of ``limit``; ``segment_size`` and
     ``worker_count`` only affect how the work is scheduled.
+    ``memory_budget`` bounds the table ``primes_up_to`` holds; a
+    ``PrimeStream`` holds no table and ignores it.
     """
 
     limit: int
@@ -106,25 +116,28 @@ def _sieve_odd_segment(lo: int, hi: int, odd_bases: np.ndarray) -> np.ndarray:
     return lo + 2 * np.nonzero(mask)[0].astype(np.int64)
 
 
-def ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
-    """Map fn over items, yielding results in input order.
+def ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator[tuple]:
+    """Map fn over items, yielding ``(item, fn(item))`` in input order.
 
-    With workers > 1 a bounded window of futures keeps the pool busy
-    without buffering unbounded payloads.
+    ``items`` is iterated once, lazily, so it may be a generator.  With
+    workers > 1 a window of ``workers + 2`` futures keeps the pool busy:
+    when item i is yielded, no item past i + workers + 1 has been taken.
     """
-    if workers <= 1 or len(items) <= 1:
+    items = iter(items)
+    if workers <= 1:
         for item in items:
-            yield fn(item)
+            yield item, fn(item)
         return
-    window = workers + 2
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = {}
-        submit = 0
-        for i in range(len(items)):
-            while submit < len(items) and submit < i + window:
-                pending[submit] = pool.submit(fn, items[submit])
-                submit += 1
-            yield pending.pop(i).result()
+        pending = deque(
+            (item, pool.submit(fn, item)) for item in islice(items, workers + 1)
+        )
+        for item in items:
+            pending.append((item, pool.submit(fn, item)))
+            head, future = pending.popleft()
+            yield head, future.result()
+        for head, future in pending:
+            yield head, future.result()
 
 
 def iter_segments(plan: SievePlan) -> Iterator[np.ndarray]:
@@ -134,24 +147,22 @@ def iter_segments(plan: SievePlan) -> Iterator[np.ndarray]:
     released strictly in order, so consumers observe the same stream
     for any worker count.
     """
-    check_budget(plan.limit, plan.memory_budget)
     bases = _base_primes(math.isqrt(plan.limit))
     odd_bases = bases[1:] if len(bases) > 0 else bases
 
-    spans = []
-    lo = 3
-    while lo <= plan.limit:
-        hi = min(lo + plan.segment_size, plan.limit + 1)
-        spans.append((lo, hi))
-        lo = hi
+    spans = (
+        (lo, min(lo + plan.segment_size, plan.limit + 1))
+        for lo in range(3, plan.limit + 1, plan.segment_size)
+    )
 
     head = np.array([2], dtype=np.int64) if plan.limit >= 2 else None
     if head is not None:
         yield head
 
-    yield from ordered_map(
+    for _, primes in ordered_map(
         lambda span: _sieve_odd_segment(*span, odd_bases), spans, plan.worker_count
-    )
+    ):
+        yield primes
 
 
 def primes_up_to(
@@ -161,12 +172,16 @@ def primes_up_to(
     workers: int = 1,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
-    """All primes <= x in ascending order (empty array for x < 2)."""
+    """All primes <= x in ascending order (empty array for x < 2).
+
+    The whole table is held, so its estimated size must fit ``memory_budget``.
+    """
     if x < 0:
         raise DomainError(f"primes_up_to requires x >= 0, got {x}")
     if x < 2:
         return np.empty(0, dtype=np.int64)
     plan = SievePlan(x, segment_size, workers, memory_budget)
+    check_budget(plan.limit, plan.memory_budget)
     return np.concatenate(list(iter_segments(plan)))
 
 
@@ -205,6 +220,25 @@ class PrimeBlock:
     n0: int
     primes: np.ndarray
     succ: int | None
+
+
+def _cut_blocks(
+    primes: np.ndarray,
+    count: int,
+    block_size: int,
+    first_index: int = 0,
+    succ: int | None = None,
+) -> Iterator[PrimeBlock]:
+    """PrimeBlocks over ``primes[:count]``, numbered from ``first_index``.
+
+    A block's ``succ`` is the prime after it in ``primes``, or ``succ``
+    past the end of the array.
+    """
+    for start in range(0, count, block_size):
+        stop = min(start + block_size, count)
+        index = first_index + start // block_size
+        yield PrimeBlock(index, index * block_size + 1, primes[start:stop],
+                         int(primes[stop]) if stop < len(primes) else succ)
 
 
 class PrimeData:
@@ -268,15 +302,61 @@ class PrimeData:
     ) -> Iterator[PrimeBlock]:
         """Iterate PrimeBlocks over primes <= limit (default: all)."""
         count = len(self.primes) if limit is None else self.pi(limit)
-        j = 0
-        for start in range(0, count, block_size):
-            stop = min(start + block_size, count)
-            succ = int(self.primes[stop]) if stop < len(self.primes) else None
-            yield PrimeBlock(j, start + 1, self.primes[start:stop], succ)
-            j += 1
+        yield from _cut_blocks(self.primes, count, block_size)
 
     def block_count(
         self, *, limit: int | None = None, block_size: int = BLOCK_PRIMES
     ) -> int:
         count = len(self.primes) if limit is None else self.pi(limit)
         return (count + block_size - 1) // block_size
+
+
+class PrimeStream:
+    """The primes up to ``limit`` as PrimeBlocks, sieved while they are folded.
+
+    ``blocks`` yields the same blocks as ``PrimeData.blocks`` on the same
+    primes, but only about one block and one sieve segment are alive at a
+    time, so a fold over it needs no table and no memory budget.  Each
+    call to ``blocks`` sieves afresh.
+    """
+
+    def __init__(
+        self,
+        limit: int,
+        *,
+        segment_size: int = DEFAULT_SEGMENT_SIZE,
+        workers: int = 1,
+    ):
+        self.limit = int(limit)
+        self.plan = SievePlan(self.limit, segment_size, workers)
+
+    def blocks(
+        self, *, limit: int | None = None, block_size: int = BLOCK_PRIMES
+    ) -> Iterator[PrimeBlock]:
+        """Iterate PrimeBlocks over primes <= limit (default: all).
+
+        A block is yielded once the prime after it is known; that prime,
+        the first one above ``limit`` or None at the end of the sieve, is
+        the last block's ``succ``, as in ``PrimeData.blocks``.
+        """
+        if limit is not None and limit > self.limit:
+            raise RangeLimitError(
+                f"blocks up to {limit} are beyond the sieved limit {self.limit}"
+            )
+        cut = self.limit if limit is None else limit
+        index, pieces, held, succ = 0, [], 0, None
+        for segment in iter_segments(self.plan):
+            end = int(np.searchsorted(segment, cut, side="right"))
+            pieces.append(segment[:end])
+            held += end
+            if end < len(segment):
+                succ = int(segment[end])
+                break
+            if held > block_size:
+                run = np.concatenate(pieces)
+                whole = (len(run) - 1) // block_size * block_size
+                yield from _cut_blocks(run, whole, block_size, index)
+                index += whole // block_size
+                pieces, held = [run[whole:]], len(run) - whole
+        run = np.concatenate(pieces)
+        yield from _cut_blocks(run, len(run), block_size, index, succ)

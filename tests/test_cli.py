@@ -356,6 +356,33 @@ def test_scan_resume_after_hard_kill_byte_identical(tmp_path, capsys):
     assert blob == ref.read_bytes()
 
 
+def test_streamed_json_scan_resume_after_hard_kill_byte_identical(tmp_path):
+    # 148 933 primes below 2e6 make five blocks; the kill after the third
+    # checkpoint leaves two for the resumed run, which re-sieves and skips
+    # the first three.
+    args = ["scan", "--which", "cg", "--limit", "2000000", "--format", "json",
+            "--workers", "2", "--out", "a.json", "--checkpoint", "a.ckpt"]
+    killed = _run_cli(["-c", _KILL_AFTER_THIRD_CHECKPOINT], args, tmp_path)
+    assert killed.returncode == 9
+    assert json.loads((tmp_path / "a.ckpt").read_text())["scan_state"]["block"] == 3
+    resumed = _run_cli(["-m", "primegaps.cli"], [*args, "--resume"], tmp_path)
+    assert resumed.returncode == 1  # violations {1, 2, 4} at c = 1
+    assert not (tmp_path / "a.ckpt").exists()
+    ref = _run_cli(["-m", "primegaps.cli"], [*args[:-4], "--out", "ref.json"],
+                   tmp_path)
+    assert (ref.returncode, ref.stdout) == (resumed.returncode, resumed.stdout)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", [["selberg", *LIMIT_1E5], ["report", *LIMIT_1E6]])
+@pytest.mark.parametrize("points", ["1", "0", "-5"])
+def test_points_below_two_is_usage_error(capsys, command, points):
+    assert main([*command, "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--points must be >= 2, got {points}" in captured.err
+
+
 def test_resume_refuses_output_shorter_than_checkpoint(tmp_path, capsys):
     out = tmp_path / "d.csv"
     ck = tmp_path / "d.ckpt"

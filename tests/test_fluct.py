@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from primegaps.fluct import (
     SchoenfeldScan,
 )
 from primegaps.selberg import PartialSumScan
+from primegaps.sieve import PrimeStream
 
 from .oracles import deriv_records_li
 
@@ -264,6 +266,44 @@ def test_run_to_end_raises_when_stopped_early(data_1e6):
     assert run_to_end(data_1e6, scan, limit=10**6).violations == [1, 2, 4]
     with pytest.raises(PrimeGapsError, match="stopped at block 1"):
         run_to_end(data_1e6, scan, limit=10**6, stop_after_blocks=1)
+
+
+@pytest.mark.parametrize("source", ["table", "stream"])
+def test_stop_on_the_last_block_is_finished(data_1e6, source):
+    # 78 498 primes make three blocks: a stop after the third ran out the
+    # blocks, a stop after the second did not.
+    data = data_1e6 if source == "table" else PrimeStream(10**6, workers=2)
+    scan = CgScan(10**6, 1.0)
+    state, finished = run_scan(data, scan, stop_after_blocks=2)
+    assert (state["block"], finished) == (2, False)
+    state, finished = run_scan(data, scan, stop_after_blocks=3)
+    assert (state["block"], finished) == (3, True)
+    resumed, finished = run_scan(data, scan, state=json.loads(json.dumps(state)))
+    assert (resumed["block"], finished) == (3, True)
+    assert scan.result(state).violations == [1, 2, 4]
+
+
+def _traced_peak(fold) -> int:
+    tracemalloc.start()
+    try:
+        fold()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_fold_memory_does_not_grow_with_the_limit():
+    # A fold over the stream holds a block and a segment, not the table:
+    # its traced peak is the same at 1e7 and 4e7 and below a quarter of
+    # the 4e7 table's 19.5 MB.  Over PrimeData the peaks are about 10 and
+    # 37 MB.
+    peaks = {
+        limit: _traced_peak(lambda: run_to_end(PrimeStream(limit), CgScan(limit, 1.0)))
+        for limit in (10**7, 4 * 10**7)
+    }
+    table_bytes = 8 * 2433654  # pi(4e7) int64 primes
+    assert abs(peaks[4 * 10**7] - peaks[10**7]) < 0.1 * peaks[10**7]
+    assert peaks[4 * 10**7] < table_bytes / 4
 
 
 def _plain(result):

@@ -1,8 +1,22 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps.errors import DomainError, RangeLimitError, ResourceLimitError
-from primegaps.sieve import SievePlan, nth_prime, prime_count, primes_up_to
+from primegaps.fluct import CgScan
+from primegaps.runner import run_to_end
+from primegaps.sieve import (
+    PrimeData,
+    PrimeStream,
+    SievePlan,
+    nth_prime,
+    ordered_map,
+    prime_count,
+    primes_up_to,
+)
 
 from .oracles import trial_division_primes
 
@@ -84,6 +98,17 @@ def test_memory_budget_error_names_budget():
         primes_up_to(10**7, memory_budget=1024)
 
 
+def test_streamed_fold_runs_under_a_tiny_budget(data_1e6):
+    # Only a held table is checked against the budget: the stream sieves
+    # the same primes block by block under the budget that stops
+    # primes_up_to(10**7) above.
+    stream = PrimeStream(10**6)
+    stream.plan = SievePlan(10**6, memory_budget=1024)
+    result = run_to_end(stream, CgScan(10**6, 1.0))
+    assert result == run_to_end(data_1e6, CgScan(10**6, 1.0))
+    assert result.violations == [1, 2, 4]
+
+
 def _gaps(limit, **kwargs):
     """(n, p_n, g_n) for every prime p_n with p_{n+1} <= limit."""
     ps = primes_up_to(limit, **kwargs)
@@ -134,3 +159,59 @@ def test_block_iteration_covers_everything(data_1e5):
     assert last_succ is None
     count = sum(1 for _ in data_1e5.blocks(limit=10**4, block_size=500))
     assert count == data_1e5.block_count(limit=10**4, block_size=500)
+
+
+def _block_tuples(blocks):
+    return [(b.index, b.n0, b.primes.tolist(), b.succ) for b in blocks]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    limit=st.integers(2, 10**6),
+    cut_fraction=st.none() | st.floats(0.0, 1.0),
+    block_size=st.integers(1, 4000),
+    segments=st.integers(1, 1500),
+    workers=st.sampled_from([1, 2]),
+)
+def test_stream_blocks_equal_table_blocks(limit, cut_fraction, block_size,
+                                          segments, workers):
+    # segment_size runs from limit / 1500 (a few dozen primes, below most
+    # block sizes) up to the whole range (above every block size).
+    segment_size = max(64, limit // segments)
+    cut = None if cut_fraction is None else int(cut_fraction * limit)
+    table = PrimeData.build(limit, segment_size=segment_size, workers=workers)
+    stream = PrimeStream(limit, segment_size=segment_size, workers=workers)
+    expected = _block_tuples(table.blocks(limit=cut, block_size=block_size))
+    assert _block_tuples(stream.blocks(limit=cut, block_size=block_size)) == expected
+
+
+def test_stream_blocks_refuse_limit_beyond_sieve():
+    with pytest.raises(RangeLimitError):
+        next(PrimeStream(1000).blocks(limit=1001))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_ordered_map_takes_a_generator_once_in_order(workers):
+    pulled = []
+    consumed = 0
+    lock = threading.Lock()
+
+    def items():
+        for i in range(50):
+            pulled.append(i)
+            yield i
+
+    def square(i):
+        with lock:
+            # the window: nothing is taken more than workers + 2 ahead
+            assert len(pulled) <= consumed + workers + 2
+        return i * i
+
+    out = []
+    for item, value in ordered_map(square, items(), workers):
+        assert len(pulled) <= consumed + workers + 2
+        out.append((item, value))
+        with lock:
+            consumed += 1
+    assert out == [(i, i * i) for i in range(50)]
+    assert pulled == list(range(50))
