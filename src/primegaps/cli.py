@@ -8,13 +8,15 @@ Configuration precedence: command-line flags, then PRIMEGAPS_* env
 variables, then a --config key=value file, then built-in defaults.
 Long scans accept --checkpoint PATH (state written after every block)
 and --resume to continue; a resumed run reproduces the uninterrupted
-output byte for byte.  ``scan`` and ``figure1`` fold over a streamed
-sieve; ``selberg``, ``fit`` and ``report`` hold the prime table.
+output byte for byte.  ``scan``, ``figure1`` and ``report`` fold over a
+streamed sieve in block-sized memory; ``selberg`` and ``fit`` hold the
+prime table.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -31,7 +33,7 @@ from .runner import BlockScan, FusedScan, RowSink, run_scan
 from .sieve import DEFAULT_SEGMENT_SIZE, PrimeData, PrimeStream
 
 ENV_PREFIX = "PRIMEGAPS_"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 DEFAULTS = {
     "limit": 10**8,
@@ -622,9 +624,37 @@ _REPORT_SCANS = {
 _REFERENCE_S1_MINUS_S2 = 686787.25
 _S1S2_POINT = 104729
 
+# glibc mallopt parameters (malloc.h) and the values report sets.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 16 << 20
 
-def _selberg_at_reference(data: PrimeData) -> dict:
-    sums = selberg.selberg_sums_at(data, _S1S2_POINT)
+
+def _keep_block_arrays_on_heap() -> None:
+    """Serve the fold's per-block arrays from the heap, under glibc malloc.
+
+    They are 256 KiB to 1 MiB, above glibc's initial 128 KiB mmap
+    threshold, and nothing larger is freed to raise it, so each one is
+    mapped and unmapped again, block by block: about half a million page
+    faults for ``report`` at 1e8.  Fixed thresholds keep them on the heap.
+    Elsewhere this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+def _selberg_at_reference() -> dict:
+    sums = selberg.selberg_sums_at(PrimeData.build(_S1S2_POINT), _S1S2_POINT)
     v1, v2o, v2u = sums.s1, sums.s2, sums.s2_unordered
     return {
         "x": _S1S2_POINT,
@@ -662,20 +692,18 @@ def cmd_report(cfg: RunConfig, args) -> int:
     points = _selberg_points(cfg.limit, args.points)
     ckpt = _Checkpoint(cfg, args.resume, "report", points=args.points)
 
-    data = cfg.prime_data()
     scans = {name: SCANS[which].make(cfg, "records")
              for name, which in _REPORT_SCANS.items()}
-    scans["partial_sums"] = selberg.PartialSumScan(len(data.primes) - 1)
-    # The residual scan goes first.  Freeing its large temporaries raises
-    # the allocator's mmap threshold, so the pass's per-block arrays reuse
-    # heap pages.  Run after the pass under glibc malloc, it cost 528
-    # thousand page faults at 1e8 instead of 31 thousand, and about 1 s
-    # more system time.
-    rows = selberg.selberg_residual_scan(data, points)
+    scans["partial_sums"] = selberg.PartialSumScan()
+    scans["selberg_points"] = selberg.SelbergScan(points)
+    scans["fit"] = fitmod.FitScan(10**4, cfg.limit)
+    _keep_block_arrays_on_heap()
+    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
     results = _fold(data, FusedScan(scans), cfg, args, ckpt, {"command": "report"})
     if results is None:
         return 0
     partial = results.pop("partial_sums")
+    rows = results.pop("selberg_points")
     sections = {name: result.to_json() for name, result in results.items()}
     sections["partial_sums"] = {
         "n_max": partial.n_max,
@@ -688,8 +716,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         "failures": [r.x for r in rows if not r.lemma_holds],
         "residual_per_x_last": rows[-1].residual_per_x,
     }
-    sections["selberg_at_104729"] = _selberg_at_reference(data)
-    sections["fit"] = fitmod.fit_from_data(data, 10**4, cfg.limit).to_json()
+    sections["selberg_at_104729"] = _selberg_at_reference()
 
     constants = Constants(c=cfg.c, B=cfg.B, K_all=cfg.K_all)
     doc = {
@@ -723,6 +750,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.stop_after_blocks is not None and args.stop_after_blocks < 1:
+            raise UsageError(
+                f"--stop-after-blocks must be >= 1, got {args.stop_after_blocks}"
+            )
         return args.run(build_config(args), args)
     except (UsageError, PrimeGapsError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

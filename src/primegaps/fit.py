@@ -16,11 +16,76 @@ import numpy as np
 
 from .analytic import skewes_log10
 from .errors import DomainError, InsufficientDataError, SingularFitError
-from .fluct import DEFAULT_EXPANSION_C3, FluctuationSample, fluctuation_at
+from .fluct import DEFAULT_EXPANSION_C3, FluctuationSample, fluctuation_sample
+from .runner import BlockScan, run_to_end
 from .sieve import PrimeData
 
 # Model abscissae must keep log log log x real and usefully spread.
 MIN_FIT_X = math.exp(math.e)
+
+
+class SampleScan(BlockScan):
+    """Fluctuation samples at every stride-th prime in [x_min, x_max], folded
+    over the prime blocks.
+
+    The candidates are the primes whose 0-based index is the first index
+    at or above x_min plus a multiple of ``stride``.  ``per_decade``
+    thins each decade of x to at most that many samples, keeping every
+    ``ceil(count / per_decade)``-th candidate, once the decade closes;
+    without it the top decade dominates any fit input by sheer prime
+    density.  The state holds (x, pi(x)) for the kept candidates and for
+    the open decade's; ``li`` is evaluated only at the kept ones, in
+    ``result``.
+    """
+
+    name = "fit_samples"
+
+    def __init__(self, x_min: int, x_max: int, *, stride: int = 1000,
+                 per_decade: int | None = None, c3: float = DEFAULT_EXPANSION_C3):
+        if x_min < 2 or x_max <= x_min:
+            raise DomainError("need 2 <= x_min < x_max")
+        if stride < 1:
+            raise DomainError(f"stride must be >= 1, got {stride}")
+        self.x_min = x_min
+        self.x_max = x_max
+        self.stride = stride
+        self.per_decade = per_decade
+        self.c3 = c3
+
+    def start(self) -> dict:
+        return {"first": None, "decade": None, "open": [], "kept": []}
+
+    def map_block(self, block):
+        return block.n0, block.primes
+
+    def reduce(self, state, payload, sink):
+        n0, ps = payload
+        base = n0 - 1  # 0-based index of ps[0]
+        if state["first"] is None:
+            j = int(np.searchsorted(ps, self.x_min, side="left"))
+            if j == len(ps):
+                return
+            state["first"] = base + j
+        skip = max(0, base - state["first"])
+        start = state["first"] + -(-skip // self.stride) * self.stride
+        stop = base + int(np.searchsorted(ps, self.x_max, side="right"))
+        idx = np.arange(start, stop, self.stride)
+        xs = ps[idx - base]
+        decades = np.floor(np.log10(xs.astype(np.float64))).astype(np.int64)
+        for x, i, d in zip(xs.tolist(), idx.tolist(), decades.tolist()):
+            if d != state["decade"]:
+                state["kept"] += self._thinned(state["open"])
+                state["decade"], state["open"] = d, []
+            state["open"].append([x, i + 1])
+
+    def _thinned(self, candidates: list) -> list:
+        if self.per_decade is None:
+            return candidates
+        return candidates[:: max(1, int(math.ceil(len(candidates) / self.per_decade)))]
+
+    def result(self, state) -> list[FluctuationSample]:
+        kept = state["kept"] + self._thinned(state["open"])
+        return [fluctuation_sample(x, pi, c3=self.c3) for x, pi in kept]
 
 
 def sample_fluctuations(
@@ -32,28 +97,11 @@ def sample_fluctuations(
     per_decade: int | None = None,
     c3: float = DEFAULT_EXPANSION_C3,
 ) -> list[FluctuationSample]:
-    """Fluctuation samples at every stride-th prime in [x_min, x_max].
-
-    ``per_decade`` applies a further deterministic thinning so that no
-    decade of x contributes more than that many samples; without it the
-    top decade dominates any fit input by sheer prime density.
+    """Fluctuation samples at every stride-th prime in [x_min, x_max]
+    (``SampleScan`` over ``data``).
     """
-    if x_min < 2 or x_max <= x_min:
-        raise DomainError("need 2 <= x_min < x_max")
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
-    lo = int(np.searchsorted(data.primes, x_min, side="left"))
-    hi = int(np.searchsorted(data.primes, x_max, side="right"))
-    idx = np.arange(lo, hi, stride)
-    if per_decade is not None:
-        keep = []
-        decades = np.floor(np.log10(data.primes[idx].astype(np.float64)))
-        for d in np.unique(decades):
-            sel = np.nonzero(decades == d)[0]
-            step = max(1, int(math.ceil(len(sel) / per_decade)))
-            keep.extend(sel[::step])
-        idx = idx[np.sort(np.array(keep, dtype=np.int64))]
-    return [fluctuation_at(data, int(data.primes[i]), c3=c3) for i in idx]
+    scan = SampleScan(x_min, x_max, stride=stride, per_decade=per_decade, c3=c3)
+    return run_to_end(data, scan, limit=min(x_max, data.limit))
 
 
 def bin_average_k(samples, bin_count: int) -> list[tuple[float, float]]:
@@ -155,6 +203,27 @@ def fit_skewes(binned) -> FitResult:
     )
 
 
+class FitScan(SampleScan):
+    """Sample, bin, and fit in one fold: ``SampleScan`` whose result is the fit."""
+
+    name = "fit"
+
+    def __init__(self, x_min: int, x_max: int, *, stride: int = 1000,
+                 per_decade: int | None = 200, bin_count: int = 20):
+        if x_min < MIN_FIT_X:
+            raise DomainError(f"fit range must start above {MIN_FIT_X:.2f}")
+        super().__init__(x_min, x_max, stride=stride, per_decade=per_decade)
+        self.bin_count = bin_count
+
+    def result(self, state) -> FitResult:
+        samples = super().result(state)
+        if len(samples) < 3:
+            raise InsufficientDataError(
+                f"only {len(samples)} samples in [{self.x_min}, {self.x_max}]"
+            )
+        return fit_skewes(bin_average_k(samples, self.bin_count))
+
+
 def fit_from_data(
     data: PrimeData,
     x_min: int,
@@ -164,14 +233,7 @@ def fit_from_data(
     per_decade: int | None = 200,
     bin_count: int = 20,
 ) -> FitResult:
-    """Sample, bin, and fit in one step."""
-    if x_min < MIN_FIT_X:
-        raise DomainError(f"fit range must start above {MIN_FIT_X:.2f}")
-    samples = sample_fluctuations(
-        data, x_min, x_max, stride=stride, per_decade=per_decade
-    )
-    if len(samples) < 3:
-        raise InsufficientDataError(
-            f"only {len(samples)} samples in [{x_min}, {x_max}]"
-        )
-    return fit_skewes(bin_average_k(samples, bin_count))
+    """Sample, bin, and fit in one step (``FitScan`` over ``data``)."""
+    scan = FitScan(x_min, x_max, stride=stride, per_decade=per_decade,
+                   bin_count=bin_count)
+    return run_to_end(data, scan, limit=min(x_max, data.limit))

@@ -67,7 +67,13 @@ def fluctuation_at(
     """FluctuationSample at integer x (2 <= x <= sieved limit)."""
     if x < 2:
         raise DomainError(f"fluctuation_at requires x >= 2, got {x}")
-    pi = data.pi(x)
+    return fluctuation_sample(x, data.pi(x), c3=c3)
+
+
+def fluctuation_sample(
+    x: int, pi: int, *, c3: float = DEFAULT_EXPANSION_C3
+) -> FluctuationSample:
+    """FluctuationSample at integer x >= 2 whose prime count ``pi`` is known."""
     xf = float(x)
     lg = math.log(xf)
     liv = li(xf)
@@ -431,8 +437,13 @@ def _jump_grid(block, limit):
     """Grid of (x, pi(x)) at p and p-1 for the block's primes.
 
     p - 1 is skipped below 2 and for p = 3 (where it duplicates the
-    prime 2 already on the grid).
+    prime 2 already on the grid).  Built once per block and limit and
+    shared by the scans that read it, so the arrays are read-only.
     """
+    return block.column(("jump_grid", limit), lambda: _build_jump_grid(block, limit))
+
+
+def _build_jump_grid(block, limit):
     ps = block.primes
     ns = np.arange(block.n0, block.n0 + len(ps), dtype=np.int64)
     xs = np.empty(2 * len(ps), dtype=np.int64)
@@ -444,7 +455,9 @@ def _jump_grid(block, limit):
     keep = np.ones(len(xs), dtype=bool)
     keep[0::2] = (ps - 1 >= 2) & (ps != 3)
     keep &= xs <= limit
-    return xs[keep], pis[keep]
+    xs, pis = xs[keep], pis[keep]
+    xs.flags.writeable = pis.flags.writeable = False
+    return xs, pis
 
 
 class SchoenfeldScan(BlockScan):

@@ -138,6 +138,7 @@ def run_scan(
     folded = ordered_map(lambda step: step[2].map_block(step[0]), steps, workers)
     for (block, key, part), payload in folded:
         part.reduce(state if key is None else state[key], payload, sink)
+        del payload  # free it before the next part maps
         if key != parts[-1][0]:
             continue
         state["block"] = block.index + 1

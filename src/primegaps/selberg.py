@@ -1,13 +1,16 @@
 """Selberg-style prime sums S1 and S2 and the partial-sum gap test.
 
 S1(x) sums log^2 p over primes p <= x.  S2(x) sums log p log q over
-ordered prime pairs with pq <= x; it is evaluated through the
-Chebyshev-theta prefix table with a hyperbola split,
+ordered prime pairs with pq <= x; it is evaluated through Chebyshev
+theta with a hyperbola split,
 
     S2(x) = 2 * sum_{p <= sqrt(x)} log p * theta(x // p) - theta(isqrt(x))^2,
 
-which touches pi(sqrt(x)) primes instead of pi(x/2).  The test suite
-checks it against a one-pass sum over p <= x/2 and a direct pair loop.
+which touches pi(sqrt(x)) primes instead of pi(x/2).  The pointwise
+functions read theta from the ``PrimeData.cumlog`` table; ``SelbergScan``
+answers the same theta queries while it folds over the prime blocks, so
+``report`` needs no table.  The test suite checks S2 against a one-pass
+sum over p <= x/2 and a direct pair loop.
 """
 
 from __future__ import annotations
@@ -17,10 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import NeumaierSum, block_sum
+from .accum import (
+    NeumaierSum,
+    block_sum,
+    fixed_prefix_units,
+    fixed_sum,
+    fixed_value,
+)
 from .errors import DomainError, RangeLimitError
 from .runner import BlockScan, RowSink, run_to_end
-from .sieve import PrimeData
+from .sieve import PrimeData, primes_up_to
 
 
 def theta(data: PrimeData, y: int) -> float:
@@ -35,15 +44,19 @@ def theta(data: PrimeData, y: int) -> float:
     return float(data.cumlog()[idx - 1]) if idx > 0 else 0.0
 
 
+def _logs(primes: np.ndarray) -> np.ndarray:
+    return np.log(primes.astype(np.float64))
+
+
 def s1(data: PrimeData, x: int) -> float:
-    """Compensated sum of log^2 p over primes p <= x."""
+    """Exactly rounded sum of log^2 p over primes p <= x."""
     if x < 2:
         raise DomainError(f"s1 requires x >= 2, got {x}")
     if x > data.limit:
         raise RangeLimitError(f"s1({x}) is beyond the sieved limit {data.limit}")
     idx = int(np.searchsorted(data.primes, x, side="right"))
-    logs = np.log(data.primes[:idx].astype(np.float64))
-    return block_sum(logs * logs)
+    logs = _logs(data.primes[:idx])
+    return fixed_sum(logs * logs)
 
 
 def _theta_at(data: PrimeData, ys: np.ndarray) -> np.ndarray:
@@ -53,6 +66,22 @@ def _theta_at(data: PrimeData, ys: np.ndarray) -> np.ndarray:
     nz = idx > 0
     out[nz] = cumlog[idx[nz] - 1]
     return out
+
+
+def _s2_ordered(logs: np.ndarray, thetas: np.ndarray) -> float:
+    """Ordered S2(x) from log p and theta(x // p) over the primes p <= sqrt(x).
+
+    theta(isqrt(x)) is the last running sum of ``logs``, with the bits of
+    the ``cumlog`` table.
+    """
+    theta_root = float(np.cumsum(logs)[-1])
+    return 2.0 * block_sum(logs * thetas) - theta_root ** 2
+
+
+def _s2_unordered(ordered: float, logs: np.ndarray) -> float:
+    """Unordered S2 from the ordered one: each {p, q} once, keeping the diagonal."""
+    diagonal = fixed_sum(logs * logs)
+    return (ordered - diagonal) / 2.0 + diagonal
 
 
 def s2(data: PrimeData, x: int, pairing: str = "ordered") -> float:
@@ -70,16 +99,13 @@ def s2(data: PrimeData, x: int, pairing: str = "ordered") -> float:
             f"s2({x}) needs primes up to {x // 2}, beyond the sieved "
             f"limit {data.limit}"
         )
-    root = math.isqrt(x)
-    idx = int(np.searchsorted(data.primes, root, side="right"))
+    idx = int(np.searchsorted(data.primes, math.isqrt(x), side="right"))
     small = data.primes[:idx]
-    logs = np.log(small.astype(np.float64))
-    thetas = _theta_at(data, x // small)
-    ordered = 2.0 * block_sum(logs * thetas) - theta(data, root) ** 2
+    logs = _logs(small)
+    ordered = _s2_ordered(logs, _theta_at(data, x // small))
     if pairing == "ordered":
         return ordered
-    diagonal = s1(data, root)
-    return (ordered - diagonal) / 2.0 + diagonal
+    return _s2_unordered(ordered, logs)
 
 
 @dataclass(frozen=True)
@@ -97,52 +123,118 @@ class SelbergSums:
         return self.s2 < self.s1
 
 
-def _sums_with_s1(data: PrimeData, x: int, v1: float) -> SelbergSums:
-    v2 = s2(data, x, "ordered")
-    v2u = s2(data, x, "unordered")
-    residual = (v1 + v2 - 2.0 * x * math.log(x)) / x
-    return SelbergSums(x, v1, v2, v2u, residual)
+def _sums(x: int, v1: float, v2: float, v2u: float) -> SelbergSums:
+    return SelbergSums(x, v1, v2, v2u, (v1 + v2 - 2.0 * x * math.log(x)) / x)
 
 
 def selberg_sums_at(data: PrimeData, x: int) -> SelbergSums:
-    return _sums_with_s1(data, x, s1(data, x))
+    return _sums(x, s1(data, x), s2(data, x, "ordered"), s2(data, x, "unordered"))
 
 
-def _running_s1(data: PrimeData, xs):
-    """S1 at each ascending x: one fsum per run of new primes, carried compensated.
+class SelbergScan(BlockScan):
+    """SelbergSums at ascending points (each >= 4), folded over the prime blocks.
 
-    ``log p`` is taken per run, so no table-sized temporary is made.
+    ``reduce`` carries theta, the running sum of log p, as one ``np.cumsum``
+    per block whose first term is the previous block's last value, which
+    gives the bits of ``PrimeData.cumlog``.  The S2 queries x // p, for
+    the primes p <= sqrt(x) of every point, are answered in ascending
+    order as the blocks pass; a point's S2 is taken once its last query,
+    x // 2, is answered, so the state holds theta values only for the
+    points still open.  S1 is one exact sum per run of primes between
+    two points, carried across blocks as an integer and added to a
+    Neumaier sum when the run's point is passed.
     """
-    running = NeumaierSum()
-    cut = 0
-    for x in xs:
-        nxt = int(np.searchsorted(data.primes, x, side="right"))
-        if nxt > cut:
-            logs = np.log(data.primes[cut:nxt].astype(np.float64))
-            running.add(block_sum(logs * logs))
-            cut = nxt
-        yield running.value
+
+    name = "selberg"
+
+    def __init__(self, xs):
+        xs = [int(x) for x in xs]
+        if not xs:
+            raise DomainError("the Selberg scan needs at least one point")
+        for i, x in enumerate(xs):
+            if x < 4:
+                raise DomainError(f"residual scan points must be >= 4, got {x}")
+            if i and x < xs[i - 1]:
+                raise DomainError("residual scan points must be ascending")
+        self.xs = xs
+        small = primes_up_to(math.isqrt(xs[-1]))
+        self._small_logs = _logs(small)
+        self._n_small = np.searchsorted(small, np.array([math.isqrt(x) for x in xs]),
+                                        side="right").tolist()
+        ys = np.concatenate([x // small[:n] for x, n in zip(xs, self._n_small)])
+        owners = np.repeat(np.arange(len(xs)), self._n_small)
+        order = np.argsort(ys, kind="stable")
+        self._query_y = ys[order]
+        self._query_owner = owners[order].tolist()
+
+    def start(self) -> dict:
+        return {
+            "theta": 0.0,
+            "query": 0,
+            "open": {},
+            "s2": {},
+            "run": 0,
+            "s1": [0.0, 0.0],
+            "rows": [],
+        }
+
+    def map_block(self, block):
+        logs = _logs(block.primes)
+        cuts = np.searchsorted(block.primes, self.xs, side="right")
+        prefix = fixed_prefix_units(logs * logs, cuts)
+        # runs[k]: the exact sum over the block's primes in (x[k-1], x[k]]
+        runs = [b - a for a, b in zip([0, *prefix], prefix)]
+        return block.primes, block.succ, logs, cuts.tolist(), runs
+
+    def reduce(self, state, payload, sink):
+        ps, succ, logs, cuts, runs = payload
+        cum = np.cumsum(np.concatenate([[state["theta"]], logs]))[1:]
+        state["theta"] = float(cum[-1])
+        first = state["query"]
+        end = (len(self._query_y) if succ is None
+               else int(np.searchsorted(self._query_y, succ, side="left")))
+        at = np.searchsorted(ps, self._query_y[first:end], side="right") - 1
+        for k, value in zip(self._query_owner[first:end], cum[at].tolist()):
+            thetas = state["open"].setdefault(str(k), [])
+            thetas.append(value)
+            if len(thetas) == self._n_small[k]:
+                # answered from x // 2 down, so reversed to ascending p
+                del state["open"][str(k)]
+                logs_k = self._small_logs[: len(thetas)]
+                ordered = _s2_ordered(logs_k, np.array(thetas[::-1]))
+                state["s2"][str(k)] = [ordered, _s2_unordered(ordered, logs_k)]
+        state["query"] = end
+
+        s1_sum = NeumaierSum.from_state(state["s1"])
+        for k in range(len(state["rows"]), len(self.xs)):
+            state["run"] += runs[k]
+            x = self.xs[k]
+            if cuts[k] == len(ps) and succ is not None and succ <= x:
+                break  # primes <= x lie beyond this block
+            if state["run"]:
+                s1_sum.add(fixed_value(state["run"]))
+                state["run"] = 0
+            v2, v2u = state["s2"].pop(str(k))
+            state["rows"].append([x, s1_sum.value, v2, v2u])
+        state["s1"] = s1_sum.state()
+
+    def result(self, state) -> list[SelbergSums]:
+        return [_sums(*row) for row in state["rows"]]
 
 
 def selberg_residual_scan(data: PrimeData, limits) -> list[SelbergSums]:
-    """SelbergSums at each limit (ascending, each >= 4).
-
-    S1 is carried incrementally along the limits, as in ``lemma_scan``;
-    S2 is evaluated fresh per point.
-    """
+    """SelbergSums at each limit (ascending, each >= 4): ``SelbergScan`` over ``data``."""
     xs = [int(x) for x in limits]
-    for i, x in enumerate(xs):
-        if x < 4:
-            raise DomainError(f"residual scan points must be >= 4, got {x}")
-        if i and x < xs[i - 1]:
-            raise DomainError("residual scan points must be ascending")
-    if xs and xs[-1] > data.limit:
+    if not xs:
+        return []
+    if xs[-1] > data.limit:
         raise RangeLimitError(
             f"residual scan point {xs[-1]} beyond sieved limit {data.limit}"
         )
-    return [
-        _sums_with_s1(data, x, v1) for x, v1 in zip(xs, _running_s1(data, xs))
-    ]
+    return run_to_end(data, SelbergScan(xs), limit=xs[-1])
+
+
+_S1_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,10 +249,10 @@ class LemmaScanResult:
 def lemma_scan(data: PrimeData, xs) -> LemmaScanResult:
     """Check S2(x) < S1(x) along ascending evaluation points.
 
-    S1 is carried incrementally (fsum per gap between points, folded
-    into a compensated running sum); S2 is evaluated fresh per point
-    via the hyperbola split, so the sweep costs far less than
-    independent S1 evaluations would.
+    S1 at every point is the exactly rounded ``s1(data, x)``, read from
+    one exact running sum over the primes, taken 65 536 at a time; S2 is
+    evaluated fresh per point via the hyperbola split, so the sweep costs
+    far less than independent S1 evaluations would.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if len(xs) == 0:
@@ -174,10 +266,21 @@ def lemma_scan(data: PrimeData, xs) -> LemmaScanResult:
             f"lemma_scan point {int(xs[-1])} beyond sieved limit {data.limit}"
         )
 
+    cuts = np.searchsorted(data.primes, xs, side="right")
+    s1s = []
+    units = 0
+    for lo in range(0, int(cuts[-1]), _S1_CHUNK):
+        hi = min(lo + _S1_CHUNK, int(cuts[-1]))
+        logs = _logs(data.primes[lo:hi])
+        inside = cuts[(cuts > lo) & (cuts <= hi)] - lo
+        *at_cuts, total = fixed_prefix_units(logs * logs, [*inside, hi - lo])
+        s1s += [fixed_value(units + u) for u in at_cuts]
+        units += total
+
     failures = []
     min_margin = math.inf
     min_at = 0
-    for x, v1 in zip(xs.tolist(), _running_s1(data, xs)):
+    for x, v1 in zip(xs.tolist(), s1s):
         v2 = s2(data, x, "ordered")
         margin = v1 - v2
         if margin < min_margin:
@@ -193,13 +296,14 @@ class PartialSumScan(BlockScan):
 
     The gap sum is exact integer arithmetic; the squared-log sum is a
     compensated prefix.  Also verifies the telescoping identity
-    gap_sum + 2 == p_{N+1} at every N.
+    gap_sum + 2 == p_{N+1} at every N.  ``n_max=None`` takes every gap
+    of the fold, for a stream whose prime count is known only at its end.
     """
 
     name = "partial_sums"
 
-    def __init__(self, n_max: int):
-        if n_max < 2:
+    def __init__(self, n_max: int | None = None):
+        if n_max is not None and n_max < 2:
             raise DomainError(f"partial-sum scan needs n_max >= 2, got {n_max}")
         self.n_max = n_max
 
@@ -223,16 +327,19 @@ class PartialSumScan(BlockScan):
         else:
             succ = ps[1:]
             ps = ps[:-1]
-        logs = np.log(ps.astype(np.float64))
+        logs = _logs(ps)
         terms = logs * logs
         local = np.cumsum(terms)
-        return block.n0, ps, succ, local, block_sum(terms)
+        return block.n0, ps, succ, local, fixed_sum(terms)
 
     def reduce(self, state, payload, sink):
         n0, ps, succ, local, total = payload
-        if state["count"] >= self.n_max:
+        if self.n_max is None:
+            take = len(ps)
+        elif state["count"] >= self.n_max:
             return
-        take = min(len(ps), self.n_max - state["count"])
+        else:
+            take = min(len(ps), self.n_max - state["count"])
         gap_cum = state["gap_sum"] + np.cumsum(succ[:take] - ps[:take])
         if not np.array_equal(gap_cum + 2, succ[:take]):
             state["identity_exact"] = False
@@ -251,7 +358,7 @@ class PartialSumScan(BlockScan):
         if take == len(ps):
             prefix.add(total)
         else:
-            prefix.add(block_sum((np.log(ps[:take].astype(np.float64))) ** 2))
+            prefix.add(fixed_sum(_logs(ps[:take]) ** 2))
         state["logsq"] = prefix.state()
 
     def result(self, state):

@@ -7,19 +7,22 @@ deterministic regardless of the worker count.
 
 Blocks of primes come from one of two sources with the same
 ``blocks(limit=, block_size=)``: ``PrimeData`` holds the whole table
-and answers ``pi``/``nth``/``cumlog`` lookups, ``PrimeStream`` sieves
-as the blocks are consumed and holds about one block and one segment.
-Only a held table is checked against the memory budget.
+and answers ``pi``/``nth``/``cumlog`` lookups for the table-backed
+library calls and the ``selberg`` and ``fit`` commands, ``PrimeStream``
+sieves as the blocks are consumed and holds about one block and one
+segment; ``scan``, ``figure1`` and ``report`` fold over it.  Only a
+held table is checked against the memory budget.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -214,12 +217,29 @@ class PrimeBlock:
     prime immediately after the block (None only at the end of data),
     carried so gap- and derivative-style folds can stitch across the
     block boundary.
+
+    ``column`` builds a derived column once per block, for every scan
+    that maps the block, also from several threads at once.
     """
 
     index: int
     n0: int
     primes: np.ndarray
     succ: int | None
+    _columns: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  repr=False, compare=False)
+
+    def column(self, key: Hashable, build: Callable[[], object]):
+        """``build()`` on the first call for ``key``; the same object after.
+
+        Callers share the result, so they must not modify it.
+        """
+        with self._lock:
+            if key not in self._columns:
+                self._columns[key] = build()
+            return self._columns[key]
 
 
 def _cut_blocks(
@@ -355,8 +375,11 @@ class PrimeStream:
             if held > block_size:
                 run = np.concatenate(pieces)
                 whole = (len(run) - 1) // block_size * block_size
+                # Only ``run`` is kept while its blocks are folded: the
+                # segment and the last run it was joined from are freed.
+                pieces, held, segment = [run[whole:]], len(run) - whole, None
                 yield from _cut_blocks(run, whole, block_size, index)
                 index += whole // block_size
-                pieces, held = [run[whole:]], len(run) - whole
         run = np.concatenate(pieces)
+        pieces = segment = None
         yield from _cut_blocks(run, len(run), block_size, index, succ)

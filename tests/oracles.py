@@ -81,6 +81,26 @@ def s2_halfrange(data, x: int) -> float:
     return math.fsum(np.log(ps.astype(np.float64)) * thetas)
 
 
+def sampled_indices(primes, x_min: int, x_max: int, stride: int,
+                    per_decade: int | None) -> np.ndarray:
+    """Table indices of the fit samples, thinned on the whole table at once.
+
+    Every stride-th prime in [x_min, x_max]; with ``per_decade``, each
+    decade of x keeps every ceil(count / per_decade)-th of its candidates.
+    """
+    lo = int(np.searchsorted(primes, x_min, side="left"))
+    hi = int(np.searchsorted(primes, x_max, side="right"))
+    idx = np.arange(lo, hi, stride)
+    if per_decade is None:
+        return idx
+    decades = np.floor(np.log10(primes[idx].astype(np.float64)))
+    keep = []
+    for d in np.unique(decades):
+        sel = np.nonzero(decades == d)[0]
+        keep.extend(sel[:: max(1, math.ceil(len(sel) / per_decade))])
+    return idx[np.sort(np.array(keep, dtype=np.int64))]
+
+
 def pair_product_table(primes, limit: int):
     """All ordered prime-pair products pq <= limit with their log-term weights.
 

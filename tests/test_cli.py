@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps.cli import main
 
@@ -460,3 +466,111 @@ def test_unwritable_checkpoint_path(tmp_path, capsys, command):
                  "--checkpoint", str(ck)])
     assert code == 2
     assert "cannot write checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["scan", "--which", "delta", *LIMIT_1E6], ["selberg", *LIMIT_1E5],
+     ["report", *LIMIT_1E6]],
+    ids=["scan", "selberg", "report"],
+)
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_stop_after_blocks_below_one_is_usage_error(tmp_path, capsys, command, count):
+    out, ck = tmp_path / "out", tmp_path / "ck"
+    code = main([*command, "--out", str(out), "--checkpoint", str(ck),
+                 "--stop-after-blocks", count])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --stop-after-blocks must be >= 1, got {count}" in captured.err
+    assert not out.exists() and not ck.exists()
+
+
+def _report_stdout(args) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["report", *LIMIT_1E6, *args])
+    return code, buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def report_refs():
+    """Uninterrupted report stdout by (workers, points), filled as needed."""
+    return {}
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    stop=st.integers(1, 3),
+    workers=st.sampled_from(["1", "2"]),
+    points=st.sampled_from(["2", "5", "32"]),
+)
+def test_report_resume_property(report_refs, stop, workers, points):
+    # 78 498 primes make three blocks: a stop after 1 or 2 leaves a
+    # checkpoint to resume; a stop after 3 lands on the last block and
+    # is a finished run.
+    args = ["--workers", workers, "--points", points]
+    if (workers, points) not in report_refs:
+        report_refs[workers, points] = _report_stdout(args)
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = ["--checkpoint", os.path.join(tmp, "r.ckpt")]
+        code, out = _report_stdout([*args, *ck, "--stop-after-blocks", str(stop)])
+        if stop < 3:
+            assert (code, json.loads(out)) == (0, {"command": "report",
+                                                   "stopped_at_block": stop})
+            code, out = _report_stdout([*args, *ck, "--resume"])
+        assert not os.path.exists(ck[1])
+    assert (code, out) == report_refs[workers, points]
+
+
+def test_report_resume_after_hard_kill_byte_identical(tmp_path):
+    # 148 933 primes below 2e6 make five blocks; the kill after the third
+    # checkpoint leaves two for the resumed run.
+    args = ["report", "--limit", "2000000", "--workers", "2",
+            "--checkpoint", "r.ckpt"]
+    killed = _run_cli(["-c", _KILL_AFTER_THIRD_CHECKPOINT], args, tmp_path)
+    assert killed.returncode == 9 and killed.stdout == b""
+    assert json.loads((tmp_path / "r.ckpt").read_text())["scan_state"]["block"] == 3
+    resumed = _run_cli(["-m", "primegaps.cli"], [*args, "--resume"], tmp_path)
+    ref = _run_cli(["-m", "primegaps.cli"], args[:-2], tmp_path)
+    assert ref.returncode == resumed.returncode == 0
+    assert resumed.stdout == ref.stdout
+    assert not (tmp_path / "r.ckpt").exists()
+
+
+def test_report_refuses_version_2_checkpoint(tmp_path, capsys):
+    ck = tmp_path / "r.ckpt"
+    args = ["report", *LIMIT_1E6, "--checkpoint", str(ck)]
+    assert main([*args, "--stop-after-blocks", "1"]) == 0
+    # the version-2 layout: the same key, a state without the Selberg
+    # and fit sub-states
+    current = json.loads(ck.read_text())
+    state = {k: v for k, v in current["scan_state"].items()
+             if k not in ("selberg_points", "fit")}
+    ck.write_text(json.dumps({"version": 2, "key": current["key"],
+                              "scan_state": state, "sink_offset": 0}))
+    capsys.readouterr()
+    assert main([*args, "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unsupported version" in captured.err
+
+
+def test_report_memory_does_not_grow_with_the_limit():
+    # report folds over the stream: its traced peak is flat from 2e6 to
+    # 8e6, about 6.5 MB, most of it one block's Li temporaries.  Holding
+    # the 8e6 table and its theta prefix, as report did, takes 8.6 MB on
+    # top of that, and the peak grows by 70% from 2e6 to 8e6.
+    _report_stdout([])  # imports and first-call allocations, not counted
+    peaks = {}
+    for limit in (2 * 10**6, 8 * 10**6):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["report", "--limit", str(limit)]) == 0
+            peaks[limit] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    table_and_cumlog = 2 * 8 * 539777  # pi(8e6) primes and their log sums
+    low, high = sorted(peaks.values())
+    assert high <= 1.15 * low
+    assert high < table_and_cumlog

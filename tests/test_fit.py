@@ -2,16 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps.analytic import skewes_log10
 from primegaps.errors import DomainError, InsufficientDataError, SingularFitError
 from primegaps.fit import (
+    FitScan,
+    SampleScan,
     bin_average_k,
     fit_from_data,
     fit_skewes,
     sample_fluctuations,
 )
-from primegaps.fluct import FluctuationSample
+from primegaps.fluct import FluctuationSample, fluctuation_at
+from primegaps.runner import run_to_end
+from primegaps.sieve import PrimeStream
+
+from .oracles import sampled_indices
 
 
 def _mk_samples(xs, ks):
@@ -128,3 +136,32 @@ def test_fit_from_real_data_1e6(data_1e6):
     assert res.log10_sk1 == pytest.approx(skewes_log10(res.alpha), rel=1e-9)
     assert res.bin_count >= 3
     assert math.isfinite(res.rms_residual)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    x_min=st.integers(2, 10**5),
+    span=st.integers(1, 9 * 10**5),
+    stride=st.integers(40, 3000),
+    per_decade=st.none() | st.integers(1, 300),
+    block_size=st.integers(1, 20000),
+)
+def test_sample_scan_equals_table_thinning(data_1e6, x_min, span, stride,
+                                           per_decade, block_size):
+    x_max = min(x_min + span, 10**6)
+    if x_max <= x_min:
+        return
+    scan = SampleScan(x_min, x_max, stride=stride, per_decade=per_decade)
+    samples = run_to_end(PrimeStream(x_max), scan, block_size=block_size)
+    idx = sampled_indices(data_1e6.primes, x_min, x_max, stride, per_decade)
+    assert [s.x for s in samples] == data_1e6.primes[idx].tolist()
+    assert samples == [fluctuation_at(data_1e6, s.x) for s in samples]
+
+
+def test_fit_scan_on_stream_equals_fit_from_data(data_1e6):
+    streamed = run_to_end(PrimeStream(10**6), FitScan(10**4, 10**6))
+    assert streamed == fit_from_data(data_1e6, 10**4, 10**6)
+    with pytest.raises(DomainError):
+        FitScan(10, 10**6)
+    with pytest.raises(InsufficientDataError):
+        run_to_end(PrimeStream(20000), FitScan(10**4, 20000))

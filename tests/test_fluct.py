@@ -410,3 +410,24 @@ def test_dusart_point_check(data_1e6):
 def test_dusart_minimum_limit(data_1e6):
     with pytest.raises(DomainError):
         dusart_scan(data_1e6, 300000)
+
+
+def test_jump_grid_built_once_per_block_in_a_fused_fold(monkeypatch):
+    # schoenfeld, bbound and dusart read one grid per block, also when
+    # their maps of one block run at once on two workers.
+    from primegaps import fluct
+
+    calls = []
+    build = fluct._build_jump_grid
+    monkeypatch.setattr(fluct, "_build_jump_grid",
+                        lambda block, limit: calls.append(block.index) or build(block, limit))
+
+    def grid_scans():
+        return {"schoenfeld": SchoenfeldScan(10**6, 1.0 / 3.0),
+                "bbound": BBoundScan(10**6, 5.0), "dusart": DusartScan(10**6)}
+
+    fold = {"limit": 10**6, "block_size": 8192, "workers": 2}
+    fused = run_to_end(PrimeStream(10**6), FusedScan(grid_scans()), **fold)
+    assert sorted(calls) == list(range(10))
+    for name, scan in grid_scans().items():
+        assert _plain(fused[name]) == _plain(run_to_end(PrimeStream(10**6), scan, **fold))

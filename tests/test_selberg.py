@@ -1,14 +1,18 @@
 import io
+import json
 import math
 from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps.errors import DomainError, RangeLimitError
-from primegaps.runner import RowSink, run_scan
+from primegaps.runner import RowSink, run_scan, run_to_end
 from primegaps.selberg import (
     PartialSumScan,
+    SelbergScan,
     lemma_scan,
     partial_sum_scan,
     s1,
@@ -17,6 +21,7 @@ from primegaps.selberg import (
     selberg_sums_at,
     theta,
 )
+from primegaps.sieve import PrimeStream
 
 from .oracles import (
     pair_product_table,
@@ -244,3 +249,53 @@ def test_partial_sum_rows_deterministic_across_workers(data_1e6):
         assert finished
         outs.append(buf.getvalue())
     assert outs[0] == outs[1] == outs[2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    xs=st.lists(st.integers(4, 2 * 10**5), min_size=1, max_size=12),
+    block_size=st.integers(1, 5000),
+    workers=st.sampled_from([1, 2]),
+)
+def test_selberg_scan_on_stream_equals_table_scan(data_1e6, xs, block_size, workers):
+    # theta is one running sum and each S1 run one exact integer, so the
+    # bits do not depend on where the blocks are cut.
+    xs = sorted(xs)
+    stream = PrimeStream(xs[-1], segment_size=4096, workers=workers)
+    rows = run_to_end(stream, SelbergScan(xs), block_size=block_size, workers=workers)
+    assert rows == selberg_residual_scan(data_1e6, xs)
+    for row in rows:
+        ref = selberg_sums_at(data_1e6, row.x)
+        assert (row.s2, row.s2_unordered) == (ref.s2, ref.s2_unordered)
+
+
+def test_selberg_scan_resumed_from_json_at_every_block(data_1e6):
+    xs = [4, 10, 11, 11, 1000, 104729, 500000, 10**6]
+    fold = {"limit": 10**6, "block_size": 2000}
+    scan = SelbergScan(xs)
+    expected = run_to_end(data_1e6, scan, **fold)
+    state, finished = None, False
+    most_open = 0
+    while not finished:
+        state, finished = run_scan(data_1e6, scan, state=state, stop_after_blocks=1,
+                                   **fold)
+        most_open = max(most_open, len(state["open"]))
+        state = json.loads(json.dumps(state))  # as a checkpoint stores it
+    assert scan.result(state) == expected
+    # theta values are held only while a point has unanswered queries
+    assert state["open"] == {} and state["s2"] == {}
+    assert 0 < most_open < len(xs)
+
+
+def test_selberg_scan_errors():
+    for xs in ([], [3, 10], [100, 10]):
+        with pytest.raises(DomainError):
+            SelbergScan(xs)
+
+
+def test_partial_sum_scan_without_n_max_takes_every_gap(data_1e6):
+    streamed = run_to_end(PrimeStream(10**6), PartialSumScan())
+    assert streamed == partial_sum_scan(data_1e6, len(data_1e6.primes) - 1)
+    assert streamed.n_max == 78497
+    with pytest.raises(DomainError):
+        PartialSumScan(1)

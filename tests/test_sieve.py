@@ -1,4 +1,6 @@
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from primegaps.errors import DomainError, RangeLimitError, ResourceLimitError
 from primegaps.fluct import CgScan
 from primegaps.runner import run_to_end
 from primegaps.sieve import (
+    PrimeBlock,
     PrimeData,
     PrimeStream,
     SievePlan,
@@ -215,3 +218,36 @@ def test_ordered_map_takes_a_generator_once_in_order(workers):
             consumed += 1
     assert out == [(i, i * i) for i in range(50)]
     assert pulled == list(range(50))
+
+
+def test_block_column_is_built_once_under_concurrent_callers():
+    # More threads than cores and a short switch interval: an unlocked
+    # check-then-build would run the slow build more than once.
+    block = PrimeBlock(0, 1, np.array([2, 3, 5], dtype=np.int64), 7)
+    builds = []
+    got = []
+    start = threading.Barrier(8)
+
+    def build():
+        builds.append(1)
+        time.sleep(0.01)  # every other caller arrives meanwhile
+        return np.arange(3)
+
+    def caller():
+        start.wait(timeout=10)
+        got.append(block.column("grid", build))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert len(got) == 8 and all(g is got[0] for g in got)
+    assert block.column("other", lambda: "x") == "x" and len(builds) == 1
