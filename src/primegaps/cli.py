@@ -416,6 +416,7 @@ def _run_block_command(cfg: RunConfig, args, command: str, which: str, sink_mode
     if cfg.checkpoint_path and cfg.output_path is None and cfg.format == "csv":
         raise UsageError("checkpointed CSV runs need --out")
 
+    _keep_block_arrays_on_heap(*_STREAM_THRESHOLDS)
     data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
     scan = entry.make(cfg, sink_mode)
     out = _Output(cfg.output_path if cfg.format == "csv" else None, ckpt.offset)
@@ -581,7 +582,8 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         raise UsageError(f"fit needs --limit >= 10000, got {cfg.limit}")
     if args.x_min < 16:
         raise UsageError(f"fit needs --x-min >= 16, got {args.x_min}")
-    data = cfg.prime_data()
+    _keep_block_arrays_on_heap(*_STREAM_THRESHOLDS)
+    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
     samples = fitmod.sample_fluctuations(
         data, args.x_min, cfg.limit, stride=args.stride, per_decade=200
     )
@@ -624,21 +626,28 @@ _REPORT_SCANS = {
 _REFERENCE_S1_MINUS_S2 = 686787.25
 _S1S2_POINT = 104729
 
-# glibc mallopt parameters (malloc.h) and the values report sets.
+# glibc mallopt parameters (malloc.h) and the (mmap, trim) thresholds
+# the folding commands set.  report's larger pair keeps its Li grids on the
+# heap (at 2 / 4 MiB it takes 160 k faults at 1e8); the scans' smaller trim
+# threshold keeps the delta CSV scan's peak RSS where it was (4 / 16 MiB
+# add 5% at 3e7).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 4 << 20
-_TRIM_THRESHOLD = 16 << 20
+_REPORT_THRESHOLDS = (4 << 20, 16 << 20)
+_STREAM_THRESHOLDS = (2 << 20, 4 << 20)
 
 
-def _keep_block_arrays_on_heap() -> None:
-    """Serve the fold's per-block arrays from the heap, under glibc malloc.
+def _keep_block_arrays_on_heap(mmap_threshold: int, trim_threshold: int) -> None:
+    """Serve the fold's per-block arrays and sieve segments from the heap,
+    under glibc malloc.
 
-    They are 256 KiB to 1 MiB, above glibc's initial 128 KiB mmap
-    threshold, and nothing larger is freed to raise it, so each one is
-    mapped and unmapped again, block by block: about half a million page
-    faults for ``report`` at 1e8.  Fixed thresholds keep them on the heap.
-    Elsewhere this does nothing.
+    They are 256 KiB to 1 MiB.  glibc's mmap threshold starts at 128 KiB
+    and rises only to the largest mapped chunk freed, with the trim
+    threshold at twice that, so each array is mapped and unmapped again
+    (about half a million page faults for ``report`` at 1e8), or the heap
+    top is trimmed and faulted in again every few sieve segments (about
+    200 k for ``scan --which cg`` at 1e9).  Fixed thresholds keep them on
+    the heap.  Elsewhere this does nothing.
     """
     try:
         libc = ctypes.CDLL(None)
@@ -649,8 +658,8 @@ def _keep_block_arrays_on_heap() -> None:
     mallopt = libc.mallopt
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
+    mallopt(_M_TRIM_THRESHOLD, trim_threshold)
 
 
 def _selberg_at_reference() -> dict:
@@ -697,7 +706,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     scans["partial_sums"] = selberg.PartialSumScan()
     scans["selberg_points"] = selberg.SelbergScan(points)
     scans["fit"] = fitmod.FitScan(10**4, cfg.limit)
-    _keep_block_arrays_on_heap()
+    _keep_block_arrays_on_heap(*_REPORT_THRESHOLDS)
     data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
     results = _fold(data, FusedScan(scans), cfg, args, ckpt, {"command": "report"})
     if results is None:

@@ -18,7 +18,7 @@ from .analytic import skewes_log10
 from .errors import DomainError, InsufficientDataError, SingularFitError
 from .fluct import DEFAULT_EXPANSION_C3, FluctuationSample, fluctuation_sample
 from .runner import BlockScan, run_to_end
-from .sieve import PrimeData
+from .sieve import PrimeData, PrimeStream
 
 # Model abscissae must keep log log log x real and usefully spread.
 MIN_FIT_X = math.exp(math.e)
@@ -89,7 +89,7 @@ class SampleScan(BlockScan):
 
 
 def sample_fluctuations(
-    data: PrimeData,
+    data: PrimeData | PrimeStream,
     x_min: int,
     x_max: int,
     *,

@@ -1,8 +1,15 @@
 """Segmented prime sieve, prime-counting lookups and prime blocks.
 
-The sieve works on odd integers only, one cache-sized segment at a
-time.  Segments can be produced by a thread pool; consumers always see
-them in ascending order, so every downstream accumulation is
+The sieve works on odd integers only, one segment of ``segment_size``
+integers at a time.  A segment's mask starts from the pattern the wheel
+primes 3, 5, 7, 11 and 13 leave (one period is 15 015 odd numbers,
+crossed off in place and doubled over the segment).  The start offsets of
+all the other base primes are computed in one numpy expression; primes
+below 1/64 of the segment's odd count clear their multiples with one
+strided slice each, and all larger ones with a single scatter whose
+indices are built by one cumulative sum.  Nothing is kept between
+segments, so segments can be produced by a thread pool; consumers always
+see them in ascending order, so every downstream accumulation is
 deterministic regardless of the worker count.
 
 Blocks of primes come from one of two sources with the same
@@ -87,6 +94,12 @@ def check_budget(limit: int, budget: int) -> None:
         )
 
 
+# Odd primes whose multiples the mask starts without; their product is
+# the period of that pattern in odd positions.
+_WHEEL = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = math.prod(_WHEEL)
+
+
 def _base_primes(limit: int) -> np.ndarray:
     """Dense sieve for the sqrt-range base primes."""
     if limit < 2:
@@ -100,23 +113,87 @@ def _base_primes(limit: int) -> np.ndarray:
 
 
 def _sieve_odd_segment(lo: int, hi: int, odd_bases: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi) for odd lo >= 3, via the precomputed odd base primes."""
+    """Primes in [lo, hi) for odd lo >= 3, via the precomputed odd base primes.
+
+    Position i of the mask stands for the odd number lo + 2i.
+    """
     count = (hi - lo + 1) // 2
     if count <= 0:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(count, dtype=bool)
-    for p in odd_bases:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = p * p
-        if start < lo:
-            start = ((lo + p - 1) // p) * p
-            if start % 2 == 0:
-                start += p
-        if start < hi:
-            mask[(start - lo) // 2 :: p] = False
-    return lo + 2 * np.nonzero(mask)[0].astype(np.int64)
+    mask = _wheel_mask(lo, hi, count)
+    _cross_off(mask, lo, hi, odd_bases)
+    primes = np.flatnonzero(mask)
+    primes *= 2
+    primes += lo
+    return primes
+
+
+def _wheel_mask(lo: int, hi: int, count: int) -> np.ndarray:
+    """The odd numbers in [lo, hi) prime to the wheel primes, as a mask.
+
+    The first wheel period is crossed off directly and then doubled over
+    the rest; nothing is kept between calls.
+    """
+    mask = np.empty(count, dtype=bool)
+    filled = min(count, _WHEEL_PERIOD)
+    mask[:filled] = True
+    for q in _WHEEL:
+        mask[(q - lo) % (2 * q) // 2 : filled : q] = False
+    while filled < count:
+        step = min(filled, count - filled)
+        mask[filled : filled + step] = mask[:step]
+        filled += step
+    for q in _WHEEL:
+        if lo <= q < hi:
+            mask[(q - lo) // 2] = True
+    return mask
+
+
+def _cross_off(mask: np.ndarray, lo: int, hi: int, odd_bases: np.ndarray) -> None:
+    """Clear the odd multiples of every base prime above the wheel.
+
+    Each p with p * p < hi crosses off from max(p * p, its first odd
+    multiple >= lo).  Primes below ``count // 64`` take one strided slice
+    each; the rest are crossed off by one scatter.
+    """
+    count = len(mask)
+    first = int(np.searchsorted(odd_bases, _WHEEL[-1], side="right"))
+    top = int(np.searchsorted(odd_bases, math.isqrt(hi - 1), side="right"))
+    ps = odd_bases[first:top]
+    if not len(ps):
+        return
+    starts = ps - lo
+    starts %= 2 * ps
+    starts >>= 1
+    if int(ps[-1]) ** 2 > lo:
+        np.maximum(starts, (ps * ps - lo) >> 1, out=starts)
+    small = int(np.searchsorted(ps, count // 64))
+    for p, start in zip(ps[:small].tolist(), starts[:small].tolist()):
+        mask[start::p] = False
+    ps, starts = ps[small:], starts[small:]
+    hits = count - 1 - starts
+    hits //= ps
+    hits += 1
+    if not hits.all():
+        keep = hits > 0
+        ps, starts, hits = ps[keep], starts[keep], hits[keep]
+    if not len(ps):
+        return
+    # The positions of all the primes laid end to end: each prime's run
+    # repeats p as the step, its first entry is patched to step from the
+    # previous run's last position to its own start, and one cumulative
+    # sum turns the steps into positions.  A prime above count hits once,
+    # so its step, which may not fit the narrower type, is patched over.
+    steps = np.repeat(ps.astype(np.int32 if count < 2**31 else np.int64), hits)
+    last = hits - 1
+    last *= ps
+    last += starts
+    starts[1:] -= last[:-1]
+    runs = np.cumsum(hits)
+    runs -= hits
+    steps[runs] = starts
+    np.cumsum(steps, out=steps)
+    mask[steps] = False
 
 
 def ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator[tuple]:
@@ -153,8 +230,10 @@ def iter_segments(plan: SievePlan) -> Iterator[np.ndarray]:
     bases = _base_primes(math.isqrt(plan.limit))
     odd_bases = bases[1:] if len(bases) > 0 else bases
 
+    # With an odd segment size every other span starts on an even number,
+    # which is never prime here: the kernel starts at the odd one after it.
     spans = (
-        (lo, min(lo + plan.segment_size, plan.limit + 1))
+        (lo | 1, min(lo + plan.segment_size, plan.limit + 1))
         for lo in range(3, plan.limit + 1, plan.segment_size)
     )
 
@@ -188,13 +267,19 @@ def primes_up_to(
     return np.concatenate(list(iter_segments(plan)))
 
 
-def prime_count(x: int, **kwargs) -> int:
-    """pi(x): the number of primes <= x."""
+def prime_count(
+    x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE, workers: int = 1
+) -> int:
+    """pi(x): the number of primes <= x.
+
+    The segments are counted as they are sieved and none is kept, so, as
+    with ``PrimeStream``, no memory budget applies.
+    """
     if x < 0:
         raise DomainError(f"prime_count requires x >= 0, got {x}")
     if x < 2:
         return 0
-    return int(len(primes_up_to(x, **kwargs)))
+    return sum(len(s) for s in iter_segments(SievePlan(x, segment_size, workers)))
 
 
 def nth_prime(n: int, **kwargs) -> int:
@@ -323,12 +408,6 @@ class PrimeData:
         """Iterate PrimeBlocks over primes <= limit (default: all)."""
         count = len(self.primes) if limit is None else self.pi(limit)
         yield from _cut_blocks(self.primes, count, block_size)
-
-    def block_count(
-        self, *, limit: int | None = None, block_size: int = BLOCK_PRIMES
-    ) -> int:
-        count = len(self.primes) if limit is None else self.pi(limit)
-        return (count + block_size - 1) // block_size
 
 
 class PrimeStream:

@@ -33,6 +33,27 @@ def trial_division_primes(limit: int) -> np.ndarray:
     return candidates[is_prime]
 
 
+def trial_division_window(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi) by trial division by 2 and each odd d <= sqrt(n).
+
+    Odd divisors below 100 screen each number one at a time; the few
+    numbers left are divided by the rest of the range at once.
+    """
+    odd = np.arange(3, math.isqrt(hi - 1) + 1, 2, dtype=np.int64)
+    primes = []
+    for n in range(max(lo, 2), hi):
+        if n % 2 == 0:
+            if n == 2:
+                primes.append(n)
+            continue
+        root = math.isqrt(n)
+        if any(n % d == 0 for d in range(3, min(root, 99) + 1, 2)):
+            continue
+        if np.all(n % odd[: np.searchsorted(odd, root, side="right")]):
+            primes.append(n)
+    return np.array(primes, dtype=np.int64)
+
+
 def _is_prime_naive(n: int) -> bool:
     if n < 2:
         return False

@@ -1,6 +1,12 @@
+import json
+import math
+import os
+import subprocess
 import sys
 import threading
 import time
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +17,8 @@ from primegaps.errors import DomainError, RangeLimitError, ResourceLimitError
 from primegaps.fluct import CgScan
 from primegaps.runner import run_to_end
 from primegaps.sieve import (
+    _WHEEL,
+    _WHEEL_PERIOD,
     PrimeBlock,
     PrimeData,
     PrimeStream,
@@ -18,10 +26,12 @@ from primegaps.sieve import (
     nth_prime,
     ordered_map,
     prime_count,
+    _base_primes,
+    _sieve_odd_segment,
     primes_up_to,
 )
 
-from .oracles import trial_division_primes
+from .oracles import trial_division_primes, trial_division_window
 
 
 def test_primes_up_to_small():
@@ -47,6 +57,95 @@ def test_sieve_segment_size_invariance():
     tiny = primes_up_to(10**5, segment_size=64)
     assert np.array_equal(big, small)
     assert np.array_equal(big, tiny)
+
+
+@cache
+def _primes_to_3e5():
+    return trial_division_primes(3 * 10**5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    limit=st.integers(2, 3 * 10**5),
+    segment_size=st.integers(64, 2**14),
+    workers=st.sampled_from([1, 2]),
+)
+def test_sieve_equals_trial_division(limit, segment_size, workers):
+    expected = _primes_to_3e5()
+    expected = expected[expected <= limit]
+    got = primes_up_to(limit, segment_size=segment_size, workers=workers)
+    assert np.array_equal(got, expected)
+
+
+# The wheel primes, their squares and p * p for the first primes the
+# wheel leaves to the slices and the scatter.
+_EDGES = sorted({*_WHEEL, *(q * q for q in _WHEEL), 17**2, 19**2, 23**2,
+                 29**2, 31**2})
+
+
+@pytest.mark.parametrize("edge", _EDGES)
+def test_segments_starting_or_ending_on_an_edge(edge):
+    expected = _primes_to_3e5()
+
+    def window(lo, hi):
+        odd_bases = _base_primes(math.isqrt(hi))[1:]
+        got = _sieve_odd_segment(lo, hi, odd_bases)
+        assert np.array_equal(got, expected[(expected >= lo) & (expected < hi)])
+
+    # Up to three wheel periods of odd positions: the pattern is doubled.
+    for width in (1, 2, 63, 64, 2000, 6 * _WHEEL_PERIOD):
+        window(edge, edge + width)
+        if edge - width >= 3:
+            window(edge - width + 1 | 1, edge + 1)
+    for limit in (edge - 1, edge, edge + 1):
+        for segment_size in {64, max(64, edge - 3), max(64, edge - 2)}:
+            # segment_size edge - 3 starts the second segment on edge
+            got = primes_up_to(max(limit, 2), segment_size=segment_size)
+            assert np.array_equal(got, expected[expected <= limit])
+
+
+def test_segment_near_1e12_equals_trial_division():
+    # Offsets of primes up to 1e6 from a start near 1e12: the int64 start
+    # arithmetic far above the limits the rest of the suite sieves to.
+    # 2 048 odd positions put 17..31 on slices and the rest on the scatter.
+    lo, hi = 10**12 - 4095, 10**12 + 1
+    odd_bases = primes_up_to(math.isqrt(hi))[1:]
+    got = _sieve_odd_segment(lo, hi, odd_bases)
+    assert np.array_equal(got, trial_division_window(lo, hi))
+    assert len(got) == 144
+
+
+_KERNEL_MEMORY = """
+import json, math, tracemalloc
+import numpy as np
+from primegaps import sieve
+lo = 999_000_001
+hi = lo + sieve.DEFAULT_SEGMENT_SIZE
+odd_bases = sieve._base_primes(math.isqrt(hi))[1:]
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+primes = sieve._sieve_odd_segment(lo, hi, odd_bases)
+current, peak = tracemalloc.get_traced_memory()
+module_arrays = sum(v.nbytes for v in vars(sieve).values() if isinstance(v, np.ndarray))
+print(json.dumps({"primes": len(primes), "mask": (hi - lo) // 2, "peak": peak - before,
+                  "held": current - before - primes.nbytes + module_arrays}))
+"""
+
+
+def test_segment_kernel_memory():
+    # The first sieve call of a fresh process, on one default segment near
+    # 1e9, traces below twice its mask and leaves less than one wheel
+    # period alive besides its result, counting arrays held at module
+    # level: a whole-run pattern or an unbounded scatter array would not fit.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _KERNEL_MEMORY], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    measured = json.loads(out)
+    assert measured["primes"] == 50284
+    assert measured["peak"] < 2 * measured["mask"]
+    assert measured["held"] < _WHEEL_PERIOD
 
 
 def test_prime_count_small():
@@ -161,7 +260,7 @@ def test_block_iteration_covers_everything(data_1e5):
     assert seen == data_1e5.primes.tolist()
     assert last_succ is None
     count = sum(1 for _ in data_1e5.blocks(limit=10**4, block_size=500))
-    assert count == data_1e5.block_count(limit=10**4, block_size=500)
+    assert count == (data_1e5.pi(10**4) + 499) // 500
 
 
 def _block_tuples(blocks):

@@ -100,7 +100,7 @@ def test_csv_resume_from_any_block_is_byte_identical(data_1e5, drawn):
     make = _SCANS[drawn.draw(st.sampled_from(sorted(_SCANS)), label="scan")]
     block_size = drawn.draw(st.sampled_from([512, 1024, 2048]), label="block_size")
     workers = drawn.draw(st.sampled_from([1, 2]), label="workers")
-    total = data_1e5.block_count(limit=limit, block_size=block_size)
+    total = sum(1 for _ in data_1e5.blocks(limit=limit, block_size=block_size))
     stop = drawn.draw(st.integers(1, total - 1), label="stop")
     crash = drawn.draw(st.integers(stop, total - 1), label="crash")
     fold = {"limit": limit, "block_size": block_size, "workers": workers}
