@@ -56,7 +56,6 @@ from .selberg import (
     s1,
     s2,
     selberg_residual_scan,
-    selberg_sums_at,
     theta,
 )
 from .sieve import (
@@ -118,7 +117,6 @@ __all__ = [
     "sample_fluctuations",
     "schoenfeld_scan",
     "selberg_residual_scan",
-    "selberg_sums_at",
     "skewes_log10",
     "skewes_mean_kprime",
     "smooth_s1",

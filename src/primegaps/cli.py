@@ -8,9 +8,8 @@ Configuration precedence: command-line flags, then PRIMEGAPS_* env
 variables, then a --config key=value file, then built-in defaults.
 Long scans accept --checkpoint PATH (state written after every block)
 and --resume to continue; a resumed run reproduces the uninterrupted
-output byte for byte.  ``scan``, ``figure1`` and ``report`` fold over a
-streamed sieve in block-sized memory; ``selberg`` and ``fit`` hold the
-prime table.
+output byte for byte.  Every command that sieves folds over a streamed
+sieve in block-sized memory; none holds the prime table.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from . import fit as fitmod
 from . import fluct, selberg
 from .analytic import Constants
 from .errors import PrimeGapsError
-from .runner import BlockScan, FusedScan, RowSink, run_scan
-from .sieve import DEFAULT_SEGMENT_SIZE, PrimeData, PrimeStream
+from .runner import BlockScan, FusedScan, RowSink, run_scan, run_to_end
+from .sieve import DEFAULT_SEGMENT_SIZE, PrimeStream
 
 ENV_PREFIX = "PRIMEGAPS_"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 DEFAULTS = {
     "limit": 10**8,
@@ -72,11 +71,6 @@ class RunConfig:
             raise PrimeGapsError(f"c must be positive, got {self.c}")
         if self.format not in ("csv", "json"):
             raise PrimeGapsError(f"format must be csv or json, got {self.format}")
-
-    def prime_data(self) -> PrimeData:
-        return PrimeData.build(
-            self.limit, segment_size=self.segment_size, workers=self.workers
-        )
 
     def echo(self) -> dict:
         return {
@@ -326,7 +320,7 @@ def _emit_summary(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
-def _fold(data: PrimeData | PrimeStream, scan: BlockScan, cfg: RunConfig, args,
+def _fold(data: PrimeStream, scan: BlockScan, cfg: RunConfig, args,
           ckpt: _Checkpoint, stop_summary: dict, sink: RowSink | None = None):
     """Run ``scan`` from the checkpoint, saving after every block.
 
@@ -501,17 +495,10 @@ def _selberg_points(limit: int, count: int) -> list[int]:
     if count < 2:
         raise UsageError(f"--points must be >= 2, got {count}")
     pts = np.unique(np.rint(np.geomspace(10, limit, count)).astype(np.int64))
-    pts = pts[pts >= 4]
+    pts = pts[(pts >= 4) & (pts <= limit)]
     if len(pts) == 0 or pts[-1] != limit:
         pts = np.append(pts, limit)
     return [int(x) for x in np.unique(pts)]
-
-
-def _selberg_row(s: selberg.SelbergSums) -> str:
-    return (
-        f"{s.x},{s.s1!r},{s.s2!r},{s.s2_unordered!r},"
-        f"{s.residual_per_x!r},{str(s.lemma_holds).lower()}"
-    )
 
 
 def cmd_selberg(cfg: RunConfig, args) -> int:
@@ -522,36 +509,26 @@ def cmd_selberg(cfg: RunConfig, args) -> int:
     if cfg.checkpoint_path and cfg.output_path is None:
         raise UsageError("checkpointed runs need --out")
 
-    data = cfg.prime_data()
-    # The state counts points as a block scan counts blocks.
-    state = ckpt.state or {"block": 0, "holds": True}
-    start = state["block"]
+    _keep_block_arrays_on_heap(*_STREAM_THRESHOLDS)
+    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
     out = _Output(cfg.output_path, ckpt.offset)
     try:
-        if start == 0:
-            out.sink.write("x,s1,s2_ordered,s2_unordered,residual_per_x,lemma1_holds")
-        for i in range(start, len(points)):
-            sums = selberg.selberg_sums_at(data, points[i])
-            out.sink.write(_selberg_row(sums))
-            state = {"block": i + 1, "holds": state["holds"] and sums.lemma_holds}
-            ckpt.save(state, out.sink)
-            done = i + 1 - start
-            if args.stop_after_blocks is not None and done >= args.stop_after_blocks:
-                break
+        rows = _fold(data, selberg.SelbergScan(points), cfg, args, ckpt,
+                     {"command": "selberg"}, out.sink)
     finally:
         out.close()
-    if state["block"] < len(points):
-        _emit_summary({"command": "selberg", "stopped_at_point": state["block"]})
+    if rows is None:
         return 0
     ckpt.remove()
+    holds = all(r.lemma_holds for r in rows)
     summary = {
         "command": "selberg",
         "points": len(points),
-        "lemma_holds_all": state["holds"],
+        "lemma_holds_all": holds,
         "limit": cfg.limit,
     }
     _emit_summary(summary)
-    return 0 if state["holds"] else 1
+    return 0 if holds else 1
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +640,7 @@ def _keep_block_arrays_on_heap(mmap_threshold: int, trim_threshold: int) -> None
 
 
 def _selberg_at_reference() -> dict:
-    sums = selberg.selberg_sums_at(PrimeData.build(_S1S2_POINT), _S1S2_POINT)
+    sums = run_to_end(PrimeStream(_S1S2_POINT), selberg.SelbergScan([_S1S2_POINT]))[0]
     v1, v2o, v2u = sums.s1, sums.s2, sums.s2_unordered
     return {
         "x": _S1S2_POINT,

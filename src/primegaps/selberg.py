@@ -8,15 +8,16 @@ theta with a hyperbola split,
 
 which touches pi(sqrt(x)) primes instead of pi(x/2).  The pointwise
 functions read theta from the ``PrimeData.cumlog`` table; ``SelbergScan``
-answers the same theta queries while it folds over the prime blocks, so
-``report`` needs no table.  The test suite checks S2 against a one-pass
-sum over p <= x/2 and a direct pair loop.
+answers the same theta queries while it folds over the prime blocks, and
+carries S1 as one exact integer, so ``selberg`` and ``report`` need no
+table.  The test suite checks S2 against a one-pass sum over p <= x/2
+and a direct pair loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -127,10 +128,6 @@ def _sums(x: int, v1: float, v2: float, v2u: float) -> SelbergSums:
     return SelbergSums(x, v1, v2, v2u, (v1 + v2 - 2.0 * x * math.log(x)) / x)
 
 
-def selberg_sums_at(data: PrimeData, x: int) -> SelbergSums:
-    return _sums(x, s1(data, x), s2(data, x, "ordered"), s2(data, x, "unordered"))
-
-
 class SelbergScan(BlockScan):
     """SelbergSums at ascending points (each >= 4), folded over the prime blocks.
 
@@ -140,9 +137,10 @@ class SelbergScan(BlockScan):
     the primes p <= sqrt(x) of every point, are answered in ascending
     order as the blocks pass; a point's S2 is taken once its last query,
     x // 2, is answered, so the state holds theta values only for the
-    points still open.  S1 is one exact sum per run of primes between
-    two points, carried across blocks as an integer and added to a
-    Neumaier sum when the run's point is passed.
+    points still open.  S1 is one exact integer, the sum of log^2 p in
+    units of 2**-54, carried across the whole fold; a row takes it
+    rounded once, so each S1 has the bits of ``s1(data, x)``.  The rows
+    a block closes go to the sink in one write.
     """
 
     name = "selberg"
@@ -173,10 +171,12 @@ class SelbergScan(BlockScan):
             "query": 0,
             "open": {},
             "s2": {},
-            "run": 0,
-            "s1": [0.0, 0.0],
+            "s1": 0,
             "rows": [],
         }
+
+    def header(self):
+        return "x,s1,s2_ordered,s2_unordered,residual_per_x,lemma1_holds"
 
     def map_block(self, block):
         logs = _logs(block.primes)
@@ -205,18 +205,19 @@ class SelbergScan(BlockScan):
                 state["s2"][str(k)] = [ordered, _s2_unordered(ordered, logs_k)]
         state["query"] = end
 
-        s1_sum = NeumaierSum.from_state(state["s1"])
+        closed = []
         for k in range(len(state["rows"]), len(self.xs)):
-            state["run"] += runs[k]
+            state["s1"] += runs[k]
             x = self.xs[k]
             if cuts[k] == len(ps) and succ is not None and succ <= x:
                 break  # primes <= x lie beyond this block
-            if state["run"]:
-                s1_sum.add(fixed_value(state["run"]))
-                state["run"] = 0
-            v2, v2u = state["s2"].pop(str(k))
-            state["rows"].append([x, s1_sum.value, v2, v2u])
-        state["s1"] = s1_sum.state()
+            row = [x, fixed_value(state["s1"]), *state["s2"].pop(str(k))]
+            state["rows"].append(row)
+            closed.append(_sums(*row))
+        if sink is not None and closed:
+            cols = map(np.array, zip(*map(astuple, closed)))
+            holds = np.where([s.lemma_holds for s in closed], "true", "false")
+            sink.write_rows("{},{!r},{!r},{!r},{!r},{}", *cols, holds)
 
     def result(self, state) -> list[SelbergSums]:
         return [_sums(*row) for row in state["rows"]]

@@ -15,10 +15,9 @@ deterministic regardless of the worker count.
 Blocks of primes come from one of two sources with the same
 ``blocks(limit=, block_size=)``: ``PrimeData`` holds the whole table
 and answers ``pi``/``nth``/``cumlog`` lookups for the table-backed
-library calls and the ``selberg`` and ``fit`` commands, ``PrimeStream``
-sieves as the blocks are consumed and holds about one block and one
-segment; ``scan``, ``figure1`` and ``report`` fold over it.  Only a
-held table is checked against the memory budget.
+library calls; ``PrimeStream`` sieves as the blocks are consumed and
+holds about one block and one segment, and every CLI command folds over
+it.  Only a held table is checked against the memory budget.
 """
 
 from __future__ import annotations
@@ -370,9 +369,6 @@ class PrimeData:
             memory_budget=memory_budget,
         )
         return cls(limit, primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
     def pi(self, x: int) -> int:
         """pi(x) for any 0 <= x <= limit."""

@@ -18,6 +18,7 @@ from scipy.integrate import quad
 
 from primegaps.accum import NeumaierSum
 from primegaps.analytic import bprime_threshold, kprime_threshold, li
+from primegaps.selberg import SelbergSums, s1, s2
 
 
 def trial_division_primes(limit: int) -> np.ndarray:
@@ -100,6 +101,12 @@ def s2_halfrange(data, x: int) -> float:
     theta = np.concatenate([[0.0], data.cumlog()])
     thetas = theta[np.searchsorted(data.primes, x // ps, side="right")]
     return math.fsum(np.log(ps.astype(np.float64)) * thetas)
+
+
+def selberg_sums_at(data, x: int) -> SelbergSums:
+    """SelbergSums at one point from the pointwise table sums ``s1`` and ``s2``."""
+    v1, v2, v2u = s1(data, x), s2(data, x, "ordered"), s2(data, x, "unordered")
+    return SelbergSums(x, v1, v2, v2u, (v1 + v2 - 2.0 * x * math.log(x)) / x)
 
 
 def sampled_indices(primes, x_min: int, x_max: int, stride: int,
@@ -298,6 +305,16 @@ _ROWS = {
     "dusart": _dusart_rows,
     "partial_sums": _partial_sum_rows,
 }
+
+
+def selberg_csv_oracle(data, xs) -> bytes:
+    """The ``selberg`` command's CSV at points ``xs``, one f-string per
+    row of the pointwise ``selberg_sums_at``."""
+    lines = ["x,s1,s2_ordered,s2_unordered,residual_per_x,lemma1_holds"]
+    for s in (selberg_sums_at(data, x) for x in xs):
+        lines.append(f"{s.x},{s.s1!r},{s.s2!r},{s.s2_unordered!r},"
+                     f"{s.residual_per_x!r},{_flag(s.lemma_holds)}")
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def csv_rows_oracle(scan, data, limit: int) -> bytes:

@@ -39,6 +39,14 @@ def test_selberg_limit_below_minimum_is_usage_error(capsys):
     assert main(["selberg", "--limit", "3"]) == 2
 
 
+@pytest.mark.parametrize("limit", ["4", "9"])
+def test_selberg_points_end_at_the_limit(tmp_path, capsys, limit):
+    # The log-spaced points start at 10, so below 10 only the limit is left.
+    out = tmp_path / "sel.csv"
+    assert main(["selberg", "--limit", limit, "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == [limit]
+
+
 def test_scan_cg_reports_violations_and_exits_one(tmp_path, capsys):
     out = tmp_path / "cg.csv"
     code = main(["scan", "--which", "cg", *LIMIT_1E6, "--out", str(out)])
@@ -226,23 +234,23 @@ def test_figure1_checkpoint_resume_byte_identical(tmp_path, capsys):
 
 
 def test_selberg_checkpoint_resume_byte_identical(tmp_path, capsys):
+    # 78 498 primes make three blocks, so a stop after 1 or 2 leaves a
+    # checkpoint to resume.
     full = tmp_path / "full.csv"
-    main(["selberg", *LIMIT_1E5, "--points", "12", "--out", str(full)])
+    main(["selberg", *LIMIT_1E6, "--points", "12", "--out", str(full)])
     part = tmp_path / "part.csv"
     ck = tmp_path / "ck.json"
-    code = main(
-        ["selberg", *LIMIT_1E5, "--points", "12", "--out", str(part),
-         "--checkpoint", str(ck), "--stop-after-blocks", "5"]
-    )
-    assert code == 0
-    assert ck.exists()
-    code = main(
-        ["selberg", *LIMIT_1E5, "--points", "12", "--out", str(part),
-         "--checkpoint", str(ck), "--resume"]
-    )
-    assert code == 0
-    assert part.read_bytes() == full.read_bytes()
-    assert not ck.exists()
+    for workers in ("1", "2"):
+        for stop in ("1", "2"):
+            args = ["selberg", *LIMIT_1E6, "--points", "12", "--workers", workers,
+                    "--out", str(part), "--checkpoint", str(ck)]
+            code = main([*args, "--stop-after-blocks", stop])
+            assert code == 0
+            assert ck.exists()
+            code = main([*args, "--resume"])
+            assert code == 0
+            assert part.read_bytes() == full.read_bytes()
+            assert not ck.exists()
 
 
 def test_scan_schoenfeld_exits_zero(tmp_path, capsys):
@@ -362,6 +370,27 @@ def test_scan_resume_after_hard_kill_byte_identical(tmp_path, capsys):
     assert blob == ref.read_bytes()
 
 
+def test_selberg_resume_after_hard_kill_byte_identical(tmp_path):
+    # Five blocks below 2e6; the kill after the third checkpoint leaves
+    # the last two, and the points they close, for the resumed run.
+    args = ["selberg", "--limit", "2000000", "--workers", "2",
+            "--out", "a.csv", "--checkpoint", "a.ckpt"]
+    killed = _run_cli(["-c", _KILL_AFTER_THIRD_CHECKPOINT], args, tmp_path)
+    assert killed.returncode == 9
+    ckpt = json.loads((tmp_path / "a.ckpt").read_text())
+    assert ckpt["scan_state"]["block"] == 3
+    assert (tmp_path / "a.csv").stat().st_size >= ckpt["sink_offset"]
+    resumed = _run_cli(["-m", "primegaps.cli"], [*args, "--resume"], tmp_path)
+    ref = _run_cli(["-m", "primegaps.cli"], [*args[:-4], "--out", "ref.csv"],
+                   tmp_path)
+    assert ref.returncode == resumed.returncode == 0
+    assert resumed.stdout == ref.stdout
+    assert not (tmp_path / "a.ckpt").exists()
+    blob = (tmp_path / "a.csv").read_bytes()
+    assert b"\0" not in blob
+    assert blob == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_streamed_json_scan_resume_after_hard_kill_byte_identical(tmp_path):
     # 148 933 primes below 2e6 make five blocks; the kill after the third
     # checkpoint leaves two for the resumed run, which re-sieves and skips
@@ -442,8 +471,8 @@ _DELTA = ["scan", "--which", "delta", *LIMIT_1E6]
                      id="which"),
         pytest.param(["figure1", *LIMIT_1E6], ["scan", "--which", "k", *LIMIT_1E6],
                      None, id="figure1-to-scan"),
-        pytest.param(["selberg", *LIMIT_1E5, "--points", "12"],
-                     ["selberg", *LIMIT_1E5, "--points", "8"], None, id="points"),
+        pytest.param(["selberg", *LIMIT_1E6, "--points", "12"],
+                     ["selberg", *LIMIT_1E6, "--points", "8"], None, id="points"),
         pytest.param(_DELTA, _DELTA, _to_version_1, id="version-1"),
     ],
 )
@@ -452,6 +481,7 @@ def test_resume_refuses_changed_key(tmp_path, capsys, first, resumed, edit):
     ck = tmp_path / "ck.json"
     tail = ["--out", str(out), "--checkpoint", str(ck)]
     assert main([*first, *tail, "--stop-after-blocks", "1"]) == 0
+    assert ck.exists()
     if edit is not None:
         edit(ck)
     before = out.read_bytes() if out.exists() else None
@@ -542,31 +572,34 @@ def test_report_refuses_version_2_checkpoint(tmp_path, capsys):
     ck = tmp_path / "r.ckpt"
     args = ["report", *LIMIT_1E6, "--checkpoint", str(ck)]
     assert main([*args, "--stop-after-blocks", "1"]) == 0
+    current = json.loads(ck.read_text())
     # the version-2 layout: the same key, a state without the Selberg
     # and fit sub-states
-    current = json.loads(ck.read_text())
-    state = {k: v for k, v in current["scan_state"].items()
-             if k not in ("selberg_points", "fit")}
-    ck.write_text(json.dumps({"version": 2, "key": current["key"],
-                              "scan_state": state, "sink_offset": 0}))
-    capsys.readouterr()
-    assert main([*args, "--resume"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "unsupported version" in captured.err
+    v2 = {k: v for k, v in current["scan_state"].items()
+          if k not in ("selberg_points", "fit")}
+    # the version-3 layout: the Selberg S1 as a run integer and a Neumaier pair
+    sel = current["scan_state"]["selberg_points"]
+    v3 = {**current["scan_state"],
+          "selberg_points": {**sel, "run": 0, "s1": [float(sel["s1"]), 0.0]}}
+    for version, state in ((2, v2), (3, v3)):
+        ck.write_text(json.dumps({"version": version, "key": current["key"],
+                                  "scan_state": state, "sink_offset": 0}))
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unsupported version" in captured.err
 
 
-def test_report_memory_does_not_grow_with_the_limit():
-    # report folds over the stream: its traced peak is flat from 2e6 to
-    # 8e6, about 6.5 MB, most of it one block's Li temporaries.  Holding
-    # the 8e6 table and its theta prefix, as report did, takes 8.6 MB on
-    # top of that, and the peak grows by 70% from 2e6 to 8e6.
-    _report_stdout([])  # imports and first-call allocations, not counted
+def _assert_memory_flat_from_2e6_to_8e6(args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        # imports and first-call allocations, not counted
+        assert main([*args, *LIMIT_1E6]) == 0
     peaks = {}
     for limit in (2 * 10**6, 8 * 10**6):
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["report", "--limit", str(limit)]) == 0
+                assert main([*args, "--limit", str(limit)]) == 0
             peaks[limit] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -574,3 +607,17 @@ def test_report_memory_does_not_grow_with_the_limit():
     low, high = sorted(peaks.values())
     assert high <= 1.15 * low
     assert high < table_and_cumlog
+
+
+def test_report_memory_does_not_grow_with_the_limit():
+    # report folds over the stream: its traced peak is flat from 2e6 to
+    # 8e6, about 6.5 MB, most of it one block's Li temporaries.  Holding
+    # the 8e6 table and its theta prefix, as report did, takes 8.6 MB on
+    # top of that, and the peak grows by 70% from 2e6 to 8e6.
+    _assert_memory_flat_from_2e6_to_8e6(["report"])
+
+
+def test_selberg_memory_does_not_grow_with_the_limit(tmp_path):
+    # selberg folds over the stream too, near 4 MB at both limits; with
+    # the table and a pointwise S1 it went from 7 to 19 MB.
+    _assert_memory_flat_from_2e6_to_8e6(["selberg", "--out", str(tmp_path / "s.csv")])

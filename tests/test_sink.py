@@ -20,7 +20,7 @@ from primegaps.fluct import DeltaScan, SchoenfeldScan
 from primegaps.runner import RowSink, run_scan
 from primegaps.selberg import PartialSumScan, partial_sum_scan
 
-from .oracles import csv_rows_oracle
+from .oracles import csv_rows_oracle, selberg_csv_oracle
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 LIMIT = 10**6
@@ -66,6 +66,23 @@ def test_partial_sum_rows_equal_the_row_by_row_oracle(data_1e6, n_max):
     scan = PartialSumScan(n_max)
     expected = csv_rows_oracle(scan, data_1e6, data_1e6.nth(n_max + 1))
     assert buf.getvalue() == expected
+
+
+@pytest.mark.parametrize("points", [32, 7])
+@pytest.mark.parametrize(
+    "schedule", [[], ["--workers", "2", "--segment-size", "5000"]],
+    ids=["default", "workers-2-segment-5000"],
+)
+def test_selberg_csv_equals_the_pointwise_rows(tmp_path, capsys, data_1e6,
+                                               points, schedule):
+    # The rows are closed block by block in the fold and written once per
+    # block; the oracle evaluates each point on its own from the table.
+    out = tmp_path / "sel.csv"
+    args = ["selberg", "--limit", str(LIMIT), "--points", str(points), *schedule,
+            "--out", str(out)]
+    assert cli.main(args) == 0
+    xs = cli._selberg_points(LIMIT, points)
+    assert out.read_bytes() == selberg_csv_oracle(data_1e6, xs)
 
 
 def test_stdout_holds_the_rows_then_the_summary(tmp_path):
