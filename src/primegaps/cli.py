@@ -6,10 +6,12 @@ still fully emitted), 2 on usage or resource errors.
 
 Configuration precedence: command-line flags, then PRIMEGAPS_* env
 variables, then a --config key=value file, then built-in defaults.
-Long scans accept --checkpoint PATH (state written after every block)
-and --resume to continue; a resumed run reproduces the uninterrupted
-output byte for byte.  Every command that sieves folds over a streamed
-sieve in block-sized memory; none holds the prime table.
+
+Every command is one entry of ``_COMMANDS`` and runs through ``_run``:
+its scan is folded over a streamed sieve in block-sized memory (no
+command holds the prime table), with --checkpoint PATH (state written
+after every block), --stop-after-blocks N and --resume; a resumed run
+reproduces the uninterrupted output byte for byte.
 """
 
 from __future__ import annotations
@@ -73,14 +75,10 @@ class RunConfig:
             raise PrimeGapsError(f"format must be csv or json, got {self.format}")
 
     def echo(self) -> dict:
-        return {
-            "limit": self.limit,
-            "c": self.c,
-            "B": self.B,
-            "K": self.K_all,
-            "segment_size": self.segment_size,
-            "workers": self.workers,
-        }
+        """The settings that shape the results.  Workers and segment size
+        only schedule the work and change no output byte, so a run may
+        resume under others."""
+        return {"limit": self.limit, "c": self.c, "B": self.B, "K": self.K_all}
 
 
 class UsageError(Exception):
@@ -179,33 +177,24 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selberg", help="S1/S2 residual scan at sample points")
     p.add_argument("--points", type=int, default=32, help="number of scan points")
-    p.set_defaults(run=cmd_selberg)
     _add_common(p)
 
     p = sub.add_parser("scan", help="run one named scan")
     p.add_argument("--which", required=True, choices=list(SCANS))
-    p.set_defaults(run=cmd_scan)
     _add_common(p)
 
     p = sub.add_parser("figure1", help="emit p,k_prime,rhs24 plotting data")
-    p.set_defaults(run=cmd_figure1)
+    p.set_defaults(which="k")
     _add_common(p)
 
     p = sub.add_parser("fit", help="fit the k(x) drift model")
     p.add_argument("--stride", type=int, default=1000)
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--x-min", dest="x_min", type=int, default=10**4)
-    p.add_argument(
-        "--synthetic",
-        action="store_true",
-        help="self-test: fit exact synthetic data instead of sieving",
-    )
-    p.set_defaults(run=cmd_fit)
     _add_common(p)
 
     p = sub.add_parser("report", help="one-shot JSON reproduction document")
     p.add_argument("--points", type=int, default=32)
-    p.set_defaults(run=cmd_report)
     _add_common(p)
     return parser
 
@@ -218,12 +207,27 @@ def _write_checkpoint(path: str, payload: dict) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            json.dump(payload, fh)
+            # json.dumps takes the C encoder; json.dump the pure-Python one.
+            fh.write(json.dumps(payload))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         raise UsageError(f"cannot write checkpoint {path}: {exc}") from exc
+
+
+def _differing(old, new: dict, prefix: str = "") -> list[str]:
+    """The fields, as dotted paths, in which checkpoint key ``old`` differs
+    from ``new``."""
+    old = old if isinstance(old, dict) else {}
+    names = []
+    for name in sorted(set(old) | set(new)):
+        a, b = old.get(name), new.get(name)
+        if isinstance(a, dict) and isinstance(b, dict):
+            names += _differing(a, b, f"{prefix}{name}.")
+        elif a != b:
+            names.append(prefix + name)
+    return names
 
 
 class _Checkpoint:
@@ -251,10 +255,10 @@ class _Checkpoint:
         version = payload.get("version") if isinstance(payload, dict) else None
         if version != CHECKPOINT_VERSION:
             raise UsageError(f"checkpoint {self.path} has unsupported version")
-        if payload.get("key") != self.key:
+        changed = _differing(payload.get("key"), self.key)
+        if changed:
             raise UsageError(
-                f"checkpoint {self.path} was written by another command or with "
-                "another config, --which, --format or --points"
+                f"checkpoint {self.path} differs from this run in {', '.join(changed)}"
             )
         self.state = payload["scan_state"]
         self.offset = payload["sink_offset"]
@@ -320,27 +324,13 @@ def _emit_summary(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
-def _fold(data: PrimeStream, scan: BlockScan, cfg: RunConfig, args,
-          ckpt: _Checkpoint, stop_summary: dict, sink: RowSink | None = None):
-    """Run ``scan`` from the checkpoint, saving after every block.
-
-    Returns the scan's result, or None after printing ``stop_summary``
-    with the next block when ``--stop-after-blocks`` ended the run early.
-    """
-    state, finished = run_scan(
-        data,
-        scan,
-        limit=cfg.limit,
-        workers=cfg.workers,
-        sink=sink,
-        state=ckpt.state,
-        on_block=lambda st: ckpt.save(st, sink),
-        stop_after_blocks=args.stop_after_blocks,
-    )
-    if finished:
-        return scan.result(state)
-    _emit_summary({**stop_summary, "stopped_at_block": state["block"]})
-    return None
+def _write_json_file(path: str, doc: dict) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write output path {path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +338,7 @@ def _fold(data: PrimeStream, scan: BlockScan, cfg: RunConfig, args,
 
 
 class _ScanEntry(NamedTuple):
-    make: Callable[[RunConfig, str], BlockScan]
+    make: Callable[[RunConfig], BlockScan]
     minimum: int
     verdict: Callable[[object, RunConfig], tuple[bool, dict]]
 
@@ -368,89 +358,42 @@ def _schoenfeld_verdict(result, cfg: RunConfig) -> tuple[bool, dict]:
     return result.max_after_cutoff <= k_rh, doc
 
 
-def _deriv(cfg: RunConfig, sink_mode: str):
-    return fluct.DerivScan(cfg.limit, cfg.c, sink_mode=sink_mode)
+def _deriv(cfg: RunConfig):
+    return fluct.DerivScan(cfg.limit, cfg.c)
 
 
 SCANS = {
-    "cg": _ScanEntry(
-        lambda cfg, mode: fluct.CgScan(cfg.limit, cfg.c), 3, _no_violations
-    ),
+    "cg": _ScanEntry(lambda cfg: fluct.CgScan(cfg.limit, cfg.c), 3, _no_violations),
     "b": _ScanEntry(_deriv, 7, lambda r, cfg: (r.b_pass(), r.to_json())),
     "k": _ScanEntry(_deriv, 5, lambda r, cfg: (r.k_pass(), r.to_json())),
     "delta": _ScanEntry(
-        lambda cfg, mode: fluct.DeltaScan(cfg.limit, cfg.c), 3, _no_violations
+        lambda cfg: fluct.DeltaScan(cfg.limit, cfg.c), 3, _no_violations
     ),
     "schoenfeld": _ScanEntry(
-        lambda cfg, mode: fluct.SchoenfeldScan(cfg.limit, cfg.K_all),
-        10,
-        _schoenfeld_verdict,
+        lambda cfg: fluct.SchoenfeldScan(cfg.limit, cfg.K_all), 10, _schoenfeld_verdict
     ),
-    "dusart": _ScanEntry(
-        lambda cfg, mode: fluct.DusartScan(cfg.limit), 355992, _passed
-    ),
-    "bbound": _ScanEntry(
-        lambda cfg, mode: fluct.BBoundScan(cfg.limit, cfg.B), 10, _passed
-    ),
+    "dusart": _ScanEntry(lambda cfg: fluct.DusartScan(cfg.limit), 355992, _passed),
+    "bbound": _ScanEntry(lambda cfg: fluct.BBoundScan(cfg.limit, cfg.B), 10, _passed),
 }
 
 
 # ----------------------------------------------------------------------
-# Scan and figure1 commands
+# Scan and figure1 outputs
 
 
-def _run_block_command(cfg: RunConfig, args, command: str, which: str, sink_mode: str):
-    entry = SCANS[which]
-    if cfg.limit < entry.minimum:
-        raise UsageError(
-            f"{command} --which {which} needs --limit >= {entry.minimum}, "
-            f"got {cfg.limit}"
-        )
-    ckpt = _Checkpoint(cfg, args.resume, command, which=which, format=cfg.format)
-    if cfg.checkpoint_path and cfg.output_path is None and cfg.format == "csv":
-        raise UsageError("checkpointed CSV runs need --out")
-
-    _keep_block_arrays_on_heap(*_STREAM_THRESHOLDS)
-    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
-    scan = entry.make(cfg, sink_mode)
-    out = _Output(cfg.output_path if cfg.format == "csv" else None, ckpt.offset)
-    sink = out.sink if cfg.format == "csv" else None
-    try:
-        result = _fold(data, scan, cfg, args, ckpt,
-                       {"command": command, "which": which}, sink)
-    finally:
-        out.close()
-    if result is None:
-        return 0
-    passed, doc = entry.verdict(result, cfg)
+def _finish_scan(result, cfg: RunConfig, args) -> int:
+    passed, doc = SCANS[args.which].verdict(result, cfg)
     if cfg.format == "json" and cfg.output_path:
         _write_json_file(cfg.output_path, doc)
-    ckpt.remove()
-    summary = {"command": command, "which": which, "pass": passed}
-    summary.update(doc)
-    _emit_summary(summary)
+    _emit_summary({"command": args.command, "which": args.which, "pass": passed, **doc})
     return 0 if passed else 1
 
 
-def _write_json_file(path: str, doc: dict) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise UsageError(f"cannot write output path {path}: {exc}") from exc
-
-
-def cmd_scan(cfg: RunConfig, args) -> int:
-    return _run_block_command(cfg, args, "scan", args.which, "records")
-
-
-def cmd_figure1(cfg: RunConfig, args) -> int:
-    code = _run_block_command(cfg, args, "figure1", "k", "figure")
+def _finish_figure1(result, cfg: RunConfig, args) -> int:
     if cfg.output_path and cfg.format == "csv":
         script = cfg.output_path + ".plot.py"
         _write_plot_script(script, os.path.basename(cfg.output_path))
-    return code
+    return _finish_scan(result, cfg, args)
 
 
 _PLOT_SCRIPT = '''#!/usr/bin/env python3
@@ -488,7 +431,7 @@ def _write_plot_script(path: str, csv_name: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Selberg command
+# Selberg and fit outputs
 
 
 def _selberg_points(limit: int, count: int) -> list[int]:
@@ -501,69 +444,26 @@ def _selberg_points(limit: int, count: int) -> list[int]:
     return [int(x) for x in np.unique(pts)]
 
 
-def cmd_selberg(cfg: RunConfig, args) -> int:
-    if cfg.limit < 4:
-        raise UsageError(f"selberg needs --limit >= 4, got {cfg.limit}")
-    points = _selberg_points(cfg.limit, args.points)
-    ckpt = _Checkpoint(cfg, args.resume, "selberg", points=args.points)
-    if cfg.checkpoint_path and cfg.output_path is None:
-        raise UsageError("checkpointed runs need --out")
+def _selberg_scan(cfg: RunConfig, args) -> BlockScan:
+    return selberg.SelbergScan(_selberg_points(cfg.limit, args.points))
 
-    _keep_block_arrays_on_heap(*_STREAM_THRESHOLDS)
-    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
-    out = _Output(cfg.output_path, ckpt.offset)
-    try:
-        rows = _fold(data, selberg.SelbergScan(points), cfg, args, ckpt,
-                     {"command": "selberg"}, out.sink)
-    finally:
-        out.close()
-    if rows is None:
-        return 0
-    ckpt.remove()
+
+def _finish_selberg(rows, cfg: RunConfig, args) -> int:
     holds = all(r.lemma_holds for r in rows)
-    summary = {
-        "command": "selberg",
-        "points": len(points),
-        "lemma_holds_all": holds,
-        "limit": cfg.limit,
-    }
-    _emit_summary(summary)
+    _emit_summary({"command": "selberg", "points": len(rows),
+                   "lemma_holds_all": holds, "limit": cfg.limit})
     return 0 if holds else 1
 
 
-# ----------------------------------------------------------------------
-# Fit command
-
-
-def _synthetic_binned(a: float, alpha: float) -> list[tuple[float, float]]:
-    xs = np.geomspace(100.0, 1e9, 40)
-    w = np.log(xs)
-    us = np.log(np.log(w))
-    ks = -a * (alpha - us)
-    return [(float(w[i]), float(ks[i])) for i in range(len(xs))]
-
-
-def cmd_fit(cfg: RunConfig, args) -> int:
-    if args.synthetic:
-        truth_a, truth_alpha = 0.2, 1.4
-        result = fitmod.fit_skewes(_synthetic_binned(truth_a, truth_alpha))
-        ok = (
-            abs(result.A - truth_a) <= 1e-9
-            and abs(result.alpha - truth_alpha) <= 1e-9
-        )
-        summary = {"command": "fit", "synthetic": True, "pass": ok}
-        summary.update(result.to_json())
-        _emit_summary(summary)
-        return 0 if ok else 1
-    if cfg.limit < 10**4:
-        raise UsageError(f"fit needs --limit >= 10000, got {cfg.limit}")
+def _fit_scan(cfg: RunConfig, args) -> BlockScan:
     if args.x_min < 16:
         raise UsageError(f"fit needs --x-min >= 16, got {args.x_min}")
-    _keep_block_arrays_on_heap(*_STREAM_THRESHOLDS)
-    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
-    samples = fitmod.sample_fluctuations(
-        data, args.x_min, cfg.limit, stride=args.stride, per_decade=200
-    )
+    if args.bins < 1:
+        raise UsageError(f"fit needs --bins >= 1, got {args.bins}")
+    return fitmod.SampleScan(args.x_min, cfg.limit, stride=args.stride, per_decade=200)
+
+
+def _finish_fit(samples, cfg: RunConfig, args) -> int:
     if len(samples) < 3:
         raise UsageError(
             f"only {len(samples)} samples in [{args.x_min}, {cfg.limit}]; "
@@ -571,25 +471,22 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         )
     binned = fitmod.bin_average_k(samples, args.bins)
     result = fitmod.fit_skewes(binned)
-    if cfg.output_path:
-        if cfg.format == "csv":
-            out = _Output(cfg.output_path)
-            try:
-                out.sink.write("log_x_mid,k_mean")
-                for w, k in binned:
-                    out.sink.write(f"{w!r},{k!r}")
-            finally:
-                out.close()
-        else:
-            _write_json_file(cfg.output_path, result.to_json())
-    summary = {"command": "fit", "synthetic": False, "pass": True}
-    summary.update(result.to_json())
-    _emit_summary(summary)
+    if cfg.output_path and cfg.format == "csv":
+        out = _Output(cfg.output_path)
+        try:
+            out.sink.write("log_x_mid,k_mean")
+            for w, k in binned:
+                out.sink.write(f"{w!r},{k!r}")
+        finally:
+            out.close()
+    elif cfg.output_path:
+        _write_json_file(cfg.output_path, result.to_json())
+    _emit_summary({"command": "fit", "pass": True, **result.to_json()})
     return 0
 
 
 # ----------------------------------------------------------------------
-# Report command
+# Report
 
 # Report sections folded in the one block pass, by the scan each runs.
 _REPORT_SCANS = {
@@ -603,40 +500,13 @@ _REPORT_SCANS = {
 _REFERENCE_S1_MINUS_S2 = 686787.25
 _S1S2_POINT = 104729
 
-# glibc mallopt parameters (malloc.h) and the (mmap, trim) thresholds
-# the folding commands set.  report's larger pair keeps its Li grids on the
-# heap (at 2 / 4 MiB it takes 160 k faults at 1e8); the scans' smaller trim
-# threshold keeps the delta CSV scan's peak RSS where it was (4 / 16 MiB
-# add 5% at 3e7).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_REPORT_THRESHOLDS = (4 << 20, 16 << 20)
-_STREAM_THRESHOLDS = (2 << 20, 4 << 20)
 
-
-def _keep_block_arrays_on_heap(mmap_threshold: int, trim_threshold: int) -> None:
-    """Serve the fold's per-block arrays and sieve segments from the heap,
-    under glibc malloc.
-
-    They are 256 KiB to 1 MiB.  glibc's mmap threshold starts at 128 KiB
-    and rises only to the largest mapped chunk freed, with the trim
-    threshold at twice that, so each array is mapped and unmapped again
-    (about half a million page faults for ``report`` at 1e8), or the heap
-    top is trimmed and faulted in again every few sieve segments (about
-    200 k for ``scan --which cg`` at 1e9).  Fixed thresholds keep them on
-    the heap.  Elsewhere this does nothing.
-    """
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):
-        return
-    if not hasattr(libc, "gnu_get_libc_version"):
-        return
-    mallopt = libc.mallopt
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
-    mallopt(_M_TRIM_THRESHOLD, trim_threshold)
+def _report_scan(cfg: RunConfig, args) -> BlockScan:
+    scans = {name: SCANS[which].make(cfg) for name, which in _REPORT_SCANS.items()}
+    scans["partial_sums"] = selberg.PartialSumScan()
+    scans["selberg_points"] = _selberg_scan(cfg, args)
+    scans["fit"] = fitmod.FitScan(10**4, cfg.limit)
+    return FusedScan(scans)
 
 
 def _selberg_at_reference() -> dict:
@@ -669,25 +539,7 @@ def _report_pass(doc: dict) -> bool:
     return all(checks)
 
 
-def cmd_report(cfg: RunConfig, args) -> int:
-    if cfg.limit < 10**6:
-        raise UsageError(
-            f"report needs --limit >= 1000000 so every section applies, "
-            f"got {cfg.limit}"
-        )
-    points = _selberg_points(cfg.limit, args.points)
-    ckpt = _Checkpoint(cfg, args.resume, "report", points=args.points)
-
-    scans = {name: SCANS[which].make(cfg, "records")
-             for name, which in _REPORT_SCANS.items()}
-    scans["partial_sums"] = selberg.PartialSumScan()
-    scans["selberg_points"] = selberg.SelbergScan(points)
-    scans["fit"] = fitmod.FitScan(10**4, cfg.limit)
-    _keep_block_arrays_on_heap(*_REPORT_THRESHOLDS)
-    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
-    results = _fold(data, FusedScan(scans), cfg, args, ckpt, {"command": "report"})
-    if results is None:
-        return 0
+def _finish_report(results, cfg: RunConfig, args) -> int:
     partial = results.pop("partial_sums")
     rows = results.pop("selberg_points")
     sections = {name: result.to_json() for name, result in results.items()}
@@ -697,7 +549,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         "identity_exact": partial.identity_exact,
     }
     sections["selberg_points"] = {
-        "points": len(points),
+        "points": len(rows),
         "all_hold": all(r.lemma_holds for r in rows),
         "failures": [r.x for r in rows if not r.lemma_holds],
         "residual_per_x_last": rows[-1].residual_per_x,
@@ -722,11 +574,147 @@ def cmd_report(cfg: RunConfig, args) -> int:
     if cfg.output_path:
         _write_json_file(cfg.output_path, doc)
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    ckpt.remove()
     return 0 if doc["pass"] else 1
 
 
 # ----------------------------------------------------------------------
+# The command table and the one run path
+
+# glibc mallopt parameters (malloc.h) and the (mmap, trim) thresholds
+# the commands set.  report's larger pair keeps its Li grids on the
+# heap (at 2 / 4 MiB it takes 160 k faults at 1e8); the streaming
+# commands' smaller trim threshold keeps the delta CSV scan's peak RSS
+# where it was (4 / 16 MiB add 5% at 3e7).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_REPORT_THRESHOLDS = (4 << 20, 16 << 20)
+_STREAM_THRESHOLDS = (2 << 20, 4 << 20)
+
+
+def _keep_block_arrays_on_heap(mmap_threshold: int, trim_threshold: int) -> None:
+    """Serve the fold's per-block arrays and sieve segments from the heap,
+    under glibc malloc.
+
+    They are 256 KiB to 1 MiB.  glibc's mmap threshold starts at 128 KiB
+    and rises only to the largest mapped chunk freed, with the trim
+    threshold at twice that, so each array is mapped and unmapped again
+    (about half a million page faults for ``report`` at 1e8), or the heap
+    top is trimmed and faulted in again every few sieve segments (about
+    200 k for ``scan --which cg`` at 1e9).  Fixed thresholds keep them on
+    the heap.  Elsewhere this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
+    mallopt(_M_TRIM_THRESHOLD, trim_threshold)
+
+
+class _Command(NamedTuple):
+    """One command as ``_run`` folds it.
+
+    ``make(cfg, args)`` builds the scan and ``minimum(args)`` is the least
+    --limit.  ``key`` names the arguments, besides ``RunConfig.echo()``,
+    that shape the output and so enter the checkpoint key.  ``streams``
+    says the scan writes CSV rows to the sink as it folds (only under
+    --format csv when ``format`` is in the key).  ``thresholds`` is the
+    malloc (mmap, trim) pair, and ``finish(result, cfg, args)`` writes
+    the outputs left once the fold ends and returns the exit code.
+    """
+
+    make: Callable[[RunConfig, argparse.Namespace], BlockScan]
+    minimum: Callable[[argparse.Namespace], int]
+    key: tuple[str, ...]
+    streams: bool
+    thresholds: tuple[int, int]
+    finish: Callable[[object, RunConfig, argparse.Namespace], int]
+
+
+def _which_minimum(args) -> int:
+    return SCANS[args.which].minimum
+
+
+_COMMANDS = {
+    "selberg": _Command(
+        make=_selberg_scan, minimum=lambda args: 4, key=("points",), streams=True,
+        thresholds=_STREAM_THRESHOLDS, finish=_finish_selberg,
+    ),
+    "scan": _Command(
+        make=lambda cfg, args: SCANS[args.which].make(cfg),
+        minimum=_which_minimum, key=("which", "format"), streams=True,
+        thresholds=_STREAM_THRESHOLDS, finish=_finish_scan,
+    ),
+    "figure1": _Command(
+        make=lambda cfg, args: fluct.DerivScan(cfg.limit, cfg.c, sink_mode="figure"),
+        minimum=_which_minimum, key=("which", "format"), streams=True,
+        thresholds=_STREAM_THRESHOLDS, finish=_finish_figure1,
+    ),
+    "fit": _Command(
+        make=_fit_scan, minimum=lambda args: 10**4, key=("stride", "bins", "x_min"),
+        streams=False, thresholds=_STREAM_THRESHOLDS, finish=_finish_fit,
+    ),
+    "report": _Command(
+        make=_report_scan, minimum=lambda args: 10**6, key=("points",),
+        streams=False, thresholds=_REPORT_THRESHOLDS, finish=_finish_report,
+    ),
+}
+
+
+def _run(cfg: RunConfig, args) -> int:
+    """Fold the command's scan from its checkpoint, saving after every block,
+    then write its outputs and remove the checkpoint.
+
+    A run stopped by --stop-after-blocks prints the next block instead and
+    leaves the checkpoint.
+    """
+    cmd = _COMMANDS[args.command]
+    values = {**vars(args), "format": cfg.format}
+    shape = {name: values[name] for name in cmd.key}
+    # scan and figure1 name their --which scan in the messages
+    head = {"command": args.command}
+    named = args.command
+    if "which" in shape:
+        head["which"] = args.which
+        named += f" --which {args.which}"
+    least = cmd.minimum(args)
+    if cfg.limit < least:
+        raise UsageError(f"{named} needs --limit >= {least}, got {cfg.limit}")
+    scan = cmd.make(cfg, args)
+    ckpt = _Checkpoint(cfg, args.resume, args.command, **shape)
+    rows = cmd.streams and shape.get("format", "csv") == "csv"
+    if rows and cfg.checkpoint_path and cfg.output_path is None:
+        raise UsageError("checkpointed CSV runs need --out")
+
+    _keep_block_arrays_on_heap(*cmd.thresholds)
+    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
+    out = _Output(cfg.output_path, ckpt.offset) if rows else None
+    sink = out.sink if out is not None else None
+    try:
+        state, finished = run_scan(
+            data,
+            scan,
+            limit=cfg.limit,
+            workers=cfg.workers,
+            sink=sink,
+            state=ckpt.state,
+            on_block=lambda st: ckpt.save(st, sink),
+            stop_after_blocks=args.stop_after_blocks,
+        )
+    finally:
+        if out is not None:
+            out.close()
+    if not finished:
+        _emit_summary({**head, "stopped_at_block": state["block"]})
+        return 0
+    code = cmd.finish(scan.result(state), cfg, args)
+    ckpt.remove()
+    return code
 
 
 def main(argv=None) -> int:
@@ -740,7 +728,7 @@ def main(argv=None) -> int:
             raise UsageError(
                 f"--stop-after-blocks must be >= 1, got {args.stop_after_blocks}"
             )
-        return args.run(build_config(args), args)
+        return _run(build_config(args), args)
     except (UsageError, PrimeGapsError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,10 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps.cli import main
+from primegaps.cli import _parser, main
 
 LIMIT_1E5 = ["--limit", "100000"]
 LIMIT_1E6 = ["--limit", "1000000"]
+
+
+def _every_command():
+    """Each CLI subcommand with the arguments it needs to run at 1e6."""
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    needs = {"scan": ["--which", "delta"]}
+    return [[name, *needs.get(name, []), *LIMIT_1E6] for name in sub.choices]
 
 
 def _last_json(capsys):
@@ -108,14 +117,6 @@ def test_figure1_rows_and_script(tmp_path, capsys):
     assert "matplotlib" in script.read_text()
 
 
-def test_fit_synthetic_self_test(capsys):
-    assert main(["fit", "--synthetic"]) == 0
-    summary = _last_json(capsys)
-    assert summary["pass"] is True
-    assert abs(summary["A"] - 0.2) <= 1e-9
-    assert abs(summary["alpha"] - 1.4) <= 1e-9
-
-
 def test_fit_requires_limit(capsys):
     assert main(["fit", "--limit", "5000"]) == 2
 
@@ -124,6 +125,16 @@ def test_fit_stride_below_one_is_usage_error(capsys):
     for stride in ("0", "-1"):
         assert main(["fit", *LIMIT_1E5, "--stride", stride]) == 2
         assert f"error: stride must be >= 1, got {stride}" in capsys.readouterr().err
+
+
+def test_fit_bins_below_one_fails_before_the_fold(tmp_path, capsys):
+    # --bins is in the checkpoint key, so a run that failed only at the
+    # binning would leave a checkpoint no resume could use.
+    ck = tmp_path / "f.ckpt"
+    assert main(["fit", *LIMIT_1E5, "--bins", "0", "--checkpoint", str(ck)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fit needs --bins >= 1, got 0" in captured.err
+    assert not ck.exists()
 
 
 def test_package_exports():
@@ -274,7 +285,9 @@ def test_fit_json_output(tmp_path, capsys):
 
 
 def test_resume_requires_checkpoint(capsys):
-    assert main(["figure1", *LIMIT_1E5, "--resume"]) == 2
+    for command in _every_command():
+        assert main([*command, "--resume"]) == 2
+        assert "--resume requires --checkpoint" in capsys.readouterr().err
 
 
 def test_report_document(tmp_path, capsys):
@@ -460,6 +473,7 @@ def _to_version_1(ck):
 
 
 _DELTA = ["scan", "--which", "delta", *LIMIT_1E6]
+_FIT = ["fit", *LIMIT_1E6, "--stride", "200"]
 
 
 @pytest.mark.parametrize(
@@ -474,6 +488,7 @@ _DELTA = ["scan", "--which", "delta", *LIMIT_1E6]
         pytest.param(["selberg", *LIMIT_1E6, "--points", "12"],
                      ["selberg", *LIMIT_1E6, "--points", "8"], None, id="points"),
         pytest.param(_DELTA, _DELTA, _to_version_1, id="version-1"),
+        pytest.param(_FIT, ["fit", *LIMIT_1E6, "--stride", "300"], None, id="stride"),
     ],
 )
 def test_resume_refuses_changed_key(tmp_path, capsys, first, resumed, edit):
@@ -489,21 +504,47 @@ def test_resume_refuses_changed_key(tmp_path, capsys, first, resumed, edit):
     assert (out.read_bytes() if out.exists() else None) == before
 
 
-@pytest.mark.parametrize("command", [["scan", "--which", "delta"], ["report"]])
+def test_resume_refusal_names_the_changed_fields(tmp_path, capsys):
+    ck = tmp_path / "f.ckpt"
+    args = [*_FIT, "--checkpoint", str(ck)]
+    assert main([*args, "--stop-after-blocks", "1"]) == 0
+    capsys.readouterr()
+    assert main([*args, "--bins", "7", "--resume"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("differs from this run in bins")
+    assert main([*args, "--bins", "7", "--c", "2", "--resume"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("in bins, config.c")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_checkpoint_resume_byte_identical(tmp_path, capsys, fmt):
+    # 78 498 primes make three blocks, so a stop after 1 or 2 leaves a
+    # checkpoint; the binned --out is written only once the fold ends.
+    full = tmp_path / "full"
+    assert main([*_FIT, "--format", fmt, "--out", str(full)]) == 0
+    ref = capsys.readouterr().out
+    part, ck = tmp_path / "part", tmp_path / "ck"
+    args = [*_FIT, "--format", fmt, "--out", str(part), "--checkpoint", str(ck)]
+    for stop in (1, 2):
+        assert main([*args, "--stop-after-blocks", str(stop)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"command": "fit",
+                                                        "stopped_at_block": stop}
+        assert ck.exists() and not part.exists()
+        assert main([*args, "--resume"]) == 0
+        assert capsys.readouterr().out == ref
+        assert not ck.exists()
+        assert part.read_bytes() == full.read_bytes()
+        part.unlink()
+
+
+@pytest.mark.parametrize("command", _every_command())
 def test_unwritable_checkpoint_path(tmp_path, capsys, command):
     ck = tmp_path / "no-such-dir" / "a.ckpt"
-    code = main([*command, *LIMIT_1E6, "--out", str(tmp_path / "a.out"),
-                 "--checkpoint", str(ck)])
+    code = main([*command, "--out", str(tmp_path / "a.out"), "--checkpoint", str(ck)])
     assert code == 2
     assert "cannot write checkpoint" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["scan", "--which", "delta", *LIMIT_1E6], ["selberg", *LIMIT_1E5],
-     ["report", *LIMIT_1E6]],
-    ids=["scan", "selberg", "report"],
-)
+@pytest.mark.parametrize("command", _every_command(), ids=lambda command: command[0])
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_stop_after_blocks_below_one_is_usage_error(tmp_path, capsys, command, count):
     out, ck = tmp_path / "out", tmp_path / "ck"
@@ -566,6 +607,41 @@ def test_report_resume_after_hard_kill_byte_identical(tmp_path):
     assert ref.returncode == resumed.returncode == 0
     assert resumed.stdout == ref.stdout
     assert not (tmp_path / "r.ckpt").exists()
+
+
+def test_fit_resume_after_hard_kill_byte_identical(tmp_path):
+    # Five blocks below 2e6; the kill after the third checkpoint leaves
+    # two, and the binned CSV, for the resumed run.
+    args = ["fit", "--limit", "2000000", "--stride", "200", "--workers", "2",
+            "--out", "a.csv", "--checkpoint", "a.ckpt"]
+    killed = _run_cli(["-c", _KILL_AFTER_THIRD_CHECKPOINT], args, tmp_path)
+    assert killed.returncode == 9 and killed.stdout == b""
+    assert json.loads((tmp_path / "a.ckpt").read_text())["scan_state"]["block"] == 3
+    assert not (tmp_path / "a.csv").exists()
+    resumed = _run_cli(["-m", "primegaps.cli"], [*args, "--resume"], tmp_path)
+    ref = _run_cli(["-m", "primegaps.cli"], [*args[:-4], "--out", "ref.csv"],
+                   tmp_path)
+    assert ref.returncode == resumed.returncode == 0
+    assert resumed.stdout == ref.stdout
+    assert not (tmp_path / "a.ckpt").exists()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_report_resumes_under_other_workers(tmp_path, capsys):
+    # Workers only schedule the fold, so they are in neither the config
+    # block nor the checkpoint key: a run stopped at one count resumes at
+    # another, and every run prints the same bytes.
+    args = ["report", "--limit", "2000000"]
+    assert main([*args, "--workers", "1"]) == 0
+    ref = capsys.readouterr().out
+    assert "workers" not in json.loads(ref)["config"]
+    assert main([*args, "--workers", "2"]) == 0
+    assert capsys.readouterr().out == ref
+    ck = ["--checkpoint", str(tmp_path / "r.ckpt")]
+    assert main([*args, "--workers", "1", *ck, "--stop-after-blocks", "2"]) == 0
+    capsys.readouterr()
+    assert main([*args, "--workers", "2", *ck, "--resume"]) == 0
+    assert capsys.readouterr().out == ref
 
 
 def test_report_refuses_version_2_checkpoint(tmp_path, capsys):

@@ -40,11 +40,12 @@ def test_write_rows_is_one_write_per_block_and_none_when_empty():
 
 
 @pytest.mark.parametrize(
-    "command, which, mode",
-    [("scan", w, "records") for w in cli.SCANS] + [("figure1", "k", "figure")],
+    "command, which",
+    [pytest.param("scan", w, id=f"scan-{w}-records") for w in cli.SCANS]
+    + [pytest.param("figure1", "k", id="figure1-k-figure")],
 )
 def test_csv_bytes_equal_the_row_by_row_oracle(tmp_path, capsys, data_1e6,
-                                               command, which, mode):
+                                               command, which):
     # At 1e6 the cg violations {1, 2, 4} all sit in the first of three
     # blocks and dusart has none, so their other blocks write no rows: a
     # blank line for an empty block would show here.
@@ -54,7 +55,7 @@ def test_csv_bytes_equal_the_row_by_row_oracle(tmp_path, capsys, data_1e6,
         args[1:1] = ["--which", which]
     assert cli.main(args) in (0, 1)
     cfg = cli.build_config(argparse.Namespace(limit=LIMIT))
-    scan = cli.SCANS[which].make(cfg, mode)
+    scan = cli._COMMANDS[command].make(cfg, argparse.Namespace(which=which))
     assert out.read_bytes() == csv_rows_oracle(scan, data_1e6, LIMIT)
 
 
