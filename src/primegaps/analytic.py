@@ -267,12 +267,17 @@ class Constants:
     granville_c: float = 1.122918
 
     def __post_init__(self):
-        if self.B <= 0:
-            raise DomainError("Constants.B must be positive")
-        if not 0 < self.K_rh < self.K_all:
-            raise DomainError("Constants require 0 < K_rh < K_all")
-        if self.c <= 0:
-            raise DomainError("Constants.c must be positive")
+        # Written so that NaN fails each test: a NaN or infinite bound
+        # would pass every check it sets.
+        if not 0 < self.B < math.inf:
+            raise DomainError(f"Constants.B must be positive and finite, got {self.B}")
+        if not 0 < self.K_rh < self.K_all < math.inf:
+            raise DomainError(
+                "Constants require 0 < K_rh < K_all < inf, "
+                f"got K_rh = {self.K_rh}, K_all = {self.K_all}"
+            )
+        if not 0 < self.c < math.inf:
+            raise DomainError(f"Constants.c must be positive and finite, got {self.c}")
 
 
 DEFAULT_CONSTANTS = Constants()

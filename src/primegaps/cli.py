@@ -4,8 +4,17 @@ Exit codes are uniform across commands: 0 when the command's assertion
 set passes, 1 when a mathematical violation was found (violations are
 still fully emitted), 2 on usage or resource errors.
 
-Configuration precedence: command-line flags, then PRIMEGAPS_* env
-variables, then a --config key=value file, then built-in defaults.
+The argparse subparsers are the one schema of the options: each is
+declared once, with its type, default and choices.  The nine of
+``_SETTINGS`` may also come from a --config key=value file or a
+PRIMEGAPS_<KEY> variable.  ``_parse`` turns those into ``--flag=value``
+arguments and parses ``[command, *file, *env, *flags]`` with the same
+subparser, so the last value given wins: command-line flags, then env
+variables, then the file, then defaults.  ``_check`` then refuses,
+before anything is sieved, a limit below 2, fewer than one worker,
+--stop-after-blocks below 1 and a c, B or K that ``Constants`` refuses.
+The parsed namespace, with that ``Constants`` as ``args.constants``, is
+the one options object every command reads.
 
 Every command is one entry of ``_COMMANDS`` and runs through ``_run``:
 its scan is folded over a streamed sieve in block-sized memory (no
@@ -21,7 +30,6 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,127 +44,62 @@ from .sieve import DEFAULT_SEGMENT_SIZE, PrimeStream
 ENV_PREFIX = "PRIMEGAPS_"
 CHECKPOINT_VERSION = 4
 
-DEFAULTS = {
-    "limit": 10**8,
-    "c": 1.0,
-    "B": 5.0,
-    "K": 1.0 / 3.0,
-    "workers": 1,
-    "segment_size": DEFAULT_SEGMENT_SIZE,
-    "format": "csv",
-    "out": None,
-    "checkpoint": None,
+# The options a --config file or a PRIMEGAPS_<KEY> variable may set as
+# well as a flag, by key, with their add_argument keywords.  The flag is
+# --key with "-" for "_".
+_SETTINGS = {
+    "limit": dict(type=int, default=10**8, help="scan limit"),
+    "c": dict(type=float, default=1.0, help="gap-bound constant"),
+    "B": dict(type=float, default=5.0, help="|b(x)| bound"),
+    "K": dict(type=float, default=1.0 / 3.0, help="all-x ratio bound"),
+    "workers": dict(type=int, default=1, help="sieve and fold threads"),
+    "segment_size": dict(type=int, default=DEFAULT_SEGMENT_SIZE,
+                         help="sieve segment length"),
+    "format": dict(choices=["csv", "json"], default="csv", help="output format"),
+    "out": dict(default=None, help="output path, stdout if None"),
+    "checkpoint": dict(default=None, help="checkpoint path"),
 }
 
-_INT_KEYS = {"limit", "workers", "segment_size"}
-_FLOAT_KEYS = {"c", "B", "K"}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    limit: int
-    c: float
-    B: float
-    K_all: float
-    segment_size: int
-    workers: int
-    output_path: str | None
-    format: str
-    checkpoint_path: str | None
-
-    def __post_init__(self):
-        if self.limit < 2:
-            raise PrimeGapsError(f"limit must be >= 2, got {self.limit}")
-        if self.workers < 1:
-            raise PrimeGapsError(f"workers must be >= 1, got {self.workers}")
-        if self.c <= 0:
-            raise PrimeGapsError(f"c must be positive, got {self.c}")
-        if self.format not in ("csv", "json"):
-            raise PrimeGapsError(f"format must be csv or json, got {self.format}")
-
-    def echo(self) -> dict:
-        """The settings that shape the results.  Workers and segment size
-        only schedule the work and change no output byte, so a run may
-        resume under others."""
-        return {"limit": self.limit, "c": self.c, "B": self.B, "K": self.K_all}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
+def echo(args) -> dict:
+    """The settings that shape the results.  Workers and segment size
+    only schedule the work and change no output byte, so a run may
+    resume under others."""
+    return {"limit": args.limit, "c": args.c, "B": args.B, "K": args.K}
+
+
+def _file_args(path: str) -> list[str]:
+    """The key = value lines of a --config file as --flag=value arguments."""
+    flags = []
     try:
         with open(path, "r", encoding="ascii") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
+                key, eq, value = (part.strip() for part in line.partition("="))
+                if not eq:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in DEFAULTS:
+                if key not in _SETTINGS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value
+                flags.append(f"{_flag(key)}={value}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {value!r}") from exc
-    return value
-
-
-def build_config(args) -> RunConfig:
-    values = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        for key, val in _parse_config_file(args.config).items():
-            values[key] = _coerce(key, val)
-    for key in DEFAULTS:
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            values[key] = _coerce(key, env)
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    try:
-        return RunConfig(
-            limit=values["limit"],
-            c=values["c"],
-            B=values["B"],
-            K_all=values["K"],
-            segment_size=values["segment_size"],
-            workers=values["workers"],
-            output_path=values["out"],
-            format=values["format"],
-            checkpoint_path=values["checkpoint"],
-        )
-    except PrimeGapsError as exc:
-        raise UsageError(str(exc)) from exc
+    return flags
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--limit", type=int, default=None, help="scan limit")
-    parser.add_argument("--c", type=float, default=None, help="gap-bound constant")
-    parser.add_argument("--B", type=float, default=None, help="|b(x)| bound")
-    parser.add_argument("--K", type=float, default=None, help="all-x ratio bound")
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--segment-size", dest="segment_size", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
+    for key, spec in _SETTINGS.items():
+        parser.add_argument(_flag(key), dest=key, **spec)
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--checkpoint", default=None, help="checkpoint path")
     parser.add_argument("--resume", action="store_true", help="resume from checkpoint")
     parser.add_argument(
         "--stop-after-blocks",
@@ -175,28 +118,54 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("selberg", help="S1/S2 residual scan at sample points")
+    def command(name, summary):
+        return sub.add_parser(name, help=summary,
+                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+
+    p = command("selberg", "S1/S2 residual scan at sample points")
     p.add_argument("--points", type=int, default=32, help="number of scan points")
     _add_common(p)
 
-    p = sub.add_parser("scan", help="run one named scan")
+    p = command("scan", "run one named scan")
     p.add_argument("--which", required=True, choices=list(SCANS))
     _add_common(p)
 
-    p = sub.add_parser("figure1", help="emit p,k_prime,rhs24 plotting data")
+    p = command("figure1", "emit p,k_prime,rhs24 plotting data")
     p.set_defaults(which="k")
     _add_common(p)
 
-    p = sub.add_parser("fit", help="fit the k(x) drift model")
-    p.add_argument("--stride", type=int, default=1000)
-    p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--x-min", dest="x_min", type=int, default=10**4)
+    p = command("fit", "fit the k(x) drift model")
+    p.add_argument("--stride", type=int, default=1000, help="sample every N-th prime")
+    p.add_argument("--bins", type=int, default=20, help="equal-width log-x bins")
+    p.add_argument("--x-min", dest="x_min", type=int, default=10**4, help="least x")
     _add_common(p)
 
-    p = sub.add_parser("report", help="one-shot JSON reproduction document")
-    p.add_argument("--points", type=int, default=32)
+    p = command("report", "one-shot JSON reproduction document")
+    p.add_argument("--points", type=int, default=32, help="number of Selberg points")
     _add_common(p)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, its --config file and the PRIMEGAPS_* variables; check."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    file = _file_args(args.config) if args.config else []
+    env = [f"{_flag(key)}={os.environ[ENV_PREFIX + key.upper()]}"
+           for key in _SETTINGS if ENV_PREFIX + key.upper() in os.environ]
+    args = parser.parse_args([args.command, *file, *env, *argv[1:]])
+    _check(args)
+    return args
+
+
+def _check(args) -> None:
+    """Refuse, before anything is sieved, a value no run can take."""
+    for name, value, least in (("--limit", args.limit, 2),
+                               ("--workers", args.workers, 1),
+                               ("--stop-after-blocks", args.stop_after_blocks, 1)):
+        if value is not None and value < least:
+            raise UsageError(f"{name} must be >= {least}, got {value}")
+    args.constants = Constants(c=args.c, B=args.B, K_all=args.K)
 
 
 # ----------------------------------------------------------------------
@@ -233,17 +202,17 @@ def _differing(old, new: dict, prefix: str = "") -> list[str]:
 class _Checkpoint:
     """The one checkpoint format: ``{version, key, scan_state, sink_offset}``.
 
-    ``key`` names the command, ``RunConfig.echo()`` and the command's own
+    ``key`` names the command, ``echo(args)`` and the command's own
     output-shaping arguments, so a resume that changes any of them is
     refused instead of mixing two runs in one output.
     """
 
-    def __init__(self, cfg: RunConfig, resume: bool, command: str, **shape):
-        self.path = cfg.checkpoint_path
-        self.key = {"command": command, "config": cfg.echo(), **shape}
+    def __init__(self, args, **shape):
+        self.path = args.checkpoint
+        self.key = {"command": args.command, "config": echo(args), **shape}
         self.state = None
         self.offset = 0
-        if not resume:
+        if not args.resume:
             return
         if not self.path:
             raise UsageError("--resume requires --checkpoint")
@@ -338,42 +307,42 @@ def _write_json_file(path: str, doc: dict) -> None:
 
 
 class _ScanEntry(NamedTuple):
-    make: Callable[[RunConfig], BlockScan]
+    make: Callable[[argparse.Namespace], BlockScan]
     minimum: int
-    verdict: Callable[[object, RunConfig], tuple[bool, dict]]
+    verdict: Callable[[object, argparse.Namespace], tuple[bool, dict]]
 
 
-def _no_violations(result, cfg: RunConfig) -> tuple[bool, dict]:
+def _no_violations(result, args) -> tuple[bool, dict]:
     return not result.violations, result.to_json()
 
 
-def _passed(result, cfg: RunConfig) -> tuple[bool, dict]:
+def _passed(result, args) -> tuple[bool, dict]:
     return result.passed(), result.to_json()
 
 
-def _schoenfeld_verdict(result, cfg: RunConfig) -> tuple[bool, dict]:
-    k_rh = Constants(c=cfg.c, B=cfg.B, K_all=cfg.K_all).K_rh
+def _schoenfeld_verdict(result, args) -> tuple[bool, dict]:
+    k_rh = args.constants.K_rh
     doc = result.to_json()
     doc["k_rh"] = k_rh
     return result.max_after_cutoff <= k_rh, doc
 
 
-def _deriv(cfg: RunConfig):
-    return fluct.DerivScan(cfg.limit, cfg.c)
+def _deriv(args):
+    return fluct.DerivScan(args.limit, args.c)
 
 
 SCANS = {
-    "cg": _ScanEntry(lambda cfg: fluct.CgScan(cfg.limit, cfg.c), 3, _no_violations),
-    "b": _ScanEntry(_deriv, 7, lambda r, cfg: (r.b_pass(), r.to_json())),
-    "k": _ScanEntry(_deriv, 5, lambda r, cfg: (r.k_pass(), r.to_json())),
+    "cg": _ScanEntry(lambda args: fluct.CgScan(args.limit, args.c), 3, _no_violations),
+    "b": _ScanEntry(_deriv, 7, lambda r, args: (r.b_pass(), r.to_json())),
+    "k": _ScanEntry(_deriv, 5, lambda r, args: (r.k_pass(), r.to_json())),
     "delta": _ScanEntry(
-        lambda cfg: fluct.DeltaScan(cfg.limit, cfg.c), 3, _no_violations
+        lambda args: fluct.DeltaScan(args.limit, args.c), 3, _no_violations
     ),
     "schoenfeld": _ScanEntry(
-        lambda cfg: fluct.SchoenfeldScan(cfg.limit, cfg.K_all), 10, _schoenfeld_verdict
+        lambda args: fluct.SchoenfeldScan(args.limit, args.K), 10, _schoenfeld_verdict
     ),
-    "dusart": _ScanEntry(lambda cfg: fluct.DusartScan(cfg.limit), 355992, _passed),
-    "bbound": _ScanEntry(lambda cfg: fluct.BBoundScan(cfg.limit, cfg.B), 10, _passed),
+    "dusart": _ScanEntry(lambda args: fluct.DusartScan(args.limit), 355992, _passed),
+    "bbound": _ScanEntry(lambda args: fluct.BBoundScan(args.limit, args.B), 10, _passed),
 }
 
 
@@ -381,19 +350,18 @@ SCANS = {
 # Scan and figure1 outputs
 
 
-def _finish_scan(result, cfg: RunConfig, args) -> int:
-    passed, doc = SCANS[args.which].verdict(result, cfg)
-    if cfg.format == "json" and cfg.output_path:
-        _write_json_file(cfg.output_path, doc)
+def _finish_scan(result, args) -> int:
+    passed, doc = SCANS[args.which].verdict(result, args)
+    if args.format == "json" and args.out:
+        _write_json_file(args.out, doc)
     _emit_summary({"command": args.command, "which": args.which, "pass": passed, **doc})
     return 0 if passed else 1
 
 
-def _finish_figure1(result, cfg: RunConfig, args) -> int:
-    if cfg.output_path and cfg.format == "csv":
-        script = cfg.output_path + ".plot.py"
-        _write_plot_script(script, os.path.basename(cfg.output_path))
-    return _finish_scan(result, cfg, args)
+def _finish_figure1(result, args) -> int:
+    if args.out and args.format == "csv":
+        _write_plot_script(args.out + ".plot.py", os.path.basename(args.out))
+    return _finish_scan(result, args)
 
 
 _PLOT_SCRIPT = '''#!/usr/bin/env python3
@@ -444,43 +412,43 @@ def _selberg_points(limit: int, count: int) -> list[int]:
     return [int(x) for x in np.unique(pts)]
 
 
-def _selberg_scan(cfg: RunConfig, args) -> BlockScan:
-    return selberg.SelbergScan(_selberg_points(cfg.limit, args.points))
+def _selberg_scan(args) -> BlockScan:
+    return selberg.SelbergScan(_selberg_points(args.limit, args.points))
 
 
-def _finish_selberg(rows, cfg: RunConfig, args) -> int:
+def _finish_selberg(rows, args) -> int:
     holds = all(r.lemma_holds for r in rows)
     _emit_summary({"command": "selberg", "points": len(rows),
-                   "lemma_holds_all": holds, "limit": cfg.limit})
+                   "lemma_holds_all": holds, "limit": args.limit})
     return 0 if holds else 1
 
 
-def _fit_scan(cfg: RunConfig, args) -> BlockScan:
+def _fit_scan(args) -> BlockScan:
     if args.x_min < 16:
         raise UsageError(f"fit needs --x-min >= 16, got {args.x_min}")
     if args.bins < 1:
         raise UsageError(f"fit needs --bins >= 1, got {args.bins}")
-    return fitmod.SampleScan(args.x_min, cfg.limit, stride=args.stride, per_decade=200)
+    return fitmod.SampleScan(args.x_min, args.limit, stride=args.stride, per_decade=200)
 
 
-def _finish_fit(samples, cfg: RunConfig, args) -> int:
+def _finish_fit(samples, args) -> int:
     if len(samples) < 3:
         raise UsageError(
-            f"only {len(samples)} samples in [{args.x_min}, {cfg.limit}]; "
+            f"only {len(samples)} samples in [{args.x_min}, {args.limit}]; "
             "lower --stride or raise --limit"
         )
     binned = fitmod.bin_average_k(samples, args.bins)
     result = fitmod.fit_skewes(binned)
-    if cfg.output_path and cfg.format == "csv":
-        out = _Output(cfg.output_path)
+    if args.out and args.format == "csv":
+        out = _Output(args.out)
         try:
             out.sink.write("log_x_mid,k_mean")
             for w, k in binned:
                 out.sink.write(f"{w!r},{k!r}")
         finally:
             out.close()
-    elif cfg.output_path:
-        _write_json_file(cfg.output_path, result.to_json())
+    elif args.out:
+        _write_json_file(args.out, result.to_json())
     _emit_summary({"command": "fit", "pass": True, **result.to_json()})
     return 0
 
@@ -501,11 +469,11 @@ _REFERENCE_S1_MINUS_S2 = 686787.25
 _S1S2_POINT = 104729
 
 
-def _report_scan(cfg: RunConfig, args) -> BlockScan:
-    scans = {name: SCANS[which].make(cfg) for name, which in _REPORT_SCANS.items()}
+def _report_scan(args) -> BlockScan:
+    scans = {name: SCANS[which].make(args) for name, which in _REPORT_SCANS.items()}
     scans["partial_sums"] = selberg.PartialSumScan()
-    scans["selberg_points"] = _selberg_scan(cfg, args)
-    scans["fit"] = fitmod.FitScan(10**4, cfg.limit)
+    scans["selberg_points"] = _selberg_scan(args)
+    scans["fit"] = fitmod.FitScan(10**4, args.limit)
     return FusedScan(scans)
 
 
@@ -539,7 +507,7 @@ def _report_pass(doc: dict) -> bool:
     return all(checks)
 
 
-def _finish_report(results, cfg: RunConfig, args) -> int:
+def _finish_report(results, args) -> int:
     partial = results.pop("partial_sums")
     rows = results.pop("selberg_points")
     sections = {name: result.to_json() for name, result in results.items()}
@@ -556,10 +524,10 @@ def _finish_report(results, cfg: RunConfig, args) -> int:
     }
     sections["selberg_at_104729"] = _selberg_at_reference()
 
-    constants = Constants(c=cfg.c, B=cfg.B, K_all=cfg.K_all)
+    constants = args.constants
     doc = {
         "version": 1,
-        "config": cfg.echo(),
+        "config": echo(args),
         "constants": {
             "c": constants.c,
             "B": constants.B,
@@ -571,8 +539,8 @@ def _finish_report(results, cfg: RunConfig, args) -> int:
     doc.update(sections)
     doc["pass"] = _report_pass(doc)
 
-    if cfg.output_path:
-        _write_json_file(cfg.output_path, doc)
+    if args.out:
+        _write_json_file(args.out, doc)
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0 if doc["pass"] else 1
 
@@ -619,21 +587,21 @@ def _keep_block_arrays_on_heap(mmap_threshold: int, trim_threshold: int) -> None
 class _Command(NamedTuple):
     """One command as ``_run`` folds it.
 
-    ``make(cfg, args)`` builds the scan and ``minimum(args)`` is the least
-    --limit.  ``key`` names the arguments, besides ``RunConfig.echo()``,
-    that shape the output and so enter the checkpoint key.  ``streams``
-    says the scan writes CSV rows to the sink as it folds (only under
+    ``make(args)`` builds the scan and ``minimum(args)`` is the least
+    --limit.  ``key`` names the arguments, besides ``echo(args)``, that
+    shape the output and so enter the checkpoint key.  ``streams`` says
+    the scan writes CSV rows to the sink as it folds (only under
     --format csv when ``format`` is in the key).  ``thresholds`` is the
-    malloc (mmap, trim) pair, and ``finish(result, cfg, args)`` writes
-    the outputs left once the fold ends and returns the exit code.
+    malloc (mmap, trim) pair, and ``finish(result, args)`` writes the
+    outputs left once the fold ends and returns the exit code.
     """
 
-    make: Callable[[RunConfig, argparse.Namespace], BlockScan]
+    make: Callable[[argparse.Namespace], BlockScan]
     minimum: Callable[[argparse.Namespace], int]
     key: tuple[str, ...]
     streams: bool
     thresholds: tuple[int, int]
-    finish: Callable[[object, RunConfig, argparse.Namespace], int]
+    finish: Callable[[object, argparse.Namespace], int]
 
 
 def _which_minimum(args) -> int:
@@ -646,12 +614,12 @@ _COMMANDS = {
         thresholds=_STREAM_THRESHOLDS, finish=_finish_selberg,
     ),
     "scan": _Command(
-        make=lambda cfg, args: SCANS[args.which].make(cfg),
+        make=lambda args: SCANS[args.which].make(args),
         minimum=_which_minimum, key=("which", "format"), streams=True,
         thresholds=_STREAM_THRESHOLDS, finish=_finish_scan,
     ),
     "figure1": _Command(
-        make=lambda cfg, args: fluct.DerivScan(cfg.limit, cfg.c, sink_mode="figure"),
+        make=lambda args: fluct.DerivScan(args.limit, args.c, sink_mode="figure"),
         minimum=_which_minimum, key=("which", "format"), streams=True,
         thresholds=_STREAM_THRESHOLDS, finish=_finish_figure1,
     ),
@@ -666,7 +634,7 @@ _COMMANDS = {
 }
 
 
-def _run(cfg: RunConfig, args) -> int:
+def _run(args) -> int:
     """Fold the command's scan from its checkpoint, saving after every block,
     then write its outputs and remove the checkpoint.
 
@@ -674,8 +642,7 @@ def _run(cfg: RunConfig, args) -> int:
     leaves the checkpoint.
     """
     cmd = _COMMANDS[args.command]
-    values = {**vars(args), "format": cfg.format}
-    shape = {name: values[name] for name in cmd.key}
+    shape = {name: getattr(args, name) for name in cmd.key}
     # scan and figure1 name their --which scan in the messages
     head = {"command": args.command}
     named = args.command
@@ -683,24 +650,24 @@ def _run(cfg: RunConfig, args) -> int:
         head["which"] = args.which
         named += f" --which {args.which}"
     least = cmd.minimum(args)
-    if cfg.limit < least:
-        raise UsageError(f"{named} needs --limit >= {least}, got {cfg.limit}")
-    scan = cmd.make(cfg, args)
-    ckpt = _Checkpoint(cfg, args.resume, args.command, **shape)
+    if args.limit < least:
+        raise UsageError(f"{named} needs --limit >= {least}, got {args.limit}")
+    data = PrimeStream(args.limit, segment_size=args.segment_size, workers=args.workers)
+    scan = cmd.make(args)
+    ckpt = _Checkpoint(args, **shape)
     rows = cmd.streams and shape.get("format", "csv") == "csv"
-    if rows and cfg.checkpoint_path and cfg.output_path is None:
+    if rows and args.checkpoint and args.out is None:
         raise UsageError("checkpointed CSV runs need --out")
 
     _keep_block_arrays_on_heap(*cmd.thresholds)
-    data = PrimeStream(cfg.limit, segment_size=cfg.segment_size, workers=cfg.workers)
-    out = _Output(cfg.output_path, ckpt.offset) if rows else None
+    out = _Output(args.out, ckpt.offset) if rows else None
     sink = out.sink if out is not None else None
     try:
         state, finished = run_scan(
             data,
             scan,
-            limit=cfg.limit,
-            workers=cfg.workers,
+            limit=args.limit,
+            workers=args.workers,
             sink=sink,
             state=ckpt.state,
             on_block=lambda st: ckpt.save(st, sink),
@@ -712,23 +679,16 @@ def _run(cfg: RunConfig, args) -> int:
     if not finished:
         _emit_summary({**head, "stopped_at_block": state["block"]})
         return 0
-    code = cmd.finish(scan.result(state), cfg, args)
+    code = cmd.finish(scan.result(state), args)
     ckpt.remove()
     return code
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return _run(_parse(sys.argv[1:] if argv is None else list(argv)))
+    except SystemExit as exc:  # argparse: --help, or a value it refuses
         return int(exc.code) if exc.code else 0
-    try:
-        if args.stop_after_blocks is not None and args.stop_after_blocks < 1:
-            raise UsageError(
-                f"--stop-after-blocks must be >= 1, got {args.stop_after_blocks}"
-            )
-        return _run(build_config(args), args)
     except (UsageError, PrimeGapsError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

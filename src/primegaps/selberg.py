@@ -140,7 +140,8 @@ class SelbergScan(BlockScan):
     points still open.  S1 is one exact integer, the sum of log^2 p in
     units of 2**-54, carried across the whole fold; a row takes it
     rounded once, so each S1 has the bits of ``s1(data, x)``.  The rows
-    a block closes go to the sink in one write.
+    a block closes go to the sink in one write.  Blocks cut to a range
+    that ends below the last point raise ``RangeLimitError``.
     """
 
     name = "selberg"
@@ -179,6 +180,11 @@ class SelbergScan(BlockScan):
         return "x,s1,s2_ordered,s2_unordered,residual_per_x,lemma1_holds"
 
     def map_block(self, block):
+        if block.end < self.xs[-1]:
+            raise RangeLimitError(
+                f"Selberg point {self.xs[-1]} is beyond the end {block.end} "
+                "of the blocks"
+            )
         logs = _logs(block.primes)
         cuts = np.searchsorted(block.primes, self.xs, side="right")
         prefix = fixed_prefix_units(logs * logs, cuts)
@@ -220,6 +226,9 @@ class SelbergScan(BlockScan):
             sink.write_rows("{},{!r},{!r},{!r},{!r},{}", *cols, holds)
 
     def result(self, state) -> list[SelbergSums]:
+        missing = self.xs[len(state["rows"]):]
+        if missing:  # a range with no primes gives no blocks to check
+            raise RangeLimitError(f"no blocks reach Selberg point {missing[0]}")
         return [_sums(*row) for row in state["rows"]]
 
 
@@ -228,10 +237,6 @@ def selberg_residual_scan(data: PrimeData, limits) -> list[SelbergSums]:
     xs = [int(x) for x in limits]
     if not xs:
         return []
-    if xs[-1] > data.limit:
-        raise RangeLimitError(
-            f"residual scan point {xs[-1]} beyond sieved limit {data.limit}"
-        )
     return run_to_end(data, SelbergScan(xs), limit=xs[-1])
 
 

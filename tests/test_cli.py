@@ -211,6 +211,92 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     assert _last_json(capsys)["limit"] == 100000
 
 
+def test_config_file_unknown_key_names_the_line(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("limit = 1000\nbogus = 1\n")
+    assert main(["scan", "--which", "cg", "--config", str(cfgfile)]) == 2
+    assert f"error: {cfgfile}:2: unknown key 'bogus'" in capsys.readouterr().err
+
+
+def test_env_string_beats_the_file_and_a_float_flag_beats_env(tmp_path, capsys,
+                                                             monkeypatch):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("format = csv\nc = 3.0\n")
+    monkeypatch.setenv("PRIMEGAPS_FORMAT", "json")
+    monkeypatch.setenv("PRIMEGAPS_C", "2.0")
+    out = tmp_path / "cg.out"
+    args = ["scan", "--which", "cg", *LIMIT_1E5, "--config", str(cfgfile),
+            "--out", str(out)]
+    assert main(args) == 1
+    assert _last_json(capsys)["c"] == 2.0
+    assert json.loads(out.read_text())["c"] == 2.0  # a JSON document, not CSV
+    assert main([*args, "--c", "1.5"]) == 1
+    assert _last_json(capsys)["c"] == 1.5
+
+
+def test_values_starting_with_a_dash_stay_values(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PRIMEGAPS_OUT", "-x.csv")
+    assert main(["scan", "--which", "cg", *LIMIT_1E5]) == 1
+    monkeypatch.delenv("PRIMEGAPS_OUT")
+    (tmp_path / "run.cfg").write_text("out = -y.csv\n")
+    assert main(["scan", "--which", "cg", *LIMIT_1E5, "--config", "run.cfg"]) == 1
+    for name in ("-x.csv", "-y.csv"):
+        assert (tmp_path / name).read_text().startswith("n,p,g,ratio\n")
+
+
+_REJECTED = {
+    "limit=1": "--limit must be >= 2, got 1",
+    "limit=abc": "argument --limit: invalid int value: 'abc'",
+    "workers=0": "--workers must be >= 1, got 0",
+    "c=0": "Constants.c must be positive and finite, got 0.0",
+    "c=nan": "Constants.c must be positive and finite, got nan",
+    "B=0": "Constants.B must be positive and finite, got 0.0",
+    "B=inf": "Constants.B must be positive and finite, got inf",
+    "K=0.01": "Constants require 0 < K_rh < K_all < inf",
+    "format=xml": "argument --format: invalid choice: 'xml'",
+    "segment_size=10": "segment_size must be >= 64, got 10",
+}
+
+
+@pytest.mark.parametrize("way", ["flag", "env", "file"])
+@pytest.mark.parametrize("setting", list(_REJECTED))
+def test_rejected_value_exits_2_before_the_fold(tmp_path, capsys, monkeypatch,
+                                                 setting, way):
+    key, value = setting.split("=")
+    out, ck = tmp_path / "out.csv", tmp_path / "f.ck"
+    args = ["scan", "--which", "delta", "--out", str(out), "--checkpoint", str(ck)]
+    if key != "limit":
+        args += LIMIT_1E6
+    if way == "flag":
+        args += ["--" + key.replace("_", "-"), value]
+    elif way == "env":
+        monkeypatch.setenv("PRIMEGAPS_" + key.upper(), value)
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _REJECTED[setting] in captured.err
+    assert not out.exists() and not ck.exists()
+
+
+def test_report_refuses_k_below_k_rh_before_the_fold(tmp_path, capsys):
+    # The K check once ran only when the report document was built, after
+    # every block had been folded and checkpointed.
+    ck = tmp_path / "f.ck"
+    assert main(["report", "--limit", "30000000", "--K", "0.01",
+                 "--checkpoint", str(ck)]) == 2
+    assert not ck.exists()
+
+
+def test_help_shows_the_defaults(capsys):
+    assert main(["scan", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "scan limit (default: 100000000)" in out
+    assert "output format (default: csv)" in out
+
+
 @pytest.mark.parametrize("workers", ["1", "2", "8"])
 def test_scan_csv_identical_across_workers(tmp_path, capsys, workers):
     out = tmp_path / f"delta_{workers}.csv"

@@ -20,7 +20,7 @@ from primegaps.selberg import (
     selberg_residual_scan,
     theta,
 )
-from primegaps.sieve import PrimeStream
+from primegaps.sieve import PrimeData, PrimeStream
 
 from .oracles import (
     pair_product_table,
@@ -285,6 +285,18 @@ def test_selberg_scan_errors():
     for xs in ([], [3, 10], [100, 10]):
         with pytest.raises(DomainError):
             SelbergScan(xs)
+
+
+def test_selberg_scan_refuses_blocks_that_end_below_a_point():
+    # The last block of a short source has no successor, so without the
+    # blocks' end the scan would close the open points there, with the
+    # sums up to the source's end (S1 = 309.09... at 100 for x = 1000).
+    with pytest.raises(RangeLimitError, match="point 1000 is beyond the end 100"):
+        run_to_end(PrimeStream(100), SelbergScan([1000]))
+    with pytest.raises(RangeLimitError, match="point 2000 is beyond the end 700"):
+        run_to_end(PrimeData.build(1000), SelbergScan([500, 2000]), limit=700)
+    with pytest.raises(RangeLimitError, match="no blocks reach Selberg point 5"):
+        run_to_end(PrimeData.build(1000), SelbergScan([5]), limit=1)
 
 
 def test_partial_sum_scan_without_n_max_takes_every_gap(data_1e6):

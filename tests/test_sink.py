@@ -1,7 +1,6 @@
 """The block-batched CSV sink: same bytes as row-by-row formatting, one
 write per block, and resumable at any block boundary."""
 
-import argparse
 import io
 import json
 import os
@@ -54,8 +53,7 @@ def test_csv_bytes_equal_the_row_by_row_oracle(tmp_path, capsys, data_1e6,
     if command == "scan":
         args[1:1] = ["--which", which]
     assert cli.main(args) in (0, 1)
-    cfg = cli.build_config(argparse.Namespace(limit=LIMIT))
-    scan = cli._COMMANDS[command].make(cfg, argparse.Namespace(which=which))
+    scan = cli._COMMANDS[command].make(cli._parse(args))
     assert out.read_bytes() == csv_rows_oracle(scan, data_1e6, LIMIT)
 
 
