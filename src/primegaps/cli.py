@@ -470,8 +470,9 @@ _S1S2_POINT = 104729
 
 
 def _report_scan(args) -> BlockScan:
+    # every part ends at --limit, the last Selberg point too, as FusedScan requires
     scans = {name: SCANS[which].make(args) for name, which in _REPORT_SCANS.items()}
-    scans["partial_sums"] = selberg.PartialSumScan()
+    scans["partial_sums"] = selberg.PartialSumScan(args.limit)
     scans["selberg_points"] = _selberg_scan(args)
     scans["fit"] = fitmod.FitScan(10**4, args.limit)
     return FusedScan(scans)
@@ -666,7 +667,6 @@ def _run(args) -> int:
         state, finished = run_scan(
             data,
             scan,
-            limit=args.limit,
             workers=args.workers,
             sink=sink,
             state=ckpt.state,

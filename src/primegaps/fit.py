@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytic import skewes_log10
 from .errors import DomainError, InsufficientDataError, SingularFitError
-from .fluct import DEFAULT_EXPANSION_C3, FluctuationSample, fluctuation_sample
+from .fluct import FluctuationSample, fluctuation_sample
 from .runner import BlockScan, run_to_end
 from .sieve import PrimeData, PrimeStream
 
@@ -35,22 +35,21 @@ class SampleScan(BlockScan):
     without it the top decade dominates any fit input by sheer prime
     density.  The state holds (x, pi(x)) for the kept candidates and for
     the open decade's; ``li`` is evaluated only at the kept ones, in
-    ``result``.
+    ``result``.  The scan's ``limit`` is ``x_max``.
     """
 
     name = "fit_samples"
 
     def __init__(self, x_min: int, x_max: int, *, stride: int = 1000,
-                 per_decade: int | None = None, c3: float = DEFAULT_EXPANSION_C3):
+                 per_decade: int | None = None):
         if x_min < 2 or x_max <= x_min:
             raise DomainError("need 2 <= x_min < x_max")
         if stride < 1:
             raise DomainError(f"stride must be >= 1, got {stride}")
         self.x_min = x_min
-        self.x_max = x_max
+        self.limit = x_max
         self.stride = stride
         self.per_decade = per_decade
-        self.c3 = c3
 
     def start(self) -> dict:
         return {"first": None, "decade": None, "open": [], "kept": []}
@@ -68,8 +67,7 @@ class SampleScan(BlockScan):
             state["first"] = base + j
         skip = max(0, base - state["first"])
         start = state["first"] + -(-skip // self.stride) * self.stride
-        stop = base + int(np.searchsorted(ps, self.x_max, side="right"))
-        idx = np.arange(start, stop, self.stride)
+        idx = np.arange(start, base + len(ps), self.stride)
         xs = ps[idx - base]
         decades = np.floor(np.log10(xs.astype(np.float64))).astype(np.int64)
         for x, i, d in zip(xs.tolist(), idx.tolist(), decades.tolist()):
@@ -85,7 +83,7 @@ class SampleScan(BlockScan):
 
     def result(self, state) -> list[FluctuationSample]:
         kept = state["kept"] + self._thinned(state["open"])
-        return [fluctuation_sample(x, pi, c3=self.c3) for x, pi in kept]
+        return [fluctuation_sample(x, pi) for x, pi in kept]
 
 
 def sample_fluctuations(
@@ -95,13 +93,13 @@ def sample_fluctuations(
     *,
     stride: int = 1000,
     per_decade: int | None = None,
-    c3: float = DEFAULT_EXPANSION_C3,
 ) -> list[FluctuationSample]:
     """Fluctuation samples at every stride-th prime in [x_min, x_max]
-    (``SampleScan`` over ``data``).
+    (``SampleScan`` over ``data``, up to ``x_max`` or the end of ``data``).
     """
-    scan = SampleScan(x_min, x_max, stride=stride, per_decade=per_decade, c3=c3)
-    return run_to_end(data, scan, limit=min(x_max, data.limit))
+    scan = SampleScan(x_min, min(x_max, data.limit), stride=stride,
+                      per_decade=per_decade)
+    return run_to_end(data, scan)
 
 
 def bin_average_k(samples, bin_count: int) -> list[tuple[float, float]]:
@@ -219,7 +217,7 @@ class FitScan(SampleScan):
         samples = super().result(state)
         if len(samples) < 3:
             raise InsufficientDataError(
-                f"only {len(samples)} samples in [{self.x_min}, {self.x_max}]"
+                f"only {len(samples)} samples in [{self.x_min}, {self.limit}]"
             )
         return fit_skewes(bin_average_k(samples, self.bin_count))
 
@@ -233,7 +231,8 @@ def fit_from_data(
     per_decade: int | None = 200,
     bin_count: int = 20,
 ) -> FitResult:
-    """Sample, bin, and fit in one step (``FitScan`` over ``data``)."""
-    scan = FitScan(x_min, x_max, stride=stride, per_decade=per_decade,
-                   bin_count=bin_count)
-    return run_to_end(data, scan, limit=min(x_max, data.limit))
+    """Sample, bin, and fit in one step (``FitScan`` over ``data``, up to
+    ``x_max`` or the end of ``data``)."""
+    scan = FitScan(x_min, min(x_max, data.limit), stride=stride,
+                   per_decade=per_decade, bin_count=bin_count)
+    return run_to_end(data, scan)

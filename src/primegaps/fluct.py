@@ -3,7 +3,7 @@
 Definitions used throughout (L = log x):
 
     f(x)    = pi(x) - Li(x)
-    fhat(x) = pi(x) - x/L - x/L^2 - c3 * x/L^3      (c3 defaults to 2)
+    fhat(x) = pi(x) - x/L - x/L^2 - 2 x/L^3
     b(x)    = fhat(x) * L^3 / x
     k(x)    = f(x) / (sqrt(x) * L)
     delta(p_n) = sum over m < n of (log^2 p_m - g_m / c)
@@ -35,7 +35,8 @@ from .errors import DomainError
 from .runner import BlockScan, RowSink, run_to_end
 from .sieve import PrimeData, PrimeStream
 
-DEFAULT_EXPANSION_C3 = 2.0
+# The 2! coefficient of x/L^3 in the asymptotic expansion of Li(x).
+EXPANSION_C3 = 2.0
 SCHOENFELD_CUTOFF = 2657
 
 
@@ -56,29 +57,25 @@ class FluctuationSample:
     k: float
 
 
-def _expansion(x: np.ndarray, c3: float) -> np.ndarray:
+def _expansion(x: np.ndarray) -> np.ndarray:
     lg = np.log(x)
-    return x / lg + x / lg**2 + c3 * x / lg**3
+    return x / lg + x / lg**2 + EXPANSION_C3 * x / lg**3
 
 
-def fluctuation_at(
-    data: PrimeData, x: int, *, c3: float = DEFAULT_EXPANSION_C3
-) -> FluctuationSample:
+def fluctuation_at(data: PrimeData, x: int) -> FluctuationSample:
     """FluctuationSample at integer x (2 <= x <= sieved limit)."""
     if x < 2:
         raise DomainError(f"fluctuation_at requires x >= 2, got {x}")
-    return fluctuation_sample(x, data.pi(x), c3=c3)
+    return fluctuation_sample(x, data.pi(x))
 
 
-def fluctuation_sample(
-    x: int, pi: int, *, c3: float = DEFAULT_EXPANSION_C3
-) -> FluctuationSample:
+def fluctuation_sample(x: int, pi: int) -> FluctuationSample:
     """FluctuationSample at integer x >= 2 whose prime count ``pi`` is known."""
     xf = float(x)
     lg = math.log(xf)
     liv = li(xf)
     f = pi - liv
-    fhat = pi - float(_expansion(np.float64(xf), c3))
+    fhat = pi - float(_expansion(np.float64(xf)))
     b = fhat * lg**3 / xf
     k = f / (math.sqrt(xf) * lg)
     return FluctuationSample(x, pi, liv, f, fhat, b, k)
@@ -191,8 +188,7 @@ def cg_scan(
     """Exact violation set and running maximum of g_n / log^2 p_n."""
     if limit < 3:
         raise DomainError(f"cg_scan requires limit >= 3, got {limit}")
-    scan = CgScan(limit, c)
-    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
+    return run_to_end(data, CgScan(limit, c), workers=workers, sink=sink)
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +212,9 @@ class DeltaScanResult:
 class DeltaScan(BlockScan):
     name = "delta"
 
-    def __init__(self, limit: int, c: float, c3: float = DEFAULT_EXPANSION_C3):
+    def __init__(self, limit: int, c: float):
         self.limit = limit
         self.c = c
-        self.c3 = c3
 
     def start(self):
         return {
@@ -234,20 +229,17 @@ class DeltaScan(BlockScan):
         return "p,delta,delta_hat"
 
     def map_block(self, block):
+        starts, succ = _gap_pairs(block, self.limit)
+        gaps = (succ - starts).astype(np.float64)
         ps = block.primes.astype(np.float64)
         lg = np.log(ps)
-        if block.succ is not None and block.succ <= self.limit:
-            succ = np.concatenate([block.primes[1:], [block.succ]])
-            gaps = (succ - block.primes).astype(np.float64)
-        else:
-            gaps = (block.primes[1:] - block.primes[:-1]).astype(np.float64)
         terms = lg[: len(gaps)] ** 2 - gaps / self.c
         viol = np.nonzero(lg[: len(gaps)] ** 2 <= gaps / self.c)[0]
         local = np.concatenate([[0.0], np.cumsum(terms)])[: len(ps)]
         # b recomputed from the gap-deficit remainder, for drift tracking
         # against the expansion-based definition.
         ns = np.arange(block.n0, block.n0 + len(ps), dtype=np.float64)
-        b_exp = (ns - _expansion(ps, self.c3)) * lg**3 / ps
+        b_exp = (ns - _expansion(ps)) * lg**3 / ps
         return (
             block.n0,
             block.primes,
@@ -304,8 +296,7 @@ def delta_scan(
         raise DomainError(f"delta_scan requires limit >= 3, got {limit}")
     if c <= 0:
         raise DomainError(f"delta_scan requires c > 0, got {c}")
-    scan = DeltaScan(limit, c)
-    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
+    return run_to_end(data, DeltaScan(limit, c), workers=workers, sink=sink)
 
 
 # ----------------------------------------------------------------------
@@ -332,14 +323,14 @@ class DerivScanResult:
         return {**asdict(self), "b_pass": self.b_pass(), "k_pass": self.k_pass()}
 
 
-def _deriv_block(ps_ext: np.ndarray, n0: int, c: float, c3: float):
+def _deriv_block(ps_ext: np.ndarray, n0: int, c: float):
     """Per-prime b, k and forward differences over an extended block."""
     pf = ps_ext.astype(np.float64)
     lg = np.log(pf)
     ns = np.arange(n0, n0 + len(pf), dtype=np.float64)
     livals = li_ascending(pf)
     f = ns - livals
-    fhat = ns - _expansion(pf, c3)
+    fhat = ns - _expansion(pf)
     b = fhat * lg**3 / pf
     k = f / (np.sqrt(pf) * lg)
     dp = np.diff(pf)
@@ -353,16 +344,9 @@ def _deriv_block(ps_ext: np.ndarray, n0: int, c: float, c3: float):
 class DerivScan(BlockScan):
     name = "deriv"
 
-    def __init__(
-        self,
-        limit: int,
-        c: float,
-        c3: float = DEFAULT_EXPANSION_C3,
-        sink_mode: str = "records",
-    ):
+    def __init__(self, limit: int, c: float, sink_mode: str = "records"):
         self.limit = limit
         self.c = c
-        self.c3 = c3
         self.sink_mode = sink_mode
 
     def start(self):
@@ -378,7 +362,7 @@ class DerivScan(BlockScan):
         if len(ps) == 0:
             return block.n0, ps, None
         ps_ext = np.concatenate([ps, [succ[-1]]])
-        return block.n0, ps, _deriv_block(ps_ext, block.n0, self.c, self.c3)
+        return block.n0, ps, _deriv_block(ps_ext, block.n0, self.c)
 
     def reduce(self, state, payload, sink):
         n0, ps, cols = payload
@@ -417,7 +401,6 @@ def deriv_scan(
     limit: int,
     c: float = 1.0,
     *,
-    c3: float = DEFAULT_EXPANSION_C3,
     workers: int = 1,
     sink: RowSink | None = None,
     sink_mode: str = "records",
@@ -425,25 +408,25 @@ def deriv_scan(
     """Derivative-condition scan for both b and k sides in one pass."""
     if limit < 5:
         raise DomainError(f"deriv_scan requires limit >= 5, got {limit}")
-    scan = DerivScan(limit, c, c3, sink_mode)
-    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
+    scan = DerivScan(limit, c, sink_mode)
+    return run_to_end(data, scan, workers=workers, sink=sink)
 
 
 # ----------------------------------------------------------------------
 # Jump-edge grids: ratio bound, |b| bound, pi(x) bracketing
 
 
-def _jump_grid(block, limit):
+def _jump_grid(block):
     """Grid of (x, pi(x)) at p and p-1 for the block's primes.
 
     p - 1 is skipped below 2 and for p = 3 (where it duplicates the
-    prime 2 already on the grid).  Built once per block and limit and
-    shared by the scans that read it, so the arrays are read-only.
+    prime 2 already on the grid).  Built once per block and shared by the
+    scans that read it, so the arrays are read-only.
     """
-    return block.column(("jump_grid", limit), lambda: _build_jump_grid(block, limit))
+    return block.column("jump_grid", lambda: _build_jump_grid(block))
 
 
-def _build_jump_grid(block, limit):
+def _build_jump_grid(block):
     ps = block.primes
     ns = np.arange(block.n0, block.n0 + len(ps), dtype=np.int64)
     xs = np.empty(2 * len(ps), dtype=np.int64)
@@ -454,7 +437,6 @@ def _build_jump_grid(block, limit):
     pis[1::2] = ns
     keep = np.ones(len(xs), dtype=bool)
     keep[0::2] = (ps - 1 >= 2) & (ps != 3)
-    keep &= xs <= limit
     xs, pis = xs[keep], pis[keep]
     xs.flags.writeable = pis.flags.writeable = False
     return xs, pis
@@ -482,7 +464,7 @@ class SchoenfeldScan(BlockScan):
         return "x,pi,li,ratio"
 
     def map_block(self, block):
-        xs, pis = _jump_grid(block, self.limit)
+        xs, pis = _jump_grid(block)
         if len(xs) == 0:
             return xs, pis, None, None
         xf = xs.astype(np.float64)
@@ -567,16 +549,15 @@ def schoenfeld_scan(
     if limit < 10:
         raise DomainError(f"schoenfeld_scan requires limit >= 10, got {limit}")
     scan = SchoenfeldScan(limit, k_all, windows)
-    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
+    return run_to_end(data, scan, workers=workers, sink=sink)
 
 
 class BBoundScan(BlockScan):
     name = "bbound"
 
-    def __init__(self, limit: int, bound: float, c3: float = DEFAULT_EXPANSION_C3):
+    def __init__(self, limit: int, bound: float):
         self.limit = limit
         self.bound = bound
-        self.c3 = c3
 
     def start(self):
         return {"max_abs": 0.0, "max_at": 0, "violations": []}
@@ -585,12 +566,12 @@ class BBoundScan(BlockScan):
         return "x,pi,b"
 
     def map_block(self, block):
-        xs, pis = _jump_grid(block, self.limit)
+        xs, pis = _jump_grid(block)
         if len(xs) == 0:
             return xs, pis, None
         xf = xs.astype(np.float64)
         lg = np.log(xf)
-        b = (pis - _expansion(xf, self.c3)) * lg**3 / xf
+        b = (pis - _expansion(xf)) * lg**3 / xf
         return xs, pis, b
 
     def reduce(self, state, payload, sink):
@@ -637,15 +618,13 @@ def bbound_scan(
     limit: int,
     bound: float = 5.0,
     *,
-    c3: float = DEFAULT_EXPANSION_C3,
     workers: int = 1,
     sink: RowSink | None = None,
 ) -> BBoundResult:
     """Empirical maximum of |b(x)| over the jump-edge grid."""
     if limit < 10:
         raise DomainError(f"bbound_scan requires limit >= 10, got {limit}")
-    scan = BBoundScan(limit, bound, c3)
-    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
+    return run_to_end(data, BBoundScan(limit, bound), workers=workers, sink=sink)
 
 
 class DusartScan(BlockScan):
@@ -661,7 +640,7 @@ class DusartScan(BlockScan):
         return "x,pi,lower,upper"
 
     def map_block(self, block):
-        xs, pis = _jump_grid(block, self.limit)
+        xs, pis = _jump_grid(block)
         keep = xs >= DUSART_LOWER_MIN_X
         xs, pis = xs[keep], pis[keep]
         if len(xs) == 0:
@@ -715,5 +694,4 @@ def dusart_scan(
         raise DomainError(
             f"dusart_scan requires limit > {DUSART_UPPER_MIN_X}, got {limit}"
         )
-    scan = DusartScan(limit)
-    return run_to_end(data, scan, limit=limit, workers=workers, sink=sink)
+    return run_to_end(data, DusartScan(limit), workers=workers, sink=sink)

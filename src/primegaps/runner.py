@@ -19,7 +19,7 @@ import os
 from itertools import islice
 from typing import Callable
 
-from .errors import PrimeGapsError
+from .errors import DomainError, PrimeGapsError
 from .sieve import BLOCK_PRIMES, PrimeData, PrimeStream, ordered_map
 
 
@@ -51,9 +51,14 @@ class RowSink:
 
 
 class BlockScan:
-    """Interface for block-folded scans; subclasses fill in the four hooks."""
+    """Interface for block-folded scans; subclasses fill in the four hooks.
+
+    ``limit`` is the one place a scan's range is set: ``run_scan`` folds
+    the blocks of the primes <= ``limit``, and None folds the whole source.
+    """
 
     name = "scan"
+    limit = None
 
     def start(self) -> dict:
         raise NotImplementedError
@@ -77,14 +82,22 @@ class FusedScan(BlockScan):
     ``run_scan`` maps and reduces each block through the sub-scans in
     turn, so each sees the same blocks in the same order as it would
     alone and its result is bit-identical to a separate run, while only
-    one sub-scan's payload is alive at a time.  The state is ``{name:
+    one sub-scan's payload is alive at a time.  So every part must end at
+    the same ``limit``, which is the fused scan's.  The state is ``{name:
     sub_state}``: one state, one checkpoint.  Fold it without a sink.
     """
 
     name = "fused"
 
     def __init__(self, scans: dict[str, BlockScan]):
+        limits = {scan.limit for scan in scans.values()}
+        if len(limits) > 1:
+            raise DomainError(
+                "fused scans must share one limit, got "
+                + ", ".join(f"{name}={scan.limit}" for name, scan in scans.items())
+            )
         self.scans = scans
+        self.limit = limits.pop() if limits else None
 
     def start(self) -> dict:
         return {name: scan.start() for name, scan in self.scans.items()}
@@ -97,7 +110,6 @@ def run_scan(
     data: PrimeData | PrimeStream,
     scan: BlockScan,
     *,
-    limit: int | None = None,
     workers: int = 1,
     block_size: int = BLOCK_PRIMES,
     sink: RowSink | None = None,
@@ -105,7 +117,7 @@ def run_scan(
     on_block: Callable[[dict], None] | None = None,
     stop_after_blocks: int | None = None,
 ):
-    """Fold a BlockScan over the prime blocks of ``data``.
+    """Fold a BlockScan over the prime blocks of ``data`` up to ``scan.limit``.
 
     Returns ``(state, finished)``; call ``scan.result(state)`` once
     finished.  ``finished`` means the blocks ran out, also when
@@ -125,7 +137,7 @@ def run_scan(
     first = state["block"]
     blocks = (
         block
-        for block in data.blocks(limit=limit, block_size=block_size)
+        for block in data.blocks(limit=scan.limit, block_size=block_size)
         if block.index >= first
     )
     # A stop below one block still folds one, so a stopped run leaves a checkpoint.

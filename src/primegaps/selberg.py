@@ -140,8 +140,9 @@ class SelbergScan(BlockScan):
     points still open.  S1 is one exact integer, the sum of log^2 p in
     units of 2**-54, carried across the whole fold; a row takes it
     rounded once, so each S1 has the bits of ``s1(data, x)``.  The rows
-    a block closes go to the sink in one write.  Blocks cut to a range
-    that ends below the last point raise ``RangeLimitError``.
+    a block closes go to the sink in one write.  The scan's ``limit`` is
+    its last point, so a source that ends below it raises
+    ``RangeLimitError`` before the first block.
     """
 
     name = "selberg"
@@ -156,6 +157,7 @@ class SelbergScan(BlockScan):
             if i and x < xs[i - 1]:
                 raise DomainError("residual scan points must be ascending")
         self.xs = xs
+        self.limit = xs[-1]
         small = primes_up_to(math.isqrt(xs[-1]))
         self._small_logs = _logs(small)
         self._n_small = np.searchsorted(small, np.array([math.isqrt(x) for x in xs]),
@@ -180,11 +182,6 @@ class SelbergScan(BlockScan):
         return "x,s1,s2_ordered,s2_unordered,residual_per_x,lemma1_holds"
 
     def map_block(self, block):
-        if block.end < self.xs[-1]:
-            raise RangeLimitError(
-                f"Selberg point {self.xs[-1]} is beyond the end {block.end} "
-                "of the blocks"
-            )
         logs = _logs(block.primes)
         cuts = np.searchsorted(block.primes, self.xs, side="right")
         prefix = fixed_prefix_units(logs * logs, cuts)
@@ -226,9 +223,6 @@ class SelbergScan(BlockScan):
             sink.write_rows("{},{!r},{!r},{!r},{!r},{}", *cols, holds)
 
     def result(self, state) -> list[SelbergSums]:
-        missing = self.xs[len(state["rows"]):]
-        if missing:  # a range with no primes gives no blocks to check
-            raise RangeLimitError(f"no blocks reach Selberg point {missing[0]}")
         return [_sums(*row) for row in state["rows"]]
 
 
@@ -237,7 +231,7 @@ def selberg_residual_scan(data: PrimeData, limits) -> list[SelbergSums]:
     xs = [int(x) for x in limits]
     if not xs:
         return []
-    return run_to_end(data, SelbergScan(xs), limit=xs[-1])
+    return run_to_end(data, SelbergScan(xs))
 
 
 _S1_CHUNK = 1 << 16
@@ -302,20 +296,21 @@ class PartialSumScan(BlockScan):
 
     The gap sum is exact integer arithmetic; the squared-log sum is a
     compensated prefix.  Also verifies the telescoping identity
-    gap_sum + 2 == p_{N+1} at every N.  ``n_max=None`` takes every gap
-    of the fold, for a stream whose prime count is known only at its end.
+    gap_sum + 2 == p_{N+1} at every N.  The rows run over the primes
+    p_N <= ``limit`` whose successor the fold sees: with ``limit=None``,
+    every gap of the source, for a stream whose prime count is known
+    only at its end.
     """
 
     name = "partial_sums"
 
-    def __init__(self, n_max: int | None = None):
-        if n_max is not None and n_max < 2:
-            raise DomainError(f"partial-sum scan needs n_max >= 2, got {n_max}")
-        self.n_max = n_max
+    def __init__(self, limit: int | None = None):
+        if limit is not None and limit < 2:
+            raise DomainError(f"partial-sum scan needs limit >= 2, got {limit}")
+        self.limit = limit
 
     def start(self) -> dict:
         return {
-            "n_max": self.n_max,
             "logsq": [0.0, 0.0],
             "gap_sum": 0,
             "last_false": 0,
@@ -340,31 +335,22 @@ class PartialSumScan(BlockScan):
 
     def reduce(self, state, payload, sink):
         n0, ps, succ, local, total = payload
-        if self.n_max is None:
-            take = len(ps)
-        elif state["count"] >= self.n_max:
-            return
-        else:
-            take = min(len(ps), self.n_max - state["count"])
-        gap_cum = state["gap_sum"] + np.cumsum(succ[:take] - ps[:take])
-        if not np.array_equal(gap_cum + 2, succ[:take]):
+        gap_cum = state["gap_sum"] + np.cumsum(succ - ps)
+        if not np.array_equal(gap_cum + 2, succ):
             state["identity_exact"] = False
         prefix = NeumaierSum.from_state(state["logsq"])
-        logsq = prefix.value + local[:take]
+        logsq = prefix.value + local
         holds = gap_cum < logsq
         false_idx = np.nonzero(~holds)[0]
         if len(false_idx):
             state["last_false"] = n0 + int(false_idx[-1])
         if sink is not None:
-            sink.write_rows("{},{},{!r},{}", np.arange(n0, n0 + take), gap_cum, logsq,
-                            np.where(holds, "true", "false"))
-        state["count"] += take
-        if take:
+            sink.write_rows("{},{},{!r},{}", np.arange(n0, n0 + len(ps)), gap_cum,
+                            logsq, np.where(holds, "true", "false"))
+        state["count"] += len(ps)
+        if len(ps):
             state["gap_sum"] = int(gap_cum[-1])
-        if take == len(ps):
-            prefix.add(total)
-        else:
-            prefix.add(fixed_sum(_logs(ps[:take]) ** 2))
+        prefix.add(total)
         state["logsq"] = prefix.state()
 
     def result(self, state):
@@ -386,7 +372,8 @@ class PartialSumResult:
 
 def partial_sum_scan(data: PrimeData, n_max: int, *, sink: RowSink | None = None,
                      workers: int = 1) -> PartialSumResult:
-    """Run the partial-sum comparison up to index n_max.
+    """Run the partial-sum comparison up to index n_max: ``PartialSumScan``
+    up to the prime p_{n_max}.
 
     Requires the sieve to contain at least n_max + 1 primes (the gap at
     index n_max needs its successor).
@@ -396,7 +383,5 @@ def partial_sum_scan(data: PrimeData, n_max: int, *, sink: RowSink | None = None
             f"partial-sum scan to N={n_max} needs {n_max + 1} primes, "
             f"sieve holds {len(data.primes)}"
         )
-    return run_to_end(
-        data, PartialSumScan(n_max), limit=data.nth(n_max + 1), workers=workers,
-        sink=sink,
-    )
+    return run_to_end(data, PartialSumScan(data.nth(n_max)), workers=workers,
+                      sink=sink)

@@ -300,9 +300,9 @@ class PrimeBlock:
     ``n0`` is the 1-based index of the first prime; ``succ`` is the
     prime immediately after the block (None only at the end of data),
     carried so gap- and derivative-style folds can stitch across the
-    block boundary.  ``end`` is the end of the range the blocks were cut
-    to: every prime <= ``end`` lies in this block or another of the same
-    iteration, and no larger one does.
+    block boundary.  A block does not know where its range ends: the
+    source cuts the blocks at the ``limit`` it is asked for, which
+    ``run_scan`` takes from the scan.
 
     ``column`` builds a derived column once per block, for every scan
     that maps the block, also from several threads at once.
@@ -312,7 +312,6 @@ class PrimeBlock:
     n0: int
     primes: np.ndarray
     succ: int | None
-    end: int
     _columns: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
@@ -333,12 +332,10 @@ def _cut_blocks(
     primes: np.ndarray,
     count: int,
     block_size: int,
-    end: int,
     first_index: int = 0,
     succ: int | None = None,
 ) -> Iterator[PrimeBlock]:
-    """PrimeBlocks over ``primes[:count]``, the primes <= ``end``, numbered
-    from ``first_index``.
+    """PrimeBlocks over ``primes[:count]``, numbered from ``first_index``.
 
     A block's ``succ`` is the prime after it in ``primes``, or ``succ``
     past the end of the array.
@@ -347,7 +344,7 @@ def _cut_blocks(
         stop = min(start + block_size, count)
         index = first_index + start // block_size
         yield PrimeBlock(index, index * block_size + 1, primes[start:stop],
-                         int(primes[stop]) if stop < len(primes) else succ, end)
+                         int(primes[stop]) if stop < len(primes) else succ)
 
 
 class PrimeData:
@@ -407,8 +404,8 @@ class PrimeData:
         self, *, limit: int | None = None, block_size: int = BLOCK_PRIMES
     ) -> Iterator[PrimeBlock]:
         """Iterate PrimeBlocks over primes <= limit (default: all)."""
-        end = self.limit if limit is None else limit
-        yield from _cut_blocks(self.primes, self.pi(end), block_size, end)
+        count = len(self.primes) if limit is None else self.pi(limit)
+        yield from _cut_blocks(self.primes, count, block_size)
 
 
 class PrimeStream:
@@ -458,8 +455,8 @@ class PrimeStream:
                 # Only ``run`` is kept while its blocks are folded: the
                 # segment and the last run it was joined from are freed.
                 pieces, held, segment = [run[whole:]], len(run) - whole, None
-                yield from _cut_blocks(run, whole, block_size, cut, index)
+                yield from _cut_blocks(run, whole, block_size, index)
                 index += whole // block_size
         run = np.concatenate(pieces)
         pieces = segment = None
-        yield from _cut_blocks(run, len(run), block_size, cut, index, succ)
+        yield from _cut_blocks(run, len(run), block_size, index, succ)

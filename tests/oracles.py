@@ -287,12 +287,11 @@ def _dusart_rows(scan, state, payload):
 
 def _partial_sum_rows(scan, state, payload):
     n0, ps, succ, local, total = payload
-    take = max(0, min(len(ps), scan.n_max - state["count"]))
-    gap_cum = state["gap_sum"] + np.cumsum(succ[:take] - ps[:take])
-    logsq = NeumaierSum.from_state(state["logsq"]).value + local[:take]
+    gap_cum = state["gap_sum"] + np.cumsum(succ - ps)
+    logsq = NeumaierSum.from_state(state["logsq"]).value + local
     return [
         f"{n0 + i},{gap_cum[i]},{float(logsq[i])!r},{_flag(gap_cum[i] < logsq[i])}"
-        for i in range(take)
+        for i in range(len(ps))
     ]
 
 

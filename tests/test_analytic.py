@@ -115,7 +115,7 @@ def test_li_ascending_on_scan_grids_to_1e7():
     worst_grid = worst_primes = 0.0
     points = 0
     for block in data.blocks(limit=limit):
-        xs, _ = _jump_grid(block, limit)
+        xs, _ = _jump_grid(block)
         ps, succ = _gap_pairs(block, limit)
         ps_ext = np.concatenate([ps, [succ[-1]]]).astype(np.float64)
         worst_grid = max(worst_grid, _li_ascending_worst_rel(xs.astype(np.float64)))

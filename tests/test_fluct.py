@@ -23,12 +23,13 @@ from primegaps.runner import FusedScan, RowSink, run_scan, run_to_end
 from primegaps.fluct import (
     BBoundScan,
     CgScan,
+    DeltaScan,
     DerivScan,
     DusartScan,
     SchoenfeldScan,
 )
 from primegaps.selberg import PartialSumScan
-from primegaps.sieve import PrimeStream
+from primegaps.sieve import PrimeData, PrimeStream
 
 from .oracles import deriv_records_li
 
@@ -252,9 +253,7 @@ def test_records_identical_across_workers(data_1e6):
     for workers in (1, 2, 8):
         buf = io.BytesIO()
         scan = DerivScan(10**5, 1.0)
-        state, finished = run_scan(
-            data_1e6, scan, limit=10**5, workers=workers, sink=RowSink(buf)
-        )
+        state, finished = run_scan(data_1e6, scan, workers=workers, sink=RowSink(buf))
         assert finished
         outs.append(buf.getvalue())
     assert outs[0] == outs[1] == outs[2]
@@ -263,9 +262,9 @@ def test_records_identical_across_workers(data_1e6):
 def test_run_to_end_raises_when_stopped_early(data_1e6):
     # An explicit error, not an assert, so it holds under python -O too.
     scan = CgScan(10**6, 1.0)
-    assert run_to_end(data_1e6, scan, limit=10**6).violations == [1, 2, 4]
+    assert run_to_end(data_1e6, scan).violations == [1, 2, 4]
     with pytest.raises(PrimeGapsError, match="stopped at block 1"):
-        run_to_end(data_1e6, scan, limit=10**6, stop_after_blocks=1)
+        run_to_end(data_1e6, scan, stop_after_blocks=1)
 
 
 @pytest.mark.parametrize("source", ["table", "stream"])
@@ -310,9 +309,9 @@ def _plain(result):
     return json.loads(json.dumps(dataclasses.asdict(result)))
 
 
-def _report_scans(data):
+def _report_scans():
     return {
-        "partial_sums": PartialSumScan(len(data.primes) - 1),
+        "partial_sums": PartialSumScan(10**6),
         "cramer_granville": CgScan(10**6, 1.0),
         "conditions": DerivScan(10**6, 1.0),
         "schoenfeld": SchoenfeldScan(10**6, 1.0 / 3.0),
@@ -324,24 +323,48 @@ def _report_scans(data):
 def test_fused_scan_resumed_equals_each_scan_alone(data_1e6):
     # Blocks of 8192 primes give the 1e6 table ten blocks, so the stop at
     # block 3 falls mid-run; the default size gives only three.
-    fold = {"limit": 10**6, "block_size": 8192}
-    fused = FusedScan(_report_scans(data_1e6))
+    fold = {"block_size": 8192}
+    fused = FusedScan(_report_scans())
     state, finished = run_scan(data_1e6, fused, stop_after_blocks=3, **fold)
     assert not finished and state["block"] == 3
     state = json.loads(json.dumps(state))  # as a checkpoint stores it
     state, finished = run_scan(data_1e6, fused, workers=2, state=state, **fold)
     assert finished
     results = fused.result(state)
-    for name, scan in _report_scans(data_1e6).items():
+    for name, scan in _report_scans().items():
         alone = run_to_end(data_1e6, scan, **fold)
         # exact equality; the round trip only turns tuples into lists
         assert _plain(results[name]) == _plain(alone), name
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: CgScan(1000, 1.0), lambda: DeltaScan(1000, 1.0),
+     lambda: DerivScan(1000, 1.0), lambda: BBoundScan(1000, 5.0)],
+    ids=["cg", "delta", "deriv", "bbound"],
+)
+def test_scan_limit_cuts_a_longer_source(make):
+    # The scan's own limit ends the fold: over the primes up to 1e4 a scan
+    # to 1000 sees pi(1000) = 168 primes, as over a source that ends there.
+    longer = run_to_end(PrimeData.build(10**4), make())
+    assert _plain(longer) == _plain(run_to_end(PrimeData.build(1000), make()))
+
+
+def test_fused_scan_refuses_parts_with_different_limits():
+    # Refused when built, so before any block is folded: a part cut at
+    # another limit would not see the blocks it sees alone.
+    with pytest.raises(DomainError, match="share one limit.*cg=1000, delta=2000"):
+        FusedScan({"cg": CgScan(1000, 1.0), "delta": DeltaScan(2000, 1.0)})
+    with pytest.raises(DomainError, match="share one limit"):
+        FusedScan({"cg": CgScan(1000, 1.0), "partial_sums": PartialSumScan()})
+    assert FusedScan({"cg": CgScan(1000, 1.0),
+                      "partial_sums": PartialSumScan(1000)}).limit == 1000
+
+
 def test_deriv_scan_resumed_from_json_equals_uninterrupted(data_1e6):
     # A JSON checkpoint turns the violation tuples into lists; the
     # result must not show which of the two runs it came from.
-    fold = {"limit": 10**6, "block_size": 8192}
+    fold = {"block_size": 8192}
     scan = DerivScan(10**6, 1.0)
     state, finished = run_scan(data_1e6, scan, stop_after_blocks=3, **fold)
     assert not finished
@@ -420,13 +443,13 @@ def test_jump_grid_built_once_per_block_in_a_fused_fold(monkeypatch):
     calls = []
     build = fluct._build_jump_grid
     monkeypatch.setattr(fluct, "_build_jump_grid",
-                        lambda block, limit: calls.append(block.index) or build(block, limit))
+                        lambda block: calls.append(block.index) or build(block))
 
     def grid_scans():
         return {"schoenfeld": SchoenfeldScan(10**6, 1.0 / 3.0),
                 "bbound": BBoundScan(10**6, 5.0), "dusart": DusartScan(10**6)}
 
-    fold = {"limit": 10**6, "block_size": 8192, "workers": 2}
+    fold = {"block_size": 8192, "workers": 2}
     fused = run_to_end(PrimeStream(10**6), FusedScan(grid_scans()), **fold)
     assert sorted(calls) == list(range(10))
     for name, scan in grid_scans().items():

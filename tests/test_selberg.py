@@ -234,14 +234,8 @@ def test_partial_sum_rows_deterministic_across_workers(data_1e6):
     outs = []
     for workers in (1, 2, 8):
         buf = io.BytesIO()
-        scan = PartialSumScan(20000)
-        state, finished = run_scan(
-            data_1e6,
-            scan,
-            limit=data_1e6.nth(20001),
-            workers=workers,
-            sink=RowSink(buf),
-        )
+        scan = PartialSumScan(data_1e6.nth(20000))
+        state, finished = run_scan(data_1e6, scan, workers=workers, sink=RowSink(buf))
         assert finished
         outs.append(buf.getvalue())
     assert outs[0] == outs[1] == outs[2]
@@ -265,7 +259,7 @@ def test_selberg_scan_on_stream_equals_table_scan(data_1e6, xs, block_size, work
 
 def test_selberg_scan_resumed_from_json_at_every_block(data_1e6):
     xs = [4, 10, 11, 11, 1000, 104729, 500000, 10**6]
-    fold = {"limit": 10**6, "block_size": 2000}
+    fold = {"block_size": 2000}
     scan = SelbergScan(xs)
     expected = run_to_end(data_1e6, scan, **fold)
     state, finished = None, False
@@ -288,15 +282,16 @@ def test_selberg_scan_errors():
 
 
 def test_selberg_scan_refuses_blocks_that_end_below_a_point():
-    # The last block of a short source has no successor, so without the
-    # blocks' end the scan would close the open points there, with the
-    # sums up to the source's end (S1 = 309.09... at 100 for x = 1000).
-    with pytest.raises(RangeLimitError, match="point 1000 is beyond the end 100"):
+    # The scan's limit is its last point, so a source that ends below it
+    # refuses the blocks.  Folded to the source's end, the last block has
+    # no successor and the scan would close the open points there, with
+    # the sums up to that end (S1 = 309.09... at 100 for x = 1000).
+    with pytest.raises(RangeLimitError, match="blocks up to 1000 are beyond the "
+                       "sieved limit 100"):
         run_to_end(PrimeStream(100), SelbergScan([1000]))
-    with pytest.raises(RangeLimitError, match="point 2000 is beyond the end 700"):
-        run_to_end(PrimeData.build(1000), SelbergScan([500, 2000]), limit=700)
-    with pytest.raises(RangeLimitError, match="no blocks reach Selberg point 5"):
-        run_to_end(PrimeData.build(1000), SelbergScan([5]), limit=1)
+    with pytest.raises(RangeLimitError, match=r"pi\(2000\) is beyond the sieved "
+                       "limit 1000"):
+        run_to_end(PrimeData.build(1000), SelbergScan([500, 2000]))
 
 
 def test_partial_sum_scan_without_n_max_takes_every_gap(data_1e6):

@@ -322,7 +322,7 @@ def test_ordered_map_takes_a_generator_once_in_order(workers):
 def test_block_column_is_built_once_under_concurrent_callers():
     # More threads than cores and a short switch interval: an unlocked
     # check-then-build would run the slow build more than once.
-    block = PrimeBlock(0, 1, np.array([2, 3, 5], dtype=np.int64), 7, 6)
+    block = PrimeBlock(0, 1, np.array([2, 3, 5], dtype=np.int64), 7)
     builds = []
     got = []
     start = threading.Barrier(8)

@@ -57,13 +57,14 @@ def test_csv_bytes_equal_the_row_by_row_oracle(tmp_path, capsys, data_1e6,
     assert out.read_bytes() == csv_rows_oracle(scan, data_1e6, LIMIT)
 
 
-@pytest.mark.parametrize("n_max", [50_000, 78_497])
+@pytest.mark.parametrize("n_max", [32_768, 32_769, 50_000, 78_497])
 def test_partial_sum_rows_equal_the_row_by_row_oracle(data_1e6, n_max):
-    # 50 000 ends mid-block, so the last block's rows are cut short.
+    # 50 000 ends mid-block, so the last block's rows are cut short;
+    # 32 768 ends on the first block's last prime and 32 769 one past it.
     buf = io.BytesIO()
     partial_sum_scan(data_1e6, n_max, sink=RowSink(buf))
-    scan = PartialSumScan(n_max)
-    expected = csv_rows_oracle(scan, data_1e6, data_1e6.nth(n_max + 1))
+    scan = PartialSumScan(data_1e6.nth(n_max))
+    expected = csv_rows_oracle(scan, data_1e6, scan.limit)
     assert buf.getvalue() == expected
 
 
@@ -119,7 +120,7 @@ def test_csv_resume_from_any_block_is_byte_identical(data_1e5, drawn):
     total = sum(1 for _ in data_1e5.blocks(limit=limit, block_size=block_size))
     stop = drawn.draw(st.integers(1, total - 1), label="stop")
     crash = drawn.draw(st.integers(stop, total - 1), label="crash")
-    fold = {"limit": limit, "block_size": block_size, "workers": workers}
+    fold = {"block_size": block_size, "workers": workers}
     saved = {}
 
     def checkpoint(state):
@@ -129,8 +130,7 @@ def test_csv_resume_from_any_block_is_byte_identical(data_1e5, drawn):
     with tempfile.TemporaryDirectory() as tmp:
         ref, part = Path(tmp) / "ref.csv", Path(tmp) / "part.csv"
         with open(ref, "wb") as fh:
-            run_scan(data_1e5, make(limit), sink=RowSink(fh), limit=limit,
-                     block_size=block_size)
+            run_scan(data_1e5, make(limit), sink=RowSink(fh), block_size=block_size)
         with open(part, "wb") as fh:
             sink = RowSink(fh)
             run_scan(data_1e5, make(limit), sink=sink, on_block=checkpoint,
