@@ -2,10 +2,14 @@
 
 Everything here is a pure function of its arguments.  ``li`` is
 evaluated through the exponential integral of log x and is the
-reference value; the scans, which need Li at millions of ascending
-points, use ``li_ascending``: one ``li`` anchor per array plus a
-Gauss-Legendre integral over each step.  Adaptive quadrature survives
-as an independent oracle in the test suite.
+reference value; a single argument in the power-series range runs the
+series in Python floats, with the same operations in the same order as
+the array loop, so it costs microseconds instead of numpy's per-call
+overhead and gives the same bits.  The scans, which need Li at millions
+of ascending points, use ``li_ascending``: one ``li`` anchor per array
+plus a Gauss-Legendre integral over each step, evaluated in chunks that
+stay in cache.  Adaptive quadrature survives as an independent oracle in
+the test suite.
 """
 
 from __future__ import annotations
@@ -38,6 +42,19 @@ def _ei_series(t: np.ndarray) -> np.ndarray:
     return EULER_GAMMA + np.log(t) + total
 
 
+def _ei_series_scalar(t: float) -> float:
+    """``_ei_series`` at one argument, in Python floats: the same
+    operations in the same order, so the same bits."""
+    term = 1.0
+    total = 0.0
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        term = term * t / k
+        total += term / k
+        if k % 8 == 0 and term < 1e-17 * total:
+            break
+    return EULER_GAMMA + np.log(t) + total
+
+
 def _ei_asymptotic(t: np.ndarray) -> np.ndarray:
     """Ei(t) ~ (e^t / t) * sum k! / t^k, truncated before divergence."""
     term = np.ones_like(t)
@@ -52,6 +69,10 @@ def _ei_asymptotic(t: np.ndarray) -> np.ndarray:
 
 def _ei(t: np.ndarray) -> np.ndarray:
     out = np.empty_like(t)
+    if out.size == 1 and t.flat[0] <= _EI_SWITCH:
+        # The anchors of li_ascending and the fit samples: one argument.
+        out.flat[0] = _ei_series_scalar(float(t.flat[0]))
+        return out
     small = t <= _EI_SWITCH
     if np.any(small):
         out[small] = _ei_series(t[small])
@@ -66,12 +87,13 @@ _LI_OFFSET = float(_ei_series(np.array([math.log(2.0)]))[0])
 def li(x):
     """Logarithmic integral from 2 to x of dt/log t.
 
-    Accepts a scalar or an ndarray; x must be >= 2 everywhere.
+    Accepts a scalar or an ndarray; x must be finite and >= 2 everywhere.
     Relative error <= 1e-12 over the sieveable range.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 2.0):
-        raise DomainError("li(x) requires x >= 2")
+    # Written so that NaN fails the test.
+    if not np.all((arr >= 2.0) & (arr < np.inf)):
+        raise DomainError("li(x) requires finite x >= 2")
     result = _ei(np.log(arr)) - _LI_OFFSET
     if np.isscalar(x) or arr.ndim == 0:
         return float(result)
@@ -103,6 +125,11 @@ _GL_WEIGHTS = (
 # comes close enough to spoil a fixed 10-point rule.
 _GL_MAX_STEP_RATIO = 1.5
 
+# Steps per pass of the node loop in li_ascending: four scratch buffers
+# of this many doubles (512 KiB) stay in cache through the ten nodes,
+# where a whole block's steps would stream through memory ten times.
+_GL_CHUNK = 16384
+
 
 def li_ascending(xs) -> np.ndarray:
     """Li at every point of an ascending 1-D array.
@@ -113,7 +140,8 @@ def li_ascending(xs) -> np.ndarray:
     the dense grids the scans walk (one block of consecutive primes and
     prime edges at a time), where it costs a fraction of ``li`` and
     keeps the same 1e-12 relative contract.  Equal neighbours add
-    exactly 0.
+    exactly 0.  The node loop runs over ``_GL_CHUNK`` steps at a time;
+    each step takes the same operations whatever the chunking.
     """
     arr = np.asarray(xs, dtype=np.float64)
     if arr.ndim != 1:
@@ -126,18 +154,28 @@ def li_ascending(xs) -> np.ndarray:
     lo, hi = arr[:-1], arr[1:]
     if np.any(hi < lo):
         raise DomainError("li_ascending requires ascending x")
-    half = 0.5 * (hi - lo)
-    mid = lo + half
-    acc = np.zeros_like(half)
-    t = np.empty_like(half)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        for signed in (-node, node):
-            np.multiply(half, signed, out=t)
-            t += mid
-            np.log(t, out=t)
-            np.divide(weight, t, out=t)
-            acc += t
-    steps = half * acc
+    if not arr[-1] < np.inf:
+        raise DomainError("li_ascending requires finite x")
+    steps = np.empty_like(lo)
+    # half, mid, the node value and the sum over nodes of one chunk
+    half_buf, mid_buf, t_buf, acc_buf = (
+        np.empty(min(len(steps), _GL_CHUNK)) for _ in range(4))
+    for start in range(0, len(steps), _GL_CHUNK):
+        stop = min(start + _GL_CHUNK, len(steps))
+        n = stop - start
+        half, mid, t, acc = half_buf[:n], mid_buf[:n], t_buf[:n], acc_buf[:n]
+        np.subtract(hi[start:stop], lo[start:stop], out=half)
+        half *= 0.5
+        np.add(lo[start:stop], half, out=mid)
+        acc.fill(0.0)
+        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+            for signed in (-node, node):
+                np.multiply(half, signed, out=t)
+                t += mid
+                np.log(t, out=t)
+                np.divide(weight, t, out=t)
+                acc += t
+        np.multiply(half, acc, out=steps[start:stop])
     wide = hi > _GL_MAX_STEP_RATIO * lo
     if np.any(wide):
         steps[wide] = li(hi[wide]) - li(lo[wide])
@@ -169,15 +207,20 @@ def dusart_bounds(x):
     The lower bound is valid for x >= 32299, the upper for x >= 355991.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 1.0):
-        raise DomainError("dusart_bounds requires x > 1")
+    if not np.all((arr > 1.0) & (arr < np.inf)):
+        raise DomainError("dusart_bounds requires finite x > 1")
     lg = np.log(arr)
-    base = arr / lg + arr / lg**2
-    lower = base + DUSART_LOWER_COEFF * arr / lg**3
-    upper = base + DUSART_UPPER_COEFF * arr / lg**3
+    lower, upper = _dusart_bounds(arr, lg, lg**3)
     if np.isscalar(x) or arr.ndim == 0:
         return float(lower), float(upper)
     return lower, upper
+
+
+def _dusart_bounds(arr, lg, lg3):
+    """``dusart_bounds`` on a checked float array, given its log and log cubed."""
+    base = arr / lg + arr / lg**2
+    return (base + DUSART_LOWER_COEFF * arr / lg3,
+            base + DUSART_UPPER_COEFF * arr / lg3)
 
 
 def monotonicity_threshold(c: float, big_b: float) -> float:
@@ -196,32 +239,40 @@ def bprime_threshold(p, c: float):
     """Lower bound the discrete derivative of b must exceed at a prime p:
     -(log^2 p / p) * (1 - 1/(c log p)).
     """
-    if c <= 0:
+    if not c > 0:
         raise DomainError("bprime_threshold requires c > 0")
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 1.0):
-        raise DomainError("bprime_threshold requires p > 1")
-    lg = np.log(arr)
-    result = -(lg * lg / arr) * (1.0 - 1.0 / (c * lg))
+    if not np.all((arr > 1.0) & (arr < np.inf)):
+        raise DomainError("bprime_threshold requires finite p > 1")
+    result = _bprime_threshold(arr, np.log(arr), c)
     if np.isscalar(p) or arr.ndim == 0:
         return float(result)
     return result
+
+
+def _bprime_threshold(arr, lg, c):
+    """``bprime_threshold`` on a checked float array, given its log."""
+    return -(lg * lg / arr) * (1.0 - 1.0 / (c * lg))
 
 
 def kprime_threshold(p, c: float):
     """Lower bound the discrete derivative of k must exceed at a prime p:
     -(1 / (sqrt(p) log^2 p)) * (1 - 1/(c log p)).
     """
-    if c <= 0:
+    if not c > 0:
         raise DomainError("kprime_threshold requires c > 0")
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 1.0):
-        raise DomainError("kprime_threshold requires p > 1")
-    lg = np.log(arr)
-    result = -(1.0 / (np.sqrt(arr) * lg * lg)) * (1.0 - 1.0 / (c * lg))
+    if not np.all((arr > 1.0) & (arr < np.inf)):
+        raise DomainError("kprime_threshold requires finite p > 1")
+    result = _kprime_threshold(arr, np.log(arr), c)
     if np.isscalar(p) or arr.ndim == 0:
         return float(result)
     return result
+
+
+def _kprime_threshold(arr, lg, c):
+    """``kprime_threshold`` on a checked float array, given its log."""
+    return -(1.0 / (np.sqrt(arr) * lg * lg)) * (1.0 - 1.0 / (c * lg))
 
 
 # exp(t) overflows IEEE doubles just above t = 709.78.

@@ -25,9 +25,9 @@ from .accum import NeumaierSum, block_sum
 from .analytic import (
     DUSART_LOWER_MIN_X,
     DUSART_UPPER_MIN_X,
-    bprime_threshold,
-    dusart_bounds,
-    kprime_threshold,
+    _bprime_threshold,
+    _dusart_bounds,
+    _kprime_threshold,
     li,
     li_ascending,
 )
@@ -57,9 +57,14 @@ class FluctuationSample:
     k: float
 
 
-def _expansion(x: np.ndarray) -> np.ndarray:
-    lg = np.log(x)
-    return x / lg + x / lg**2 + EXPANSION_C3 * x / lg**3
+def _expansion(x: np.ndarray, lg=None, lg3=None) -> np.ndarray:
+    """x/L + x/L^2 + 2 x/L^3; a caller that holds log x and its cube
+    passes them in."""
+    if lg is None:
+        lg = np.log(x)
+    if lg3 is None:
+        lg3 = lg**3
+    return x / lg + x / lg**2 + EXPANSION_C3 * x / lg3
 
 
 def fluctuation_at(data: PrimeData, x: int) -> FluctuationSample:
@@ -234,12 +239,15 @@ class DeltaScan(BlockScan):
         ps = block.primes.astype(np.float64)
         lg = np.log(ps)
         terms = lg[: len(gaps)] ** 2 - gaps / self.c
-        viol = np.nonzero(lg[: len(gaps)] ** 2 <= gaps / self.c)[0]
+        # a - b <= 0 exactly when a <= b: IEEE subtraction keeps the sign
+        # and gives 0 only for equal operands.
+        viol = np.nonzero(terms <= 0.0)[0]
         local = np.concatenate([[0.0], np.cumsum(terms)])[: len(ps)]
         # b recomputed from the gap-deficit remainder, for drift tracking
         # against the expansion-based definition.
         ns = np.arange(block.n0, block.n0 + len(ps), dtype=np.float64)
-        b_exp = (ns - _expansion(ps)) * lg**3 / ps
+        lg3 = lg**3
+        b_exp = (ns - _expansion(ps, lg, lg3)) * lg3 / ps
         return (
             block.n0,
             block.primes,
@@ -327,17 +335,18 @@ def _deriv_block(ps_ext: np.ndarray, n0: int, c: float):
     """Per-prime b, k and forward differences over an extended block."""
     pf = ps_ext.astype(np.float64)
     lg = np.log(pf)
+    lg3 = lg**3
     ns = np.arange(n0, n0 + len(pf), dtype=np.float64)
     livals = li_ascending(pf)
     f = ns - livals
-    fhat = ns - _expansion(pf)
-    b = fhat * lg**3 / pf
+    fhat = ns - _expansion(pf, lg, lg3)
+    b = fhat * lg3 / pf
     k = f / (np.sqrt(pf) * lg)
     dp = np.diff(pf)
     b_prime = np.diff(b) / dp
     k_prime = np.diff(k) / dp
-    b_rhs = bprime_threshold(pf[:-1], c)
-    k_rhs = kprime_threshold(pf[:-1], c)
+    b_rhs = _bprime_threshold(pf[:-1], lg[:-1], c)
+    k_rhs = _kprime_threshold(pf[:-1], lg[:-1], c)
     return b_prime, k_prime, b_rhs, k_rhs
 
 
@@ -345,6 +354,9 @@ class DerivScan(BlockScan):
     name = "deriv"
 
     def __init__(self, limit: int, c: float, sink_mode: str = "records"):
+        # The thresholds' own check, made once instead of per block.
+        if not c > 0:
+            raise DomainError(f"DerivScan requires c > 0, got {c}")
         self.limit = limit
         self.c = c
         self.sink_mode = sink_mode
@@ -571,7 +583,8 @@ class BBoundScan(BlockScan):
             return xs, pis, None
         xf = xs.astype(np.float64)
         lg = np.log(xf)
-        b = (pis - _expansion(xf)) * lg**3 / xf
+        lg3 = lg**3
+        b = (pis - _expansion(xf, lg, lg3)) * lg3 / xf
         return xs, pis, b
 
     def reduce(self, state, payload, sink):
@@ -645,7 +658,9 @@ class DusartScan(BlockScan):
         xs, pis = xs[keep], pis[keep]
         if len(xs) == 0:
             return xs, pis, None, None
-        lower, upper = dusart_bounds(xs.astype(np.float64))
+        xf = xs.astype(np.float64)
+        lg = np.log(xf)
+        lower, upper = _dusart_bounds(xf, lg, lg**3)
         bad_low = pis <= lower
         bad_high = (xs >= DUSART_UPPER_MIN_X) & (pis >= upper)
         return xs, pis, (lower, upper), np.nonzero(bad_low | bad_high)[0]

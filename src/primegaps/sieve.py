@@ -305,7 +305,8 @@ class PrimeBlock:
     ``run_scan`` takes from the scan.
 
     ``column`` builds a derived column once per block, for every scan
-    that maps the block, also from several threads at once.
+    that maps the block, also from several threads at once.  A builder
+    may itself ask for another column of the same block.
     """
 
     index: int
@@ -314,8 +315,10 @@ class PrimeBlock:
     succ: int | None
     _columns: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                  repr=False, compare=False)
+    # Reentrant, so that a builder's own column() call does not wait on
+    # the lock its caller holds.
+    _lock: threading.RLock = field(default_factory=threading.RLock, init=False,
+                                   repr=False, compare=False)
 
     def column(self, key: Hashable, build: Callable[[], object]):
         """``build()`` on the first call for ``key``; the same object after.

@@ -6,6 +6,11 @@ quadrature vs the exponential-integral branches, direct pair loops and
 long-double accumulation vs the theta-table sums, pointwise ``li`` vs
 the scans' per-block quadrature steps, one f-string per CSV row vs the
 per-block batched row sink.
+
+The reference kernels at the end are the other kind: earlier forms of
+the library's own kernels (the array-only Ei path, the unchunked
+quadrature loop, a fresh ``np.log`` for every formula), kept to check
+that the faster forms give the same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +22,23 @@ import numpy as np
 from scipy.integrate import quad
 
 from primegaps.accum import NeumaierSum
-from primegaps.analytic import bprime_threshold, kprime_threshold, li
+from primegaps.analytic import (
+    _EI_SWITCH,
+    _GL_MAX_STEP_RATIO,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _LI_OFFSET,
+    DUSART_LOWER_COEFF,
+    DUSART_LOWER_MIN_X,
+    DUSART_UPPER_COEFF,
+    DUSART_UPPER_MIN_X,
+    _ei_asymptotic,
+    _ei_series,
+    bprime_threshold,
+    kprime_threshold,
+    li,
+)
+from primegaps.fluct import _gap_pairs, _jump_grid
 from primegaps.selberg import SelbergSums, s1, s2
 
 
@@ -330,3 +351,130 @@ def csv_rows_oracle(scan, data, limit: int) -> bytes:
         lines += rows_of(scan, state, payload)
         scan.reduce(state, payload, None)
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# ----------------------------------------------------------------------
+# Reference kernels: the scans' Li and log forms before the scalar Ei
+# path, the chunked quadrature loop and the shared logs.  Each map
+# payload below is the scan's ``map_block`` payload built from them.
+
+
+def li_array_path(xs) -> np.ndarray:
+    """Li at every point of ``xs`` through the array branches of Ei only."""
+    t = np.log(np.atleast_1d(np.asarray(xs, dtype=np.float64)))
+    out = np.empty_like(t)
+    small = t <= _EI_SWITCH
+    if np.any(small):
+        out[small] = _ei_series(t[small])
+    if np.any(~small):
+        out[~small] = _ei_asymptotic(t[~small])
+    return out - _LI_OFFSET
+
+
+def li_ascending_unchunked(xs) -> np.ndarray:
+    """``li_ascending`` with the node loop over every step at once."""
+    arr = np.asarray(xs, dtype=np.float64)
+    out = np.empty_like(arr)
+    if len(arr) == 0:
+        return out
+    lo, hi = arr[:-1], arr[1:]
+    half = 0.5 * (hi - lo)
+    mid = lo + half
+    acc = np.zeros_like(half)
+    t = np.empty_like(half)
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        for signed in (-node, node):
+            np.multiply(half, signed, out=t)
+            t += mid
+            np.log(t, out=t)
+            np.divide(weight, t, out=t)
+            acc += t
+    steps = half * acc
+    wide = hi > _GL_MAX_STEP_RATIO * lo
+    if np.any(wide):
+        steps[wide] = li_array_path(hi[wide]) - li_array_path(lo[wide])
+    out[0] = li_array_path(arr[0])[0]
+    np.cumsum(steps, out=out[1:])
+    out[1:] += out[0]
+    return out
+
+
+def _expansion_plain(x):
+    lg = np.log(x)
+    return x / lg + x / lg**2 + 2.0 * x / lg**3
+
+
+def _schoenfeld_payload(scan, block):
+    xs, pis = _jump_grid(block)
+    if len(xs) == 0:
+        return xs, pis, None, None
+    xf = xs.astype(np.float64)
+    livals = li_ascending_unchunked(xf)
+    return xs, pis, livals, np.abs(pis - livals) / (np.sqrt(xf) * np.log(xf))
+
+
+def _deriv_payload(scan, block):
+    ps, succ = _gap_pairs(block, scan.limit)
+    if len(ps) == 0:
+        return block.n0, ps, None
+    pf = np.concatenate([ps, [succ[-1]]]).astype(np.float64)
+    lg = np.log(pf)
+    ns = np.arange(block.n0, block.n0 + len(pf), dtype=np.float64)
+    b = (ns - _expansion_plain(pf)) * lg**3 / pf
+    k = (ns - li_ascending_unchunked(pf)) / (np.sqrt(pf) * lg)
+    dp = np.diff(pf)
+    p, lp, c = pf[:-1], np.log(pf[:-1]), scan.c
+    b_rhs = -(lp * lp / p) * (1.0 - 1.0 / (c * lp))
+    k_rhs = -(1.0 / (np.sqrt(p) * lp * lp)) * (1.0 - 1.0 / (c * lp))
+    return block.n0, ps, (np.diff(b) / dp, np.diff(k) / dp, b_rhs, k_rhs)
+
+
+def _bbound_payload(scan, block):
+    xs, pis = _jump_grid(block)
+    if len(xs) == 0:
+        return xs, pis, None
+    xf = xs.astype(np.float64)
+    lg = np.log(xf)
+    return xs, pis, (pis - _expansion_plain(xf)) * lg**3 / xf
+
+
+def _dusart_payload(scan, block):
+    xs, pis = _jump_grid(block)
+    keep = xs >= DUSART_LOWER_MIN_X
+    xs, pis = xs[keep], pis[keep]
+    if len(xs) == 0:
+        return xs, pis, None, None
+    xf = xs.astype(np.float64)
+    lg = np.log(xf)
+    base = xf / lg + xf / lg**2
+    lower = base + DUSART_LOWER_COEFF * xf / lg**3
+    upper = base + DUSART_UPPER_COEFF * xf / lg**3
+    bad = (pis <= lower) | ((xs >= DUSART_UPPER_MIN_X) & (pis >= upper))
+    return xs, pis, (lower, upper), np.nonzero(bad)[0]
+
+
+def _delta_payload(scan, block):
+    starts, succ = _gap_pairs(block, scan.limit)
+    gaps = (succ - starts).astype(np.float64)
+    ps = block.primes.astype(np.float64)
+    lg = np.log(ps)
+    terms = lg[: len(gaps)] ** 2 - gaps / scan.c
+    viol = np.nonzero(lg[: len(gaps)] ** 2 <= gaps / scan.c)[0]
+    local = np.concatenate([[0.0], np.cumsum(terms)])[: len(ps)]
+    ns = np.arange(block.n0, block.n0 + len(ps), dtype=np.float64)
+    b_exp = (ns - _expansion_plain(ps)) * lg**3 / ps
+    return block.n0, block.primes, lg, local, math.fsum(terms), viol, b_exp
+
+
+_PAYLOADS = {
+    "schoenfeld": _schoenfeld_payload,
+    "deriv": _deriv_payload,
+    "bbound": _bbound_payload,
+    "dusart": _dusart_payload,
+    "delta": _delta_payload,
+}
+
+
+def map_payload_oracle(scan, block):
+    """``scan.map_block(block)`` from the reference kernels above."""
+    return _PAYLOADS[scan.name](scan, block)

@@ -9,10 +9,17 @@ from scipy.integrate import quad
 from primegaps.analytic import (
     Constants,
     _EI_SWITCH,
+    _GL_CHUNK,
     _GL_NODES,
     _GL_WEIGHTS,
+    _SERIES_MAX_TERMS,
+    _bprime_threshold,
+    _dusart_bounds,
+    _ei,
     _ei_asymptotic,
     _ei_series,
+    _ei_series_scalar,
+    _kprime_threshold,
     bprime_threshold,
     dusart_bounds,
     kprime_threshold,
@@ -28,7 +35,7 @@ from primegaps.errors import DomainError
 from primegaps.fluct import _gap_pairs, _jump_grid
 from primegaps.sieve import PrimeData
 
-from .oracles import li_quad
+from .oracles import li_array_path, li_ascending_unchunked, li_quad
 
 # Frozen from the adaptive-quadrature oracle (cross-checked against a
 # 50-digit evaluation during development).
@@ -55,6 +62,58 @@ def test_li_domain_error():
         li(1.5)
     with pytest.raises(DomainError):
         li(np.array([10.0, 1.0]))
+
+
+def test_li_refuses_nan_and_infinity():
+    # NaN passed the old `np.any(arr < 2.0)` test, and li(inf) came out
+    # as NaN with a RuntimeWarning.
+    for bad in (math.nan, math.inf, -math.inf, np.array([3.0, np.nan]),
+                np.array([np.inf])):
+        with pytest.raises(DomainError):
+            li(bad)
+
+
+def test_bounds_refuse_nan_and_infinity():
+    for bad in (math.nan, math.inf, np.array([1e6, np.nan])):
+        with pytest.raises(DomainError):
+            dusart_bounds(bad)
+        with pytest.raises(DomainError):
+            bprime_threshold(bad, 1.0)
+        with pytest.raises(DomainError):
+            kprime_threshold(bad, 1.0)
+    with pytest.raises(DomainError):
+        bprime_threshold(101, math.nan)
+    with pytest.raises(DomainError):
+        kprime_threshold(101, math.nan)
+
+
+def _series_stop(t):
+    """The k at which the Ei power series at t breaks off."""
+    term, total = 1.0, 0.0
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        term = term * t / k
+        total += term / k
+        if k % 8 == 0 and term < 1e-17 * total:
+            return k
+    return None
+
+
+def test_scalar_ei_path_equals_the_array_series():
+    ts = [_EI_SWITCH, float(np.nextafter(_EI_SWITCH, 0)), math.log(2.0),
+          1e-3, 0.05, 0.3, 1.0, 2.0, 7.5, 20.0, 39.9]
+    ts += list(np.log(np.arange(2, 4000, 37, dtype=np.float64)))
+    ts += list(np.random.default_rng(7).uniform(1e-6, _EI_SWITCH, 300))
+    assert {8, 16, 24} <= {_series_stop(t) for t in ts}
+    for t in ts:
+        ref = _ei_series(np.array([t]))[0]
+        assert _ei_series_scalar(float(t)) == ref
+        one = _ei(np.array([t]))
+        assert one.shape == (1,) and one[0] == ref
+        zero_d = _ei(np.float64(t))
+        assert zero_d.shape == () and zero_d == ref
+    # li on one point takes the scalar path; on an array, the array path
+    xs = np.exp(np.array([t for t in ts if t > math.log(2.0)]))
+    assert [li(float(x)) for x in xs] == li_array_path(xs).tolist()
 
 
 def test_li_vectorized_matches_scalar():
@@ -158,9 +217,41 @@ def test_li_ascending_domain_errors():
         li_ascending(np.array([1.5, 3.0]))
     with pytest.raises(DomainError):
         li_ascending(np.array([3.0, np.nan]))
+    for xs in ([3.0, np.inf], [np.inf], [np.inf, np.inf]):
+        with pytest.raises(DomainError):
+            li_ascending(np.array(xs))
     with pytest.raises(DomainError):
         li_ascending(np.array([[3.0, 4.0]]))
     assert len(li_ascending(np.array([]))) == 0
+
+
+def test_li_ascending_chunks_equal_the_unchunked_kernel():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, _GL_CHUNK - 1, _GL_CHUNK, _GL_CHUNK + 1, _GL_CHUNK + 2,
+              3 * _GL_CHUNK + 5):
+        xs = 1e6 + np.cumsum(rng.integers(0, 200, size=n)).astype(np.float64)
+        got = li_ascending(xs)
+        assert got.shape == (n,)
+        assert np.array_equal(got, li_ascending_unchunked(xs))
+    # wide steps, which take the Ei difference, inside the second chunk
+    xs = 1e3 + np.cumsum(rng.integers(0, 3, size=2 * _GL_CHUNK + 7)).astype(np.float64)
+    for at, factor in ((_GL_CHUNK + 3, 2.0), (_GL_CHUNK + 900, 10.0),
+                       (2 * _GL_CHUNK - 1, 1.6)):
+        xs[at:] = xs[at:] - xs[at] + factor * xs[at - 1]
+    assert np.count_nonzero(xs[1:] > 1.5 * xs[:-1]) == 3
+    assert np.array_equal(li_ascending(xs), li_ascending_unchunked(xs))
+
+
+def test_private_bound_helpers_equal_the_public_functions(data_1e6):
+    block = list(data_1e6.blocks(limit=10**6))[-1]
+    pf = block.primes.astype(np.float64)
+    lg = np.log(pf)
+    lower, upper = dusart_bounds(pf)
+    mine = _dusart_bounds(pf, lg, lg**3)
+    assert np.array_equal(mine[0], lower) and np.array_equal(mine[1], upper)
+    for c in (1.0, 0.7, 2.0):
+        assert np.array_equal(_bprime_threshold(pf, lg, c), bprime_threshold(pf, c))
+        assert np.array_equal(_kprime_threshold(pf, lg, c), kprime_threshold(pf, c))
 
 
 # Log-uniform points in [2, 1e12], and a cluster of prime-gap-sized

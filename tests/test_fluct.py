@@ -29,9 +29,9 @@ from primegaps.fluct import (
     SchoenfeldScan,
 )
 from primegaps.selberg import PartialSumScan
-from primegaps.sieve import PrimeData, PrimeStream
+from primegaps.sieve import BLOCK_PRIMES, PrimeData, PrimeStream
 
-from .oracles import deriv_records_li
+from .oracles import deriv_records_li, map_payload_oracle
 
 # Frozen regression values (1e6 scans, double-checked against the
 # quadrature li oracle and hand evaluation at small x).
@@ -189,6 +189,14 @@ def test_deriv_scan_violations(data_1e6):
     assert res.k_violations == [(1, 2), (2, 3)]
     assert res.b_pass() and res.k_pass()
     assert res.count == 78497
+
+
+def test_deriv_scan_refuses_c_that_is_not_positive(data_1e6):
+    # The map's thresholds take c unchecked; at the parent a NaN c gave
+    # NaN thresholds and no violation at all.
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            deriv_scan(data_1e6, 10**4, c)
 
 
 def test_bprime_records_match_independent_recomputation(data_1e6):
@@ -454,3 +462,33 @@ def test_jump_grid_built_once_per_block_in_a_fused_fold(monkeypatch):
     assert sorted(calls) == list(range(10))
     for name, scan in grid_scans().items():
         assert _plain(fused[name]) == _plain(run_to_end(PrimeStream(10**6), scan, **fold))
+
+
+def _same_bits(got, ref):
+    if isinstance(ref, tuple):
+        return (isinstance(got, tuple) and len(got) == len(ref)
+                and all(_same_bits(g, r) for g, r in zip(got, ref)))
+    if isinstance(ref, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.dtype == ref.dtype
+                and np.array_equal(got, ref))
+    return type(got) is type(ref) and got == ref
+
+
+def test_map_payloads_equal_the_reference_kernels_block_by_block(data_1e6):
+    # The scalar Ei anchors, the chunked quadrature loop and the shared
+    # logs must leave every payload bit as the plain forms give it.  Bits,
+    # not a pinned digest: numpy's log may take another SIMD kernel on
+    # another CPU, and both sides here run on the same one.
+    limit = 10**6
+    scans = [SchoenfeldScan(limit, 1.0 / 3.0), DerivScan(limit, 1.0),
+             DerivScan(limit, 0.7), BBoundScan(limit, 5.0), DusartScan(limit),
+             DeltaScan(limit, 1.0), DeltaScan(limit, 1.3)]
+    # the scans' own blocks, and short ones for more Li anchors
+    for block_size, count in ((BLOCK_PRIMES, 3), (5000, 16)):
+        blocks = list(data_1e6.blocks(limit=limit, block_size=block_size))
+        assert len(blocks) == count
+        for block in blocks:
+            for scan in scans:
+                got = scan.map_block(block)
+                assert _same_bits(got, map_payload_oracle(scan, block)), \
+                    (scan.name, block_size, block.index)

@@ -350,3 +350,23 @@ def test_block_column_is_built_once_under_concurrent_callers():
     assert len(builds) == 1
     assert len(got) == 8 and all(g is got[0] for g in got)
     assert block.column("other", lambda: "x") == "x" and len(builds) == 1
+
+
+def test_nested_block_column_build_does_not_deadlock():
+    # A builder that asks for another column of its block (say a grid
+    # built on top of _jump_grid) re-enters the block's lock; with a
+    # plain Lock this hung for ever.
+    block = PrimeBlock(0, 1, np.array([2, 3, 5], dtype=np.int64), 7)
+    got = []
+
+    def caller():
+        outer = block.column(
+            "outer", lambda: block.column("inner", lambda: block.primes * 2) + 1)
+        got.append((outer, block.column("inner", lambda: None)))
+
+    t = threading.Thread(target=caller, daemon=True)
+    t.start()
+    t.join(timeout=10)
+    assert not t.is_alive(), "nested column build deadlocked"
+    outer, inner = got[0]
+    assert outer.tolist() == [5, 7, 11] and inner.tolist() == [4, 6, 10]
