@@ -160,10 +160,18 @@ def li_ascending(xs) -> np.ndarray:
     # half, mid, the node value and the sum over nodes of one chunk
     half_buf, mid_buf, t_buf, acc_buf = (
         np.empty(min(len(steps), _GL_CHUNK)) for _ in range(4))
+    wide_buf = np.empty(len(half_buf), dtype=bool)
+    wide = []  # indices of the wide steps, chunk by chunk
     for start in range(0, len(steps), _GL_CHUNK):
         stop = min(start + _GL_CHUNK, len(steps))
         n = stop - start
         half, mid, t, acc = half_buf[:n], mid_buf[:n], t_buf[:n], acc_buf[:n]
+        # The points ascend, so a chunk whose last point is within the
+        # ratio of its first holds no wide step.
+        if hi[stop - 1] > _GL_MAX_STEP_RATIO * lo[start]:
+            np.multiply(lo[start:stop], _GL_MAX_STEP_RATIO, out=t)
+            np.greater(hi[start:stop], t, out=wide_buf[:n])
+            wide.append(np.flatnonzero(wide_buf[:n]) + start)
         np.subtract(hi[start:stop], lo[start:stop], out=half)
         half *= 0.5
         np.add(lo[start:stop], half, out=mid)
@@ -176,8 +184,8 @@ def li_ascending(xs) -> np.ndarray:
                 np.divide(weight, t, out=t)
                 acc += t
         np.multiply(half, acc, out=steps[start:stop])
-    wide = hi > _GL_MAX_STEP_RATIO * lo
-    if np.any(wide):
+    if wide:
+        wide = np.concatenate(wide)
         steps[wide] = li(hi[wide]) - li(lo[wide])
     out[0] = li(float(arr[0]))
     np.cumsum(steps, out=out[1:])

@@ -20,6 +20,7 @@ from itertools import islice
 from typing import Callable
 
 from .errors import DomainError, PrimeGapsError
+from .rowfmt import format_rows
 from .sieve import BLOCK_PRIMES, PrimeData, PrimeStream, ordered_map
 
 
@@ -31,18 +32,21 @@ class RowSink:
         self.offset = offset
 
     def write(self, line: str) -> None:
-        data = (line + "\n").encode("ascii")
+        data = line.encode("ascii")
         self._fh.write(data)
-        self.offset += len(data)
+        self._fh.write(b"\n")  # not line + "\n": a block's rows are megabytes
+        self.offset += len(data) + 1
 
     def write_rows(self, row_fmt: str, *cols) -> None:
         """Write a block's rows in one ``write``: row i is ``row_fmt`` over each
-        column's i-th ``tolist()`` value (``{!r}`` of a float is ``repr``).
+        column's i-th ``tolist()`` value (``{!r}`` of a float is ``repr``),
+        formatted by ``rowfmt.format_rows``.
 
         A block with no rows writes nothing, so no blank line.
         """
+        rows = format_rows(row_fmt, *cols)
         if len(cols[0]):
-            self.write("\n".join(map(row_fmt.format, *(c.tolist() for c in cols))))
+            self.write(rows)
 
     def sync(self) -> None:
         """Put every row written so far on disk, so ``offset`` is durable."""

@@ -549,6 +549,20 @@ def test_report_identical_under_python_O(tmp_path):
     assert plain.stdout == optimized.stdout
 
 
+def test_scan_csv_identical_under_python_O(tmp_path):
+    # Every CSV row goes through the numpy row kernel, whose checks must
+    # not be asserts that -O strips.
+    args = ["-m", "primegaps.cli", "scan", "--which", "delta", "--format", "csv",
+            *LIMIT_1E6]
+    plain = _run_cli([], [*args, "--out", "plain.csv"], tmp_path)
+    optimized = _run_cli(["-O"], [*args, "--out", "optimized.csv"], tmp_path)
+    assert plain.returncode == optimized.returncode == 1  # violations {1, 2, 4}
+    assert plain.stdout == optimized.stdout
+    csv = (tmp_path / "plain.csv").read_bytes()
+    assert csv.startswith(b"p,delta,delta_hat\n2,0.0,")
+    assert csv == (tmp_path / "optimized.csv").read_bytes()
+
+
 def _to_version_1(ck):
     new = json.loads(ck.read_text())
     ck.write_text(json.dumps({
