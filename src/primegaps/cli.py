@@ -442,8 +442,8 @@ def _finish_fit(samples, args) -> int:
     if args.out and args.format == "csv":
         out = _Output(args.out)
         try:
-            out.sink.write("log_x_mid,k_mean")
-            out.sink.write_rows("{!r},{!r}", *np.array(binned, dtype=np.float64).T)
+            out.sink.write(b"log_x_mid,k_mean")
+            out.sink.write_rows(*np.array(binned, dtype=np.float64).T)
         finally:
             out.close()
     elif args.out:
@@ -552,8 +552,7 @@ def _finish_report(results, args) -> int:
 # the commands set.  report's larger pair keeps its Li grids on the
 # heap (at 2 / 4 MiB it takes 160 k faults at 1e8); the streaming
 # commands' smaller trim threshold keeps the delta CSV scan's peak RSS
-# near 41 MB at 3e7 (4 / 16 MiB add about 1%, and added 5% when the
-# rows went through str.format).
+# near 41 MB at 3e7 (4 / 16 MiB add about 1%).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _REPORT_THRESHOLDS = (4 << 20, 16 << 20)
@@ -591,7 +590,7 @@ class _Command(NamedTuple):
     ``make(args)`` builds the scan and ``minimum(args)`` is the least
     --limit.  ``key`` names the arguments, besides ``echo(args)``, that
     shape the output and so enter the checkpoint key.  ``streams`` says
-    the scan writes CSV rows to the sink as it folds (only under
+    the scan's CSV rows go to the sink as it folds (only under
     --format csv when ``format`` is in the key).  ``thresholds`` is the
     malloc (mmap, trim) pair, and ``finish(result, args)`` writes the
     outputs left once the fold ends and returns the exit code.
@@ -686,11 +685,20 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        return _run(_parse(sys.argv[1:] if argv is None else list(argv)))
+        code = _run(_parse(sys.argv[1:] if argv is None else list(argv)))
+        sys.stdout.flush()  # a full disk shows here, not at exit
+        return code
     except SystemExit as exc:  # argparse: --help, or a value it refuses
         return int(exc.code) if exc.code else 0
     except (UsageError, PrimeGapsError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a full disk or a closed pipe
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # so the flush at exit neither fails nor prints
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

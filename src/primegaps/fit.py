@@ -57,7 +57,7 @@ class SampleScan(BlockScan):
     def map_block(self, block):
         return block.n0, block.primes
 
-    def reduce(self, state, payload, sink):
+    def reduce(self, state, payload):
         n0, ps = payload
         base = n0 - 1  # 0-based index of ps[0]
         if state["first"] is None:

@@ -86,6 +86,11 @@ def fluctuation_sample(x: int, pi: int) -> FluctuationSample:
     return FluctuationSample(x, pi, liv, f, fhat, b, k)
 
 
+def _check_limit(scan: str, limit: int, least: int) -> None:
+    if limit < least:
+        raise DomainError(f"the {scan} scan requires limit >= {least}, got {limit}")
+
+
 # ----------------------------------------------------------------------
 # Cramer-Granville gap ratio scan
 
@@ -120,6 +125,7 @@ class CgScan(BlockScan):
     name = "cg"
 
     def __init__(self, limit: int, c: float):
+        _check_limit(self.name, limit, 3)
         self.limit = limit
         self.c = c
 
@@ -145,10 +151,10 @@ class CgScan(BlockScan):
         viol = np.nonzero(g >= self.c * (lg * lg))[0]
         return block.n0, ps, g, ratio, viol
 
-    def reduce(self, state, payload, sink):
+    def reduce(self, state, payload):
         n0, ps, g, ratio, viol = payload
         if ratio is None:
-            return
+            return None
         i = int(np.argmax(ratio))
         if ratio[i] > state["max_ratio"]:
             state["max_ratio"] = float(ratio[i])
@@ -162,9 +168,7 @@ class CgScan(BlockScan):
                 state["tail_max"] = float(ratio[j])
                 state["tail_at"] = int(ps[j])
         state["violations"].extend((n0 + viol).tolist())
-        if sink is not None:
-            sink.write_rows("{},{},{},{!r}", n0 + viol, ps[viol],
-                            g[viol].astype(np.int64), ratio[viol])
+        return n0 + viol, ps[viol], g[viol].astype(np.int64), ratio[viol]
 
     def result(self, state):
         violations = state["violations"]
@@ -191,8 +195,6 @@ def cg_scan(
     sink: RowSink | None = None,
 ) -> ScanReport:
     """Exact violation set and running maximum of g_n / log^2 p_n."""
-    if limit < 3:
-        raise DomainError(f"cg_scan requires limit >= 3, got {limit}")
     return run_to_end(data, CgScan(limit, c), workers=workers, sink=sink)
 
 
@@ -218,6 +220,9 @@ class DeltaScan(BlockScan):
     name = "delta"
 
     def __init__(self, limit: int, c: float):
+        _check_limit(self.name, limit, 3)
+        if not c > 0:
+            raise DomainError(f"the delta scan requires c > 0, got {c}")
         self.limit = limit
         self.c = c
 
@@ -258,7 +263,7 @@ class DeltaScan(BlockScan):
             b_exp,
         )
 
-    def reduce(self, state, payload, sink):
+    def reduce(self, state, payload):
         n0, ps, lg, local, total, viol, b_exp = payload
         prefix = NeumaierSum.from_state(state["prefix"])
         delta = prefix.value + local
@@ -272,12 +277,11 @@ class DeltaScan(BlockScan):
             state["drift_at"] = int(ps[i])
         for i in viol:
             state["violations"].append(n0 + int(i))
-        if sink is not None:
-            sink.write_rows("{},{!r},{!r}", ps, delta, delta_hat)
         state["count"] += len(ps)
         state["final"] = float(delta[-1]) if len(ps) else state.get("final", 0.0)
         prefix.add(total)
         state["prefix"] = prefix.state()
+        return ps, delta, delta_hat
 
     def result(self, state):
         return DeltaScanResult(
@@ -300,10 +304,6 @@ def delta_scan(
     sink: RowSink | None = None,
 ) -> DeltaScanResult:
     """Gap-deficit sums at every prime <= limit plus monotonicity violations."""
-    if limit < 3:
-        raise DomainError(f"delta_scan requires limit >= 3, got {limit}")
-    if c <= 0:
-        raise DomainError(f"delta_scan requires c > 0, got {c}")
     return run_to_end(data, DeltaScan(limit, c), workers=workers, sink=sink)
 
 
@@ -354,6 +354,7 @@ class DerivScan(BlockScan):
     name = "deriv"
 
     def __init__(self, limit: int, c: float, sink_mode: str = "records"):
+        _check_limit(self.name, limit, 5)
         # The thresholds' own check, made once instead of per block.
         if not c > 0:
             raise DomainError(f"DerivScan requires c > 0, got {c}")
@@ -376,10 +377,10 @@ class DerivScan(BlockScan):
         ps_ext = np.concatenate([ps, [succ[-1]]])
         return block.n0, ps, _deriv_block(ps_ext, block.n0, self.c)
 
-    def reduce(self, state, payload, sink):
+    def reduce(self, state, payload):
         n0, ps, cols = payload
         if cols is None:
-            return
+            return None
         b_prime, k_prime, b_rhs, k_rhs = cols
         b_ok = b_prime > b_rhs
         k_ok = k_prime > k_rhs
@@ -387,15 +388,11 @@ class DerivScan(BlockScan):
             state["b_violations"].append((n0 + int(i), int(ps[i])))
         for i in np.nonzero(~k_ok)[0]:
             state["k_violations"].append((n0 + int(i), int(ps[i])))
-        if sink is not None and self.sink_mode == "figure":
-            sink.write_rows("{},{!r},{!r}", ps, k_prime, k_rhs)
-        elif sink is not None:
-            sink.write_rows(
-                "{},{},{!r},{!r},{!r},{!r},{},{}",
-                np.arange(n0, n0 + len(ps)), ps, b_prime, k_prime, b_rhs, k_rhs,
-                np.where(b_ok, "true", "false"), np.where(k_ok, "true", "false"),
-            )
         state["count"] += len(ps)
+        if self.sink_mode == "figure":
+            return ps, k_prime, k_rhs
+        return (np.arange(n0, n0 + len(ps)), ps, b_prime, k_prime, b_rhs, k_rhs,
+                b_ok, k_ok)
 
     def result(self, state):
         return DerivScanResult(
@@ -418,10 +415,7 @@ def deriv_scan(
     sink_mode: str = "records",
 ) -> DerivScanResult:
     """Derivative-condition scan for both b and k sides in one pass."""
-    if limit < 5:
-        raise DomainError(f"deriv_scan requires limit >= 5, got {limit}")
-    scan = DerivScan(limit, c, sink_mode)
-    return run_to_end(data, scan, workers=workers, sink=sink)
+    return run_to_end(data, DerivScan(limit, c, sink_mode), workers=workers, sink=sink)
 
 
 # ----------------------------------------------------------------------
@@ -458,6 +452,7 @@ class SchoenfeldScan(BlockScan):
     name = "schoenfeld"
 
     def __init__(self, limit: int, k_all: float, windows: dict | None = None):
+        _check_limit(self.name, limit, 10)
         self.limit = limit
         self.k_all = k_all
         self.windows = windows or {}
@@ -484,10 +479,10 @@ class SchoenfeldScan(BlockScan):
         ratio = np.abs(pis - livals) / (np.sqrt(xf) * np.log(xf))
         return xs, pis, livals, ratio
 
-    def reduce(self, state, payload, sink):
+    def reduce(self, state, payload):
         xs, pis, livals, ratio = payload
         if ratio is None:
-            return
+            return None
         i = int(np.argmax(ratio))
         if ratio[i] > state["max_ratio"]:
             state["max_ratio"] = float(ratio[i])
@@ -510,8 +505,7 @@ class SchoenfeldScan(BlockScan):
                 m = float(np.max(ratio[mask]))
                 if m > state["windows"][name]:
                     state["windows"][name] = m
-        if sink is not None:
-            sink.write_rows("{},{},{!r},{!r}", xs, pis, livals, ratio)
+        return xs, pis, livals, ratio
 
     def result(self, state):
         return SchoenfeldResult(
@@ -558,16 +552,15 @@ def schoenfeld_scan(
     cutoff 2657, and the least grid point from which the enlarged
     bound ``k_all`` holds onward.
     """
-    if limit < 10:
-        raise DomainError(f"schoenfeld_scan requires limit >= 10, got {limit}")
-    scan = SchoenfeldScan(limit, k_all, windows)
-    return run_to_end(data, scan, workers=workers, sink=sink)
+    return run_to_end(data, SchoenfeldScan(limit, k_all, windows), workers=workers,
+                      sink=sink)
 
 
 class BBoundScan(BlockScan):
     name = "bbound"
 
     def __init__(self, limit: int, bound: float):
+        _check_limit(self.name, limit, 10)
         self.limit = limit
         self.bound = bound
 
@@ -587,10 +580,10 @@ class BBoundScan(BlockScan):
         b = (pis - _expansion(xf, lg, lg3)) * lg3 / xf
         return xs, pis, b
 
-    def reduce(self, state, payload, sink):
+    def reduce(self, state, payload):
         xs, pis, b = payload
         if b is None:
-            return
+            return None
         ab = np.abs(b)
         i = int(np.argmax(ab))
         if ab[i] > state["max_abs"]:
@@ -598,8 +591,7 @@ class BBoundScan(BlockScan):
             state["max_at"] = int(xs[i])
         for i in np.nonzero(ab >= self.bound)[0]:
             state["violations"].append(int(xs[i]))
-        if sink is not None:
-            sink.write_rows("{},{},{!r}", xs, pis, b)
+        return xs, pis, b
 
     def result(self, state):
         return BBoundResult(
@@ -635,8 +627,6 @@ def bbound_scan(
     sink: RowSink | None = None,
 ) -> BBoundResult:
     """Empirical maximum of |b(x)| over the jump-edge grid."""
-    if limit < 10:
-        raise DomainError(f"bbound_scan requires limit >= 10, got {limit}")
     return run_to_end(data, BBoundScan(limit, bound), workers=workers, sink=sink)
 
 
@@ -644,6 +634,7 @@ class DusartScan(BlockScan):
     name = "dusart"
 
     def __init__(self, limit: int):
+        _check_limit(self.name, limit, DUSART_UPPER_MIN_X + 1)
         self.limit = limit
 
     def start(self):
@@ -665,16 +656,14 @@ class DusartScan(BlockScan):
         bad_high = (xs >= DUSART_UPPER_MIN_X) & (pis >= upper)
         return xs, pis, (lower, upper), np.nonzero(bad_low | bad_high)[0]
 
-    def reduce(self, state, payload, sink):
+    def reduce(self, state, payload):
         xs, pis, bounds, bad = payload
         if bounds is None:
-            return
+            return None
         lower, upper = bounds
         state["checked"] += len(xs)
         state["violations"].extend(xs[bad].tolist())
-        if sink is not None:
-            sink.write_rows("{},{},{!r},{!r}", xs[bad], pis[bad],
-                            lower[bad], upper[bad])
+        return xs[bad], pis[bad], lower[bad], upper[bad]
 
     def result(self, state):
         return DusartResult(
@@ -705,8 +694,4 @@ def dusart_scan(
     sink: RowSink | None = None,
 ) -> DusartResult:
     """pi(x) bracketing scan: strict lower bound from 32299, both from 355991."""
-    if limit <= DUSART_UPPER_MIN_X:
-        raise DomainError(
-            f"dusart_scan requires limit > {DUSART_UPPER_MIN_X}, got {limit}"
-        )
     return run_to_end(data, DusartScan(limit), workers=workers, sink=sink)

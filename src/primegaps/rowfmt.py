@@ -1,10 +1,10 @@
-"""CSV rows formatted by numpy, byte for byte as ``str.format`` writes them.
+"""CSV rows formatted by numpy, one field per column, picked by its dtype.
 
-``format_rows(row_fmt, *cols)`` returns the same ASCII as
-``"\\n".join(map(row_fmt.format, *(c.tolist() for c in cols)))``.  The
-format is comma-separated fields, each ``{}`` of a signed integer or str
-column or ``{!r}`` of a float64 column; anything else raises
-``DomainError``, so no row takes another code path.
+``format_rows(*cols)`` returns the ASCII bytes of the rows, joined by
+``\\n`` with none after.  Each column's dtype picks its field: a signed
+integer gives ``str`` of the value, its decimal; a float64 ``repr``;
+a bool ``true`` or ``false``.  Any other column raises ``DomainError``,
+so no row takes another code path.
 
 A float's ``repr`` is the shortest decimal that reads back to the same
 double, the closest one when several are.  Its digits come from
@@ -17,11 +17,12 @@ itself, so their bytes match by construction.
 
 A row is built as 8-byte words, one column of words per field part:
 separator and sign, digits (eight per word, split in parallel within
-the word), point and exponent.  Unused bytes are NUL, and one boolean
-compress of the word matrix drops them.  Rows are formatted
-``ROW_CHUNK`` at a time so the matrices stay in cache.  Every dtype is
-explicit and every uint64 constant a ``np.uint64``, so numpy's
-value-based promotion never turns a lane into float64.
+the word), point and exponent; a bool field is one word.  Unused
+bytes are NUL, and one boolean compress of the word matrix drops them.
+Rows are formatted ``ROW_CHUNK`` at a time so the matrices stay in
+cache.  Every dtype is explicit and every uint64 constant a
+``np.uint64``, so numpy's value-based promotion never turns a lane into
+float64.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ _MIN_NORMAL, _MAX_DOUBLE = 2.0**-1022, float.fromhex("0x1.fffffffffffffp+1023")
 # _KEEP_BYTES[m] keeps a word's first m bytes.
 _KEEP_BYTES = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
 _NUL = np.uint8(0)
+# "true" and "false" after a separator byte
+_TRUE, _FALSE = (_U64(int.from_bytes(word, "little") << 8)
+                  for word in (b"true", b"false"))
 
 # Exponents k = floor(log10(2^q)) of the normal doubles, q in [-1074, 971].
 _K_MIN, _K_MAX = -324, 292
@@ -225,13 +229,18 @@ def _int_words(x, head):
     return words
 
 
+def _bool_field(col, sep: int):
+    """``true`` or ``false`` after the separator, in one word."""
+    return [np.where(col, _TRUE, _FALSE) | _U64(sep)], None
+
+
 def _head(sep: int, neg):
     """A separator byte, then ``-`` where neg is 1."""
     return neg * _U64(ord("-") << 8) + _U64(sep)
 
 
 def _int_field(col, sep: int):
-    """``{}`` of signed integer lanes: separator, sign and digits."""
+    """The decimals of signed integer lanes: separator, sign and digits."""
     bits = col.astype(np.int64).view(np.uint64)
     neg = bits >> _S63
     # Two's complement negation, exact for INT64_MIN too.
@@ -239,22 +248,8 @@ def _int_field(col, sep: int):
     return _int_words(mag, _head(sep, neg)), None
 
 
-def _str_field(col, sep: int):
-    """``{}`` of str lanes: their ASCII bytes."""
-    raw = col.astype(np.bytes_)
-    width = raw.dtype.itemsize
-    text = raw.view(np.uint8).reshape(len(col), width)
-    if np.any(np.count_nonzero(text, axis=1) != np.char.str_len(col)):
-        raise DomainError("a str field holds NUL, which the row kernel drops")
-    field = np.zeros((len(col), -(-(width + 1) // 8) * 8), dtype=np.uint8)
-    field[:, 0] = sep
-    field[:, 1:width + 1] = text
-    words = field.view(_WORD)
-    return [words[:, j] for j in range(words.shape[1])], None
-
-
 def _float_field(col, sep: int):
-    """``{!r}`` of float64 lanes: ``repr`` from the kernel, except for
+    """``repr`` of float64 lanes, from the kernel except for
     subnormals, inf, nan and fractions longer than 18 digits, which keep
     ``float.__repr__`` itself.
 
@@ -335,28 +330,26 @@ def _exponent_word(x, lanes):
     return np.where(lanes, digits | sign | _U64(ord("e")), _ZERO)
 
 
-def _field_kind(spec: str, col, i: int):
+def _field_kind(col, i: int):
     kind = col.dtype.kind
-    if spec == "{}" and kind == "i":
+    if kind == "i":
         return _int_field
-    if spec == "{}" and kind == "U":
-        return _str_field
-    if spec == "{!r}" and col.dtype == np.float64:
+    if kind == "b":
+        return _bool_field
+    if col.dtype == np.float64:
         return _float_field
-    raise DomainError(f"row field {i} {spec!r} of a {col.dtype} column is not supported")
+    raise DomainError(f"row column {i} of dtype {col.dtype} is not supported")
 
 
-def format_rows(row_fmt: str, *cols) -> str:
-    """The rows of ``cols`` under ``row_fmt``, joined by ``\\n`` with none after."""
-    specs = row_fmt.split(",")
-    if len(specs) != len(cols):
-        raise DomainError(f"row format {row_fmt!r} has {len(specs)} fields "
-                          f"for {len(cols)} columns")
+def format_rows(*cols) -> bytes:
+    """The rows of ``cols``, joined by ``\\n`` with none after."""
+    if not cols:
+        raise DomainError("rows need at least one column")
     cols = [np.asarray(c) for c in cols]
-    n = len(cols[0])
-    if any(c.ndim != 1 or len(c) != n for c in cols):
+    if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
         raise DomainError("row columns must be 1-D and of one length")
-    kinds = [_field_kind(spec, c, i) for i, (spec, c) in enumerate(zip(specs, cols))]
+    n = len(cols[0])
+    kinds = [_field_kind(c, i) for i, c in enumerate(cols)]
     # Each row starts with "\n" and each later field with ",", so the
     # block's text is its bytes less the first.
     seps = [ord("\n")] + [ord(",")] * (len(cols) - 1)
@@ -376,4 +369,4 @@ def format_rows(row_fmt: str, *cols) -> str:
             text[rows, offset:offset + patch.shape[1]] = patch
         flat = text.reshape(-1)
         chunks.append(flat[flat != _NUL][int(not start):])
-    return b"".join(chunks).decode("ascii")
+    return b"".join(chunks)

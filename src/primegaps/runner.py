@@ -2,10 +2,11 @@
 
 A scan is split into a pure per-block ``map_block`` (parallelizable)
 and an order-fixed ``reduce`` that folds payloads into a JSON-able
-state dict.  Because blocks are consumed strictly in index order and
-all floating-point grouping is tied to the fixed block size, a scan's
-output is byte-identical for any worker count and across a
-checkpoint/resume cycle.
+state dict and returns the block's CSV rows as columns, which
+``run_scan`` writes to its sink.  Because blocks are consumed strictly
+in index order and all floating-point grouping is tied to the fixed
+block size, a scan's output is byte-identical for any worker count and
+across a checkpoint/resume cycle.
 
 The fold is lazy: it takes blocks from any source with
 ``blocks(limit=, block_size=)`` one at a time, so over a
@@ -31,21 +32,19 @@ class RowSink:
         self._fh = fh
         self.offset = offset
 
-    def write(self, line: str) -> None:
-        data = line.encode("ascii")
-        self._fh.write(data)
-        self._fh.write(b"\n")  # not line + "\n": a block's rows are megabytes
-        self.offset += len(data) + 1
+    def write(self, line: bytes) -> None:
+        """Write ASCII ``line`` and a newline."""
+        self._fh.write(line)
+        self._fh.write(b"\n")  # not line + b"\n": a block's rows are megabytes
+        self.offset += len(line) + 1
 
-    def write_rows(self, row_fmt: str, *cols) -> None:
-        """Write a block's rows in one ``write``: row i is ``row_fmt`` over each
-        column's i-th ``tolist()`` value (``{!r}`` of a float is ``repr``),
-        formatted by ``rowfmt.format_rows``.
+    def write_rows(self, *cols) -> None:
+        """Write a block's rows, ``rowfmt.format_rows(*cols)``, in one ``write``.
 
         A block with no rows writes nothing, so no blank line.
         """
-        rows = format_rows(row_fmt, *cols)
-        if len(cols[0]):
+        rows = format_rows(*cols)
+        if rows:
             self.write(rows)
 
     def sync(self) -> None:
@@ -70,7 +69,9 @@ class BlockScan:
     def map_block(self, block):
         raise NotImplementedError
 
-    def reduce(self, state: dict, payload, sink: RowSink | None) -> None:
+    def reduce(self, state: dict, payload) -> tuple | None:
+        """Fold ``payload`` into ``state``; return the block's CSV rows as a
+        tuple of 1-D columns, one per field of ``header()``, or None."""
         raise NotImplementedError
 
     def result(self, state: dict):
@@ -88,7 +89,8 @@ class FusedScan(BlockScan):
     alone and its result is bit-identical to a separate run, while only
     one sub-scan's payload is alive at a time.  So every part must end at
     the same ``limit``, which is the fused scan's.  The state is ``{name:
-    sub_state}``: one state, one checkpoint.  Fold it without a sink.
+    sub_state}``: one state, one checkpoint.  ``run_scan`` refuses it a
+    sink, where its parts' rows would interleave.
     """
 
     name = "fused"
@@ -128,13 +130,18 @@ def run_scan(
     ``stop_after_blocks`` ends the fold on the last block.  Pass a
     previously checkpointed ``state`` to resume: the fold skips the
     blocks before ``state["block"]`` and reproduces the uninterrupted
-    run bit for bit.
+    run bit for bit.  With a ``sink``, a fresh fold writes the scan's
+    header, and each block's rows go to it before ``on_block`` runs.
     """
+    if sink is not None and isinstance(scan, FusedScan):
+        raise DomainError("a fused scan folds without a sink: its parts' rows "
+                          "would interleave")
     if state is None:
         state = scan.start()
         state["block"] = 0
-        if sink is not None and scan.header() is not None:
-            sink.write(scan.header())
+        header = scan.header()
+        if sink is not None and header is not None:
+            sink.write(header.encode("ascii"))
     # Each block is folded through its parts in turn; a plain scan is its
     # only part and owns the whole state (key None).
     parts = list(scan.scans.items()) if isinstance(scan, FusedScan) else [(None, scan)]
@@ -153,8 +160,10 @@ def run_scan(
     )
     folded = ordered_map(lambda step: step[2].map_block(step[0]), steps, workers)
     for (block, key, part), payload in folded:
-        part.reduce(state if key is None else state[key], payload, sink)
-        del payload  # free it before the next part maps
+        rows = part.reduce(state if key is None else state[key], payload)
+        if sink is not None and rows is not None:
+            sink.write_rows(*rows)
+        del payload, rows  # free them before the next part maps
         if key != parts[-1][0]:
             continue
         state["block"] = block.index + 1

@@ -139,8 +139,8 @@ class SelbergScan(BlockScan):
     x // 2, is answered, so the state holds theta values only for the
     points still open.  S1 is one exact integer, the sum of log^2 p in
     units of 2**-54, carried across the whole fold; a row takes it
-    rounded once, so each S1 has the bits of ``s1(data, x)``.  The rows
-    a block closes go to the sink in one write.  The scan's ``limit`` is
+    rounded once, so each S1 has the bits of ``s1(data, x)``.  ``reduce``
+    returns the rows a block closes.  The scan's ``limit`` is
     its last point, so a source that ends below it raises
     ``RangeLimitError`` before the first block.
     """
@@ -189,7 +189,7 @@ class SelbergScan(BlockScan):
         runs = [b - a for a, b in zip([0, *prefix], prefix)]
         return block.primes, block.succ, logs, cuts.tolist(), runs
 
-    def reduce(self, state, payload, sink):
+    def reduce(self, state, payload):
         ps, succ, logs, cuts, runs = payload
         cum = np.cumsum(np.concatenate([[state["theta"]], logs]))[1:]
         state["theta"] = float(cum[-1])
@@ -217,10 +217,10 @@ class SelbergScan(BlockScan):
             row = [x, fixed_value(state["s1"]), *state["s2"].pop(str(k))]
             state["rows"].append(row)
             closed.append(_sums(*row))
-        if sink is not None and closed:
-            cols = map(np.array, zip(*map(astuple, closed)))
-            holds = np.where([s.lemma_holds for s in closed], "true", "false")
-            sink.write_rows("{},{!r},{!r},{!r},{!r},{}", *cols, holds)
+        if not closed:
+            return None
+        cols = map(np.array, zip(*map(astuple, closed)))
+        return (*cols, np.array([s.lemma_holds for s in closed]))
 
     def result(self, state) -> list[SelbergSums]:
         return [_sums(*row) for row in state["rows"]]
@@ -333,7 +333,7 @@ class PartialSumScan(BlockScan):
         local = np.cumsum(terms)
         return block.n0, ps, succ, local, fixed_sum(terms)
 
-    def reduce(self, state, payload, sink):
+    def reduce(self, state, payload):
         n0, ps, succ, local, total = payload
         gap_cum = state["gap_sum"] + np.cumsum(succ - ps)
         if not np.array_equal(gap_cum + 2, succ):
@@ -344,14 +344,12 @@ class PartialSumScan(BlockScan):
         false_idx = np.nonzero(~holds)[0]
         if len(false_idx):
             state["last_false"] = n0 + int(false_idx[-1])
-        if sink is not None:
-            sink.write_rows("{},{},{!r},{}", np.arange(n0, n0 + len(ps)), gap_cum,
-                            logsq, np.where(holds, "true", "false"))
         state["count"] += len(ps)
         if len(ps):
             state["gap_sum"] = int(gap_cum[-1])
         prefix.add(total)
         state["logsq"] = prefix.state()
+        return np.arange(n0, n0 + len(ps)), gap_cum, logsq, holds
 
     def result(self, state):
         return PartialSumResult(

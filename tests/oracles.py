@@ -341,7 +341,8 @@ def csv_rows_oracle(scan, data, limit: int) -> bytes:
     """The CSV bytes ``scan`` writes up to ``limit``, formatted row by row.
 
     Folds the scan's own ``map_block`` and ``reduce`` over the default
-    blocks, sinkless, and formats each row from the payload on the side.
+    blocks, drops the rows ``reduce`` returns, and formats each row from
+    the payload on the side.
     """
     rows_of = _ROWS[scan.name]
     lines = [scan.header()]
@@ -349,7 +350,7 @@ def csv_rows_oracle(scan, data, limit: int) -> bytes:
     for block in data.blocks(limit=limit):
         payload = scan.map_block(block)
         lines += rows_of(scan, state, payload)
-        scan.reduce(state, payload, None)
+        scan.reduce(state, payload)
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegaps.cli import _parser, main
+from primegaps.fit import bin_average_k, sample_fluctuations
 
 LIMIT_1E5 = ["--limit", "100000"]
 LIMIT_1E6 = ["--limit", "1000000"]
@@ -157,6 +158,16 @@ def test_fit_real_run(tmp_path, capsys):
         math.exp(math.exp(summary["alpha"])) / math.log(10.0), rel=1e-9
     )
     assert out.read_text().startswith("log_x_mid,k_mean")
+
+
+def test_fit_csv_rows_are_the_bins_of_the_table_samples(tmp_path, capsys, data_1e6):
+    # The CLI folds a streamed sieve; the oracle samples the table.
+    out = tmp_path / "binned.csv"
+    assert main(["fit", *LIMIT_1E6, "--stride", "200", "--out", str(out)]) == 0
+    samples = sample_fluctuations(data_1e6, 10**4, 10**6, stride=200, per_decade=200)
+    rows = [f"{mid!r},{k!r}" for mid, k in bin_average_k(samples, 20)]
+    assert len(rows) == 20
+    assert out.read_text() == "\n".join(["log_x_mid,k_mean", *rows]) + "\n"
 
 
 def test_unwritable_output_path(capsys):
@@ -443,12 +454,16 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def _run_cli(pre_args, args, cwd):
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _run_cli(pre_args, args, cwd, stdout=subprocess.PIPE):
     return subprocess.run(
-        [sys.executable, *pre_args, *args], cwd=cwd, env=env,
-        capture_output=True, timeout=300,
+        [sys.executable, *pre_args, *args], cwd=cwd, env=_cli_env(),
+        stdout=stdout, stderr=subprocess.PIPE, timeout=300,
     )
 
 
@@ -561,6 +576,56 @@ def test_scan_csv_identical_under_python_O(tmp_path):
     csv = (tmp_path / "plain.csv").read_bytes()
     assert csv.startswith(b"p,delta,delta_hat\n2,0.0,")
     assert csv == (tmp_path / "optimized.csv").read_bytes()
+
+
+def test_bool_rows_identical_under_python_O(tmp_path):
+    # The derivative rows end in two bool fields, true or false.
+    args = ["-m", "primegaps.cli", "scan", "--which", "k", *LIMIT_1E6]
+    plain = _run_cli([], [*args, "--out", "plain.csv"], tmp_path)
+    optimized = _run_cli(["-O"], [*args, "--out", "optimized.csv"], tmp_path)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    csv = (tmp_path / "plain.csv").read_bytes()
+    assert csv.startswith(b"n,p,b_prime,k_prime,b_rhs,k_rhs,b_ok,k_ok\n1,2,")
+    assert b",false,false\n" in csv and csv.endswith(b",true,true\n")
+    assert csv == (tmp_path / "optimized.csv").read_bytes()
+
+
+def _one_error_line(stderr: bytes) -> bool:
+    lines = stderr.splitlines()
+    return len(lines) == 1 and lines[0].startswith(b"error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args, stdout",
+    [(["scan", "--which", "k", *LIMIT_1E6, "--out", "/dev/full"], os.devnull),
+     (["scan", "--which", "k", *LIMIT_1E6], "/dev/full"),
+     (["report", *LIMIT_1E6], "/dev/full")],
+    ids=["scan-out", "scan-stdout", "report-stdout"],
+)
+def test_full_disk_exits_2_with_one_error_line(tmp_path, args, stdout):
+    # A resource error like any other: no traceback, and no second one
+    # from the interpreter's flush of stdout at exit.
+    with open(stdout, "wb") as fh:
+        done = _run_cli(["-m", "primegaps.cli"], args, tmp_path, stdout=fh)
+    assert done.returncode == 2
+    assert b"Traceback" not in done.stderr
+    assert _one_error_line(done.stderr), done.stderr
+
+
+def test_closed_pipe_exits_2_with_one_error_line(tmp_path):
+    # As `primegaps scan ... | head -1`: the reader takes a line and goes.
+    with subprocess.Popen(
+        [sys.executable, "-m", "primegaps.cli", "scan", "--which", "k", *LIMIT_1E6],
+        cwd=tmp_path, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"n,p,b_prime,k_prime,b_rhs,k_rhs,b_ok,k_ok\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == 2
+    assert b"Traceback" not in stderr
+    assert _one_error_line(stderr), stderr
 
 
 def _to_version_1(ck):

@@ -369,6 +369,38 @@ def test_fused_scan_refuses_parts_with_different_limits():
                       "partial_sums": PartialSumScan(1000)}).limit == 1000
 
 
+@pytest.mark.parametrize(
+    "make, least",
+    [(lambda limit: CgScan(limit, 1.0), 3), (lambda limit: DeltaScan(limit, 1.0), 3),
+     (lambda limit: DerivScan(limit, 1.0), 5),
+     (lambda limit: SchoenfeldScan(limit, 1.0 / 3.0), 10),
+     (lambda limit: BBoundScan(limit, 5.0), 10), (DusartScan, 355992)],
+    ids=["cg", "delta", "deriv", "schoenfeld", "bbound", "dusart"],
+)
+def test_scans_refuse_a_limit_below_their_least_when_built(make, least):
+    # Refused by the constructor, so also where a scan is folded without
+    # its wrapper function, before any header or row is written.
+    with pytest.raises(DomainError, match=f"requires limit >= {least}"):
+        make(least - 1)
+    assert make(least).limit == least
+
+
+def test_delta_scan_refuses_c_that_is_not_positive():
+    # reduce divides by c, after run_scan has written the header row, so
+    # the constructor refuses it first.
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="c > 0"):
+            DeltaScan(1000, c)
+
+
+def test_fused_scan_folds_without_a_sink(data_1e6):
+    fused = FusedScan({"cg": CgScan(1000, 1.0), "bbound": BBoundScan(1000, 5.0)})
+    buf = io.BytesIO()
+    with pytest.raises(DomainError, match="without a sink"):
+        run_scan(data_1e6, fused, sink=RowSink(buf))
+    assert buf.getvalue() == b""
+
+
 def test_deriv_scan_resumed_from_json_equals_uninterrupted(data_1e6):
     # A JSON checkpoint turns the violation tuples into lists; the
     # result must not show which of the two runs it came from.

@@ -1,5 +1,6 @@
 """The numpy row kernel: ``format_rows`` writes exactly what ``str.format``
-writes row by row, ``repr`` for every float64 and ``str`` for every int."""
+writes row by row, ``repr`` for every float64, ``str`` for every int and
+``true``/``false`` for every bool."""
 
 import ast
 import io
@@ -22,7 +23,10 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _oracle(row_fmt, *cols):
-    return "\n".join(map(row_fmt.format, *(c.tolist() for c in cols)))
+    """The rows as ``str.format`` writes them, with a bool as true or false."""
+    values = ([("false", "true")[v] for v in c.tolist()] if c.dtype == bool else c.tolist()
+              for c in cols)
+    return "\n".join(map(row_fmt.format, *values)).encode("ascii")
 
 
 def _floats_from_bits(bits):
@@ -33,7 +37,7 @@ def _floats_from_bits(bits):
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
 def test_float_lanes_equal_repr_over_bit_patterns(bits):
     col = _floats_from_bits(bits)
-    assert format_rows("{!r}", col) == _oracle("{!r}", col)
+    assert format_rows(col) == _oracle("{!r}", col)
 
 
 @settings(max_examples=300, deadline=None)
@@ -43,7 +47,7 @@ def test_float_lanes_equal_repr_in_fixed_notation(values, negate):
     # Bit patterns land in fixed notation (1e-4 <= |x| < 1e16) about one
     # time in thirty; this draws around it.
     col = np.array(values, dtype=np.float64) * (-1.0 if negate else 1.0)
-    assert format_rows("{!r}", col) == _oracle("{!r}", col)
+    assert format_rows(col) == _oracle("{!r}", col)
 
 
 @settings(max_examples=300, deadline=None)
@@ -52,7 +56,7 @@ def test_float_lanes_equal_repr_in_fixed_notation(values, negate):
 @example([10**8 - 1, 10**8, 10**14 - 1, 10**14, -(10**6), 10**6 - 1])
 def test_int64_lanes_equal_str(values):
     col = np.array(values, dtype=np.int64)
-    assert format_rows("{}", col) == _oracle("{}", col)
+    assert format_rows(col) == _oracle("{}", col)
 
 
 _EDGES = [
@@ -71,7 +75,7 @@ _EDGES = [
 def test_edge_values_equal_repr(value):
     value = float(value)
     col = np.array([value, -value])
-    assert format_rows("{!r}", col) == f"{value!r}\n{-value!r}"
+    assert format_rows(col) == f"{value!r}\n{-value!r}".encode("ascii")
 
 
 def test_edge_table_in_one_column_equals_repr():
@@ -79,7 +83,7 @@ def test_edge_table_in_one_column_equals_repr():
     with np.errstate(over="ignore"):  # past the largest double is inf
         around = np.concatenate([np.nextafter(col, np.inf), np.nextafter(col, -np.inf)])
     for values in (col, around):
-        assert format_rows("{!r}", values) == _oracle("{!r}", values)
+        assert format_rows(values) == _oracle("{!r}", values)
 
 
 def test_seeded_sweep_equals_repr():
@@ -93,7 +97,7 @@ def test_seeded_sweep_equals_repr():
     anywhere = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
     rounded = np.round(rng.uniform(-1e7, 1e7, 200_000), 6)
     for col in (near.view(np.float64), anywhere.view(np.float64), rounded):
-        assert format_rows("{!r}", col) == _oracle("{!r}", col)
+        assert format_rows(col) == _oracle("{!r}", col)
 
 
 @pytest.mark.parametrize("rows", [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1])
@@ -104,50 +108,46 @@ def test_blocks_around_the_chunk_size_equal_str_format(rows):
     x = rng.uniform(-3e4, 3e7, rows)
     x[::97] = 0.0  # repr lanes spread over every chunk
     y = 10.0 ** rng.uniform(-6.0, 18.0, rows)
-    ok = np.where(rng.random(rows) < 0.5, "true", "false")
-    row_fmt = "{},{!r},{!r},{}"
+    ok = rng.random(rows) < 0.5
     buf = io.BytesIO()
     sink = RowSink(buf)
     writes = []
     sink.write = lambda line: (writes.append(line), RowSink.write(sink, line))
-    sink.write_rows(row_fmt, n, x, y, ok)
-    expected = _oracle(row_fmt, n, x, y, ok)
+    sink.write_rows(n, x, y, ok)
+    expected = _oracle("{},{!r},{!r},{}", n, x, y, ok)
     assert writes == [expected]
-    assert buf.getvalue() == (expected + "\n").encode("ascii")
+    assert buf.getvalue() == expected + b"\n"
 
 
-def test_a_row_of_empty_strings_is_a_blank_line():
-    buf = io.BytesIO()
-    sink = RowSink(buf)
-    sink.write_rows("{}", np.array([""]))
-    sink.write_rows("{}", np.array(["", ""]))
-    sink.write_rows("{}", np.array([], dtype=str))
-    assert buf.getvalue() == b"\n\n\n"
-    assert sink.offset == 3
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=64))
+def test_bool_lanes_are_true_or_false(values):
+    # first in the row (after "\n") and later (after ",")
+    col = np.array(values, dtype=bool)
+    n = np.arange(len(col), dtype=np.int64)
+    assert format_rows(col, n, col) == _oracle("{},{},{}", col, n, col)
 
 
 @pytest.mark.parametrize(
-    "row_fmt, cols",
+    "cols",
     [
-        ("{}", [np.array([1.5])]),  # {} of a float column
-        ("{!r}", [np.array([1])]),  # {!r} of an int column
-        ("{!r}", [np.array([1.5], dtype=np.float32)]),
-        ("{}", [np.array([True])]),
-        ("{}", [np.array([1], dtype=np.uint64)]),
-        ("{!r}", [np.array(["a"])]),
-        ("{} {!r}", [np.array([1]), np.array([1.5])]),  # not comma-separated
-        ("{};{}", [np.array([1]), np.array([2])]),
-        ("{:.3f}", [np.array([1.5])]),
-        ("x{}", [np.array([1])]),
-        ("{},{}", [np.array([1])]),  # fields without columns
-        ("{},{}", [np.array([1]), np.array([1, 2])]),  # lengths differ
-        ("{}", [np.array([[1]])]),
-        ("{}", [np.array(["a\0b"])]),  # a NUL the compress would drop
+        [np.array([1.5], dtype=np.float32)],
+        [np.array([1], dtype=np.uint64)],
+        [np.array(["a"])],
+        [np.array([b"a"])],
+        [np.array([1], dtype=object)],
+        [np.array([1j])],
+        [],
+        [np.array([1]), np.array([1, 2])],
+        [np.array([[1]])],
+        [np.array(1)],
     ],
+    ids=["float32", "uint64", "str", "bytes", "object", "complex", "no-columns",
+         "lengths-differ", "2-d", "0-d"],
 )
-def test_unsupported_rows_raise_domain_error(row_fmt, cols):
+def test_unsupported_columns_raise_domain_error(cols):
     with pytest.raises(DomainError):
-        format_rows(row_fmt, *cols)
+        format_rows(*cols)
 
 
 def test_the_kernel_checks_without_assert():
@@ -164,7 +164,7 @@ def test_import_does_not_build_the_power_table():
     code = ("import numpy as np, primegaps.cli\n"
             "from primegaps import rowfmt\n"
             "print(rowfmt._g_table.cache_info().currsize)\n"
-            "rowfmt.format_rows('{!r}', np.array([0.5]))\n"
+            "rowfmt.format_rows(np.array([0.5]))\n"
             "print(rowfmt._g_table.cache_info().currsize)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

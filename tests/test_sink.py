@@ -30,10 +30,9 @@ def test_write_rows_is_one_write_per_block_and_none_when_empty():
     sink = RowSink(buf)
     writes = []
     sink.write = lambda line: (writes.append(line), RowSink.write(sink, line))
-    sink.write_rows("{},{!r},{}", np.array([2, 3]), np.array([0.1, -0.0]),
-                    np.where(np.array([True, False]), "true", "false"))
-    sink.write_rows("{},{!r}", np.array([], dtype=np.int64), np.array([]))
-    assert writes == ["2,0.1,true\n3,-0.0,false"]
+    sink.write_rows(np.array([2, 3]), np.array([0.1, -0.0]), np.array([True, False]))
+    sink.write_rows(np.array([], dtype=np.int64), np.array([]))
+    assert writes == [b"2,0.1,true\n3,-0.0,false"]
     assert buf.getvalue() == b"2,0.1,true\n3,-0.0,false\n"
     assert sink.offset == len(buf.getvalue())
 
