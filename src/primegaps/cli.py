@@ -26,6 +26,7 @@ reproduces the uninterrupted output byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import os
@@ -254,10 +255,16 @@ class _Checkpoint:
 
 
 class _Output:
-    """CSV destination: stdout, a fresh file, or a truncated resume file."""
+    """CSV destination: stdout, a fresh file, or a truncated resume file.
+
+    As a context manager it closes the output on leaving, and turns an
+    ``OSError`` from writing it (a full disk, a closed pipe) into a
+    ``UsageError`` that names it.
+    """
 
     def __init__(self, path: str | None, resume_offset: int = 0):
         self.path = path
+        self.name = path if path is not None else "<stdout>"
         if path is None:
             self._fh = sys.stdout.buffer
             self._close = False
@@ -288,9 +295,31 @@ class _Output:
         else:
             self._fh.flush()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        try:
+            self.close()
+        except OSError as close_error:
+            exc = exc if exc is not None else close_error
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write output {self.name}: {exc}") from exc
+        return False
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it, so that a full disk or a
+    closed pipe shows here, named, and not in the flush at exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write output <stdout>: {exc}") from exc
+
 
 def _emit_summary(summary: dict) -> None:
-    print(json.dumps(summary, sort_keys=True))
+    _write_stdout(json.dumps(summary, sort_keys=True) + "\n")
 
 
 def _write_json_file(path: str, doc: dict) -> None:
@@ -440,12 +469,9 @@ def _finish_fit(samples, args) -> int:
     binned = fitmod.bin_average_k(samples, args.bins)
     result = fitmod.fit_skewes(binned)
     if args.out and args.format == "csv":
-        out = _Output(args.out)
-        try:
+        with _Output(args.out) as out:
             out.sink.write(b"log_x_mid,k_mean")
             out.sink.write_rows(*np.array(binned, dtype=np.float64).T)
-        finally:
-            out.close()
     elif args.out:
         _write_json_file(args.out, result.to_json())
     _emit_summary({"command": "fit", "pass": True, **result.to_json()})
@@ -541,7 +567,7 @@ def _finish_report(results, args) -> int:
 
     if args.out:
         _write_json_file(args.out, doc)
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_stdout(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0 if doc["pass"] else 1
 
 
@@ -660,9 +686,8 @@ def _run(args) -> int:
         raise UsageError("checkpointed CSV runs need --out")
 
     _keep_block_arrays_on_heap(*cmd.thresholds)
-    out = _Output(args.out, ckpt.offset) if rows else None
-    sink = out.sink if out is not None else None
-    try:
+    with _Output(args.out, ckpt.offset) if rows else contextlib.nullcontext() as out:
+        sink = out.sink if out is not None else None
         state, finished = run_scan(
             data,
             scan,
@@ -672,9 +697,6 @@ def _run(args) -> int:
             on_block=lambda st: ckpt.save(st, sink),
             stop_after_blocks=args.stop_after_blocks,
         )
-    finally:
-        if out is not None:
-            out.close()
     if not finished:
         _emit_summary({**head, "stopped_at_block": state["block"]})
         return 0
@@ -685,15 +707,10 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        code = _run(_parse(sys.argv[1:] if argv is None else list(argv)))
-        sys.stdout.flush()  # a full disk shows here, not at exit
-        return code
+        return _run(_parse(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:  # argparse: --help, or a value it refuses
         return int(exc.code) if exc.code else 0
-    except (UsageError, PrimeGapsError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a full disk or a closed pipe
+    except (UsageError, PrimeGapsError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         try:
             sys.stdout.flush()

@@ -1,28 +1,42 @@
 """CSV rows formatted by numpy, one field per column, picked by its dtype.
 
-``format_rows(*cols)`` returns the ASCII bytes of the rows, joined by
-``\\n`` with none after.  Each column's dtype picks its field: a signed
-integer gives ``str`` of the value, its decimal; a float64 ``repr``;
-a bool ``true`` or ``false``.  Any other column raises ``DomainError``,
-so no row takes another code path.
+``format_rows(*cols)`` returns the ASCII text of the rows as a
+``bytearray``, joined by ``\\n`` with none after.  Each column's dtype
+picks its field: a signed integer gives ``str`` of the value, its
+decimal; a float64 ``repr``; a bool ``true`` or ``false``.  Any other
+column raises ``DomainError``, so no row takes another code path.
 
 A float's ``repr`` is the shortest decimal that reads back to the same
 double, the closest one when several are.  Its digits come from
 Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020)
 in uint64 lanes: a 64x64->128-bit high product from 32-bit halves and a
-table of 126-bit 10^-k, built at first use.  The kernel lays out zeros
-and normals in ``repr``'s fixed and scientific notations; subnormals,
-inf, nan and fractions longer than 18 digits keep ``float.__repr__``
-itself, so their bytes match by construction.
+table of 126-bit 10^-k, built at first use.  Where a chunk's lanes share
+one binary exponent and none is a power of two, as a scan's running
+sums mostly do, the exponent's k, h and 10^-k are scalars; otherwise
+they are taken per lane.  The kernel lays out zeros and normals in
+``repr``'s fixed and scientific notations; subnormals, inf, nan and
+fractions longer than 18 digits keep ``float.__repr__`` itself, so
+their bytes match by construction.  A chunk whose lanes all lie in
+[1e-2, 1e16) is in fixed notation throughout with at most 18 fraction
+digits, so it skips the masks that sort lanes by notation.
+
+A fixed lane's integer part is ``trunc(|v|)``, not the shortest decimal
+D over a per-lane power of ten.  The two agree.  Below 2^53 every
+integer is a double, and no double but v lies in v's rounding interval,
+which holds D; so no integer but v lies between v and D, and an integer
+v has fewer digits than any non-integer in that interval, so then
+D = v.  From 2^53 to 1e16 the doubles are even integers, the interval is
+v -+ 1 and its other decimals are odd or longer, so again D = v.
 
 A row is built as 8-byte words, one column of words per field part:
 separator and sign, digits (eight per word, split in parallel within
-the word), point and exponent; a bool field is one word.  Unused
-bytes are NUL, and one boolean compress of the word matrix drops them.
-Rows are formatted ``ROW_CHUNK`` at a time so the matrices stay in
-cache.  Every dtype is explicit and every uint64 constant a
-``np.uint64``, so numpy's value-based promotion never turns a lane into
-float64.
+the word), point and exponent; a bool field is one word.  Unused bytes
+are NUL.  Rows are formatted ``ROW_CHUNK`` at a time so the matrices
+stay in cache; each chunk's word matrix lives in a ``bytearray``, whose
+``translate`` drops the NULs in one C pass and appends the rest to the
+one output buffer.  Every dtype is explicit and every uint64 constant a
+``np.uint64``, so numpy's value-based promotion before NEP 50 never
+turns a lane into float64.
 """
 
 from __future__ import annotations
@@ -42,6 +56,8 @@ _M32, _S32 = _U64(0xFFFFFFFF), _U64(32)
 _M63, _S63 = _U64((1 << 63) - 1), _U64(63)
 _ZERO, _ONE, _TWO, _TEN, _HUNDRED = (_U64(n) for n in (0, 1, 2, 10, 100))
 _E4, _E8 = _U64(10**4), _U64(10**8)
+_T_BITS = (1 << 52) - 1  # a double's significand field
+_T_MASK, _HIDDEN_BIT = _U64(_T_BITS), _U64(1 << 52)
 _ONE_BITS = _U64(0x3FF0000000000000)  # 1.0, a stand-in for lanes not formatted here
 # 10^0 .. 10^19, every power of ten below 2^64
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
@@ -54,9 +70,11 @@ _ZERO_TO_DOT = _U64(ord("0") ^ ord("."))  # "0" to "." in the first byte
 _UNITS_BIT = _U64(1 << 56)
 _THREE_DIGITS, _NO_HUNDREDS = _U64(0xFFFFFF0000), _U64(0xFFFF000000)
 _MIN_NORMAL, _MAX_DOUBLE = 2.0**-1022, float.fromhex("0x1.fffffffffffffp+1023")
-# _KEEP_BYTES[m] keeps a word's first m bytes.
-_KEEP_BYTES = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
-_NUL = np.uint8(0)
+# _KEEP_FRAC[i][kept] keeps the bytes of fraction word i that hold the
+# point and the first ``kept`` fraction digits: word 0 holds the point
+# and digits 1-7, word 1 digits 8-15, word 2 digits 16-18.
+_KEEP_FRAC = np.array([[(1 << 8 * min(max(kept - start, 0), 8)) - 1 for kept in range(19)]
+                       for start in (-1, 7, 15)], dtype=np.uint64)
 # "true" and "false" after a separator byte
 _TRUE, _FALSE = (_U64(int.from_bytes(word, "little") << 8)
                   for word in (b"true", b"false"))
@@ -135,49 +153,71 @@ def _rops(g1, g0, cp, lower_shift, upper_shift):
 def _shortest(bits):
     """Shortest round-trip decimal f 10^e of each positive normal double,
     closest to it when several are shortest, with f free of trailing
-    zeros; bits are the doubles' uint64 patterns, sign bit ignored."""
-    bq = (bits >> _U64(52)) & _U64(0x7FF)
-    t = bits & _U64((1 << 52) - 1)
-    c = t | _U64(1 << 52)
-    q = bq.astype(np.int64) - np.int64(1075)
-    # Where c is the least significand (a power of two) the spacing below
-    # is half the spacing above, and the interval's lower end moves in.
-    irregular = (t == _U64(0)) & (bq > _ONE)
-    k = q * np.int64(661_971_961_083)
-    if irregular.any():
-        k -= np.where(irregular, np.int64(274_743_187_321), np.int64(0))
-    k >>= np.int64(41)
-    h = (q + _flog2pow10(-k) + np.int64(2)).astype(np.uint64)
-    g1, g0 = (g.take(k - np.int64(_K_MIN)) for g in _g_table())
-    # The interval ends are 4c -+ 2, or 4c - 1 below where irregular.
-    upper_shift = h + _ONE
-    lower_shift = np.where(irregular, h, upper_shift) if irregular.any() else upper_shift
-    vbl, vb, vbr = _rops(g1, g0, (c << _TWO) << h, lower_shift, upper_shift)
+    zeros; bits are the doubles' uint64 patterns, sign bit ignored.
+
+    Where every lane lies in one binade and none is a power of two, k,
+    h, g and the interval's ends are the same for all lanes and are
+    taken once, as scalars; elsewhere they are taken per lane.
+    """
+    mag = bits & _M63
+    lo, hi = int(mag.min()), int(mag.max())
+    c = (mag & _T_MASK) | _HIDDEN_BIT
+    if lo >> 52 == hi >> 52 and lo & _T_BITS:
+        q = (hi >> 52) - 1075
+        k = (q * 661_971_961_083) >> 41
+        h = q + _flog2pow10(-k) + 2
+        g1, g0 = (g[k - _K_MIN] for g in _g_table())
+        shift = _U64(h + 1)  # the interval ends are 4c -+ 2
+        vbl, vb, vbr = _rops(g1, g0, c << _U64(h + 2), shift, shift)
+    else:
+        bq = mag >> _U64(52)
+        q = bq.astype(np.int64) - np.int64(1075)
+        # Where c is the least significand (a power of two) the spacing
+        # below is half the spacing above, and the interval's lower end
+        # moves in.
+        irregular = (c == _HIDDEN_BIT) & (bq > _ONE)
+        k = q * np.int64(661_971_961_083)
+        if irregular.any():
+            k -= np.where(irregular, np.int64(274_743_187_321), np.int64(0))
+        k >>= np.int64(41)
+        h = (q + _flog2pow10(-k) + np.int64(2)).astype(np.uint64)
+        g1, g0 = (g.take(k - np.int64(_K_MIN)) for g in _g_table())
+        # The interval ends are 4c -+ 2, or 4c - 1 below where irregular.
+        upper_shift = h + _ONE
+        lower_shift = np.where(irregular, h, upper_shift) if irregular.any() else upper_shift
+        vbl, vb, vbr = _rops(g1, g0, c << (h + _TWO), lower_shift, upper_shift)
     out = c & _ONE
     lower = vbl + out
-    # One digit fewer: u' = s' 10^(k+1) and w' = u' + 10^(k+1) with
+    # One digit fewer: u' = s' 10^(k+1) and w' = (s' + 1) 10^(k+1) with
     # s' = floor(s / 10); taken when exactly one lies in the interval.
     s = vb >> _TWO
-    sp10 = (s // _TEN) * _TEN
-    tp10 = sp10 + _TEN
+    sp = s // _TEN
+    sp10 = sp * _TEN
     upin = lower <= sp10 << _TWO
-    wpin = (tp10 << _TWO) + out <= vbr
+    wpin = ((sp10 + _TEN) << _TWO) + out <= vbr
+    fewer = (s >= _HUNDRED) & (upin != wpin)
     # Else u = s 10^k or w = (s + 1) 10^k: the one in the interval, or
     # the closer when both are, the even one on a tie.
     t1 = s + _ONE
     uin = lower <= s << _TWO
     win = (t1 << _TWO) + out <= vbr
     mid = (s + t1) << _ONE
-    pick_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _ONE) == _U64(0))))
-    f = np.where(pick_s, s, t1)
-    f = np.where((s >= _U64(100)) & (upin != wpin), np.where(upin, sp10, tp10), f)
-    e = k
-    for n in (16, 8, 4, 2, 1):
-        quo = f // _POW10[n]
-        strip = quo * _POW10[n] == f
-        if strip.any():
-            f = np.where(strip, quo, f)
-            e = e + np.where(strip, np.int64(n), np.int64(0))
+    pick_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _ONE) == _ZERO)))
+    # the lower candidate, plus one where the upper one is taken
+    f = np.where(fewer, sp, s) + ~np.where(fewer, upin, pick_s)
+    e = fewer.astype(np.int64)
+    e += k
+    # Trailing zeros: one test over every lane, then rounds over the few
+    # lanes that still end in zero.
+    quo = f // _TEN
+    ends = np.flatnonzero(quo * _TEN == f)
+    quo = quo[ends]
+    while len(ends):
+        f[ends] = quo
+        e[ends] += np.int64(1)
+        tens = quo // _TEN
+        more = tens * _TEN == quo
+        ends, quo = ends[more], tens[more]
     return f, e
 
 
@@ -262,51 +302,56 @@ def _float_field(col, sep: int):
     """
     bits = col.view(np.uint64)
     size = np.abs(col)
-    normal = (size >= _MIN_NORMAL) & (size <= _MAX_DOUBLE)
-    f, e = _shortest(bits if normal.all() else np.where(normal, bits, _ONE_BITS))
-    sci = normal & ((size < 1e-4) | (size >= 1e16))
-    digits_here = sci | (normal & (e >= np.int64(-18)))
-    exponent = None
-    if sci.any():
-        # digits of f after the first
-        shift = np.searchsorted(_POW10, f, side="right").astype(np.int64) - np.int64(1)
-        exponent = _exponent_word(e + shift, sci)
-        e = np.where(sci, -shift, e)
-    if not digits_here.all():  # zeros are 0 10^0 here, the rest repr's
-        f = np.where(digits_here, f, _ZERO)
-        e = np.where(digits_here, e, np.int64(0))
+    exponent, slow = None, ()
+    if size.min() >= 1e-2 and size.max() < 1e16:
+        # Every lane is a normal in fixed notation, and as f < 10^17,
+        # e >= -18: no lane needs the masks below.
+        f, e = _shortest(bits)
+        whole = size.astype(np.uint64)  # trunc(|v|), the module docstring says why
+    else:
+        normal = (size >= _MIN_NORMAL) & (size <= _MAX_DOUBLE)
+        f, e = _shortest(bits if normal.all() else np.where(normal, bits, _ONE_BITS))
+        sci = normal & ((size < 1e-4) | (size >= 1e16))
+        fixed = normal & ~sci & (e >= np.int64(-18))
+        digits_here = sci | fixed
+        whole = np.where(fixed, size, 0.0).astype(np.uint64)
+        if sci.any():
+            # digits of f after the first
+            shift = np.searchsorted(_POW10, f, side="right").astype(np.int64) - np.int64(1)
+            exponent = _exponent_word(e + shift, sci)
+            e = np.where(sci, -shift, e)
+            whole = np.where(sci, f // _POW10.take(shift), whole)
+        if not digits_here.all():  # zeros are 0 10^0 here, the rest repr's
+            f = np.where(digits_here, f, _ZERO)
+            e = np.where(digits_here, e, np.int64(0))
+            slow = np.flatnonzero(~digits_here & (size != 0.0))
     frac_len = np.maximum(-e, np.int64(0))
-    div = _POW10.take(frac_len)
-    whole = f // div
-    rest = f - whole * div
-    whole = whole * _POW10.take(np.maximum(e, np.int64(0)))
+    rest = np.where(e < np.int64(0), f - whole * _POW10.take(frac_len), _ZERO)
     words = _int_words(whole, _head(sep, bits >> _S63))
     # The fraction: a word of "." and 7 digits, then words of 8, the
     # last of at most 3 (18 digits in all); trailing zeros NUL, one kept
     # in fixed notation.  A scientific lane of one digit has no point.
     kept = np.maximum(frac_len, np.int64(1))
-    point_word = np.minimum(kept, np.int64(7)) + np.int64(1)
-    if exponent is not None:
-        point_word = np.where(sci & (frac_len == np.int64(0)), np.int64(0), point_word)
     most = int(kept.max())
     digits = 7 if most <= 7 else 15 if most <= 15 else 18
     frac = rest * _POW10.take(np.int64(digits) - frac_len)
     left = digits - 7
     head = frac // _POW10[left]
     rest = frac - head * _POW10[left]
-    words.append(((_raw8(head) | _ASCII_ZEROS) ^ _ZERO_TO_DOT) & _KEEP_BYTES.take(point_word))
-    start = 7
-    while left:
+    point = _KEEP_FRAC[0].take(kept)
+    if exponent is not None:
+        point = np.where(sci & (frac_len == np.int64(0)), _ZERO, point)
+    words.append(((_raw8(head) | _ASCII_ZEROS) ^ _ZERO_TO_DOT) & point)
+    for keep in _KEEP_FRAC[1:]:
+        if not left:
+            break
         take = min(left, 8)
         left -= take
         part = rest // _POW10[left]
         rest = rest - part * _POW10[left]
-        words.append((_raw8(part * _POW10[8 - take]) | _ASCII_ZEROS)
-                     & _KEEP_BYTES.take(np.clip(kept - np.int64(start), 0, 8)))
-        start += 8
+        words.append((_raw8(part * _POW10[8 - take]) | _ASCII_ZEROS) & keep.take(kept))
     if exponent is not None:
         words.append(exponent)
-    slow = np.flatnonzero(~digits_here & (size != 0.0))
     if not len(slow):
         return words, None
     text = np.array([repr(v) for v in col[slow].tolist()], dtype=np.bytes_)
@@ -341,7 +386,7 @@ def _field_kind(col, i: int):
     raise DomainError(f"row column {i} of dtype {col.dtype} is not supported")
 
 
-def format_rows(*cols) -> bytes:
+def format_rows(*cols) -> bytearray:
     """The rows of ``cols``, joined by ``\\n`` with none after."""
     if not cols:
         raise DomainError("rows need at least one column")
@@ -353,7 +398,7 @@ def format_rows(*cols) -> bytes:
     # Each row starts with "\n" and each later field with ",", so the
     # block's text is its bytes less the first.
     seps = [ord("\n")] + [ord(",")] * (len(cols) - 1)
-    chunks = []
+    out = bytearray()
     for start in range(0, n, ROW_CHUNK):
         words, patches = [], []
         for kind, col, sep in zip(kinds, cols, seps):
@@ -361,12 +406,13 @@ def format_rows(*cols) -> bytes:
             if patch is not None:
                 patches.append((8 * len(words), *patch))
             words += field
-        matrix = np.empty((len(words[0]), len(words)), dtype=_WORD)
+        buf = bytearray(8 * len(words[0]) * len(words))
+        matrix = np.frombuffer(buf, dtype=_WORD).reshape(len(words[0]), len(words))
         for j, word in enumerate(words):
             matrix[:, j] = word
         text = matrix.view(np.uint8)
         for offset, rows, patch in patches:
             text[rows, offset:offset + patch.shape[1]] = patch
-        flat = text.reshape(-1)
-        chunks.append(flat[flat != _NUL][int(not start):])
-    return b"".join(chunks)
+        out += buf.translate(None, b"\0")
+    del out[:1]
+    return out

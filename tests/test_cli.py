@@ -598,20 +598,22 @@ def _one_error_line(stderr: bytes) -> bool:
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
-    "args, stdout",
-    [(["scan", "--which", "k", *LIMIT_1E6, "--out", "/dev/full"], os.devnull),
-     (["scan", "--which", "k", *LIMIT_1E6], "/dev/full"),
-     (["report", *LIMIT_1E6], "/dev/full")],
+    "args, stdout, name",
+    [(["scan", "--which", "k", *LIMIT_1E6, "--out", "/dev/full"], os.devnull, b"/dev/full"),
+     (["scan", "--which", "k", *LIMIT_1E6], "/dev/full", b"<stdout>"),
+     (["report", *LIMIT_1E6], "/dev/full", b"<stdout>")],
     ids=["scan-out", "scan-stdout", "report-stdout"],
 )
-def test_full_disk_exits_2_with_one_error_line(tmp_path, args, stdout):
+def test_full_disk_exits_2_with_one_error_line(tmp_path, args, stdout, name):
     # A resource error like any other: no traceback, and no second one
-    # from the interpreter's flush of stdout at exit.
+    # from the interpreter's flush of stdout at exit.  The line names the
+    # output that could not be written.
     with open(stdout, "wb") as fh:
         done = _run_cli(["-m", "primegaps.cli"], args, tmp_path, stdout=fh)
     assert done.returncode == 2
     assert b"Traceback" not in done.stderr
     assert _one_error_line(done.stderr), done.stderr
+    assert name in done.stderr and b"No space left on device" in done.stderr, done.stderr
 
 
 def test_closed_pipe_exits_2_with_one_error_line(tmp_path):
@@ -626,6 +628,7 @@ def test_closed_pipe_exits_2_with_one_error_line(tmp_path):
         assert proc.wait(timeout=300) == 2
     assert b"Traceback" not in stderr
     assert _one_error_line(stderr), stderr
+    assert b"<stdout>" in stderr, stderr
 
 
 def _to_version_1(ck):

@@ -7,6 +7,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,101 @@ def test_seeded_sweep_equals_repr():
     rounded = np.round(rng.uniform(-1e7, 1e7, 200_000), 6)
     for col in (near.view(np.float64), anywhere.view(np.float64), rounded):
         assert format_rows(col) == _oracle("{!r}", col)
+
+
+def test_single_binade_chunks_equal_repr():
+    # Every lane of a chunk in one binade and none a power of two: the
+    # kernel takes the exponent's k, h and 10^-k once, as scalars.
+    rng = np.random.default_rng(1021)
+    pick = rng.integers(0, 128, ROW_CHUNK)
+    for e in range(-1021, 1023):
+        mag = (np.uint64(e + 1023) << np.uint64(52)) | rng.integers(1, 2**52, 64, dtype=np.uint64)
+        values = np.concatenate([mag, mag | np.uint64(1 << 63)]).view(np.float64)
+        text = np.array([repr(v).encode("ascii") for v in values.tolist()])
+        assert format_rows(values[pick]) == b"\n".join(text[pick].tolist()), e
+
+
+def test_powers_of_two_in_single_binade_chunks_equal_repr():
+    # A power of two takes its chunk to the per-lane exponents, where its
+    # interval's lower end moves in (except in the least binade).  About
+    # one binade in eight has a power of two whose digits would differ.
+    rng = np.random.default_rng(1023)
+    for e in range(-1022, 1024):
+        bits = (np.uint64(e + 1023) << np.uint64(52)) | rng.integers(0, 2**52, 64,
+                                                                       dtype=np.uint64)
+        bits[::16] &= np.uint64(0xFFF0000000000000)
+        bits[1::2] |= np.uint64(1 << 63)
+        col = bits.view(np.float64)
+        assert format_rows(col) == _oracle("{!r}", col), e
+
+
+def test_fixed_fast_path_edges_equal_repr():
+    # [1e-2, 1e16) takes the fixed path with no masks; one lane past
+    # either end takes the general one.
+    edges = [1e-2, np.nextafter(1e-2, 1.0), np.nextafter(1e16, 0.0), 2.0**53 - 2, 2.0**53,
+             2.0**53 + 2, 0.5, 1.0, 123.0, 1e15]
+    inside = np.array(edges + [-x for x in edges])
+    for col in (inside, np.append(inside, np.nextafter(1e-2, 0.0)), np.append(inside, 1e16),
+                np.append(inside, -1e16)):
+        assert format_rows(col) == _oracle("{!r}", col)
+
+
+def test_integer_valued_doubles_below_1e16_equal_repr():
+    # Their shortest decimal has e >= 0, so the fraction is empty: a lane
+    # like 3673584401162700.0 must not write "...700.5".
+    rng = np.random.default_rng(1015)
+    ints = rng.integers(10**15, 10**16, ROW_CHUNK)
+    ints //= 10 ** rng.integers(0, 16, ROW_CHUNK)
+    ints *= 10 ** rng.integers(0, 16, ROW_CHUNK)
+    ints = np.clip(ints, 10**15, 10**16 - 2)
+    col = ints.astype(np.float64) * np.where(rng.random(ROW_CHUNK) < 0.5, -1.0, 1.0)
+    col[:4] = [3673584401162700.0, -3673584401162700.0, 1e15, 9999999999999998.0]
+    assert format_rows(col) == _oracle("{!r}", col)
+
+
+@pytest.mark.parametrize("special", [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                                     2.0**-1030, 2.0**-1022, 1e-3, 0.0012345678901234567,
+                                     1.5e-5, 1e20])
+def test_one_lane_outside_the_fixed_range_equals_repr(special):
+    # One lane sends the whole chunk to the general path.
+    rng = np.random.default_rng(7)
+    col = rng.uniform(1e-2, 1e6, ROW_CHUNK) * np.where(rng.random(ROW_CHUNK) < 0.5, -1.0, 1.0)
+    col[rng.integers(ROW_CHUNK)] = special
+    assert format_rows(col) == _oracle("{!r}", col)
+
+
+def test_lanes_ending_in_zeros_equal_repr():
+    # Shorter decimals among 17-digit ones: the digits found end in one
+    # to sixteen zeros, stripped in rounds over fewer and fewer lanes.
+    rng = np.random.default_rng(17)
+    col = rng.uniform(1.0, 1e6, ROW_CHUNK)
+    short = [f"{rng.integers(1, 10 ** int(d))}e{rng.integers(-20, 12)}"
+             for d in rng.integers(1, 18, len(col[::7]))]
+    col[::7] = np.array(short, dtype=np.float64)
+    col[1::7] = np.resize([1.5, 0.1, 1e15, 100.0, 1234567890123450.0], len(col[1::7]))
+    fixed = col[(col >= 1e-2) & (col < 1e16)]  # the fast path's lanes
+    for chunk in (col, -col, fixed, -fixed):
+        assert format_rows(chunk) == _oracle("{!r}", chunk)
+
+
+def test_peak_memory_stays_below_twice_the_output():
+    # One block of delta-scan-like rows (p, delta, delta_hat): the word
+    # matrix is one chunk's, and each chunk's text goes straight to the
+    # one output buffer.
+    rng = np.random.default_rng(32768)
+    n = 32_768
+    p = 29_000_001 + np.cumsum(2 * rng.integers(1, 30, n))
+    delta = 4.5e8 + np.cumsum(rng.uniform(0.0, 30.0, n))
+    delta_hat = rng.uniform(-1.3e5, 3.0, n)
+    format_rows(p[:1], delta[:1], delta_hat[:1])  # builds the 10^-k table
+    tracemalloc.start()
+    try:
+        out = format_rows(p, delta, delta_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == _oracle("{},{!r},{!r}", p, delta, delta_hat)
+    assert peak < 2 * len(out), peak / len(out)
 
 
 @pytest.mark.parametrize("rows", [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1])
