@@ -182,6 +182,13 @@ def _write_checkpoint(path: str, payload: dict) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        # The rename is durable only once the directory entry is (Pillai
+        # et al., "All File Systems Are Not Created Equal", OSDI 2014).
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise UsageError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -233,29 +240,20 @@ class _Checkpoint:
         self.state = payload["scan_state"]
         self.offset = payload["sink_offset"]
 
-    def save(self, state: dict, sink: RowSink | None = None) -> None:
-        """Put the sink's rows on disk, then record ``state`` and the sink offset."""
-        if not self.path:
-            return
-        if sink is not None:
-            sink.sync()
-        _write_checkpoint(
-            self.path,
-            {
-                "version": CHECKPOINT_VERSION,
-                "key": self.key,
-                "scan_state": state,
-                "sink_offset": sink.offset if sink is not None else 0,
-            },
-        )
+    def save(self, state: dict, offset: int) -> None:
+        """Record ``state`` and the sink ``offset``, whose rows ``run_scan``
+        has already synced."""
+        _write_checkpoint(self.path, {"version": CHECKPOINT_VERSION, "key": self.key,
+                                      "scan_state": state, "sink_offset": offset})
 
     def remove(self) -> None:
         if self.path and os.path.exists(self.path):
             os.remove(self.path)
 
 
-class _Output:
-    """CSV destination: stdout, a fresh file, or a truncated resume file.
+class _Output(RowSink):
+    """The CSV sink on stdout, a fresh file, or a resume file truncated to
+    the checkpoint's offset.
 
     As a context manager it closes the output on leaving, and turns an
     ``OSError`` from writing it (a full disk, a closed pipe) into a
@@ -263,31 +261,28 @@ class _Output:
     """
 
     def __init__(self, path: str | None, resume_offset: int = 0):
-        self.path = path
         self.name = path if path is not None else "<stdout>"
+        self._close = path is not None
         if path is None:
-            self._fh = sys.stdout.buffer
-            self._close = False
-            self.sink = RowSink(self._fh)
+            fh = sys.stdout.buffer
         else:
             try:
                 if resume_offset:
-                    self._fh = open(path, "r+b")
-                    size = self._fh.seek(0, os.SEEK_END)
+                    fh = open(path, "r+b")
+                    size = fh.seek(0, os.SEEK_END)
                     if size < resume_offset:
-                        self._fh.close()
+                        fh.close()
                         raise UsageError(
                             f"output {path} holds {size} bytes, fewer than the "
                             f"{resume_offset} the checkpoint recorded"
                         )
-                    self._fh.truncate(resume_offset)
-                    self._fh.seek(resume_offset)
+                    fh.truncate(resume_offset)
+                    fh.seek(resume_offset)
                 else:
-                    self._fh = open(path, "wb")
+                    fh = open(path, "wb")
             except OSError as exc:
                 raise UsageError(f"cannot open output path {path}: {exc}") from exc
-            self._close = True
-            self.sink = RowSink(self._fh, resume_offset)
+        super().__init__(fh, resume_offset)
 
     def close(self):
         if self._close:
@@ -457,21 +452,15 @@ def _fit_scan(args) -> BlockScan:
         raise UsageError(f"fit needs --x-min >= 16, got {args.x_min}")
     if args.bins < 1:
         raise UsageError(f"fit needs --bins >= 1, got {args.bins}")
-    return fitmod.SampleScan(args.x_min, args.limit, stride=args.stride, per_decade=200)
+    return fitmod.FitScan(args.x_min, args.limit, stride=args.stride,
+                          bin_count=args.bins)
 
 
-def _finish_fit(samples, args) -> int:
-    if len(samples) < 3:
-        raise UsageError(
-            f"only {len(samples)} samples in [{args.x_min}, {args.limit}]; "
-            "lower --stride or raise --limit"
-        )
-    binned = fitmod.bin_average_k(samples, args.bins)
-    result = fitmod.fit_skewes(binned)
+def _finish_fit(result, args) -> int:
     if args.out and args.format == "csv":
         with _Output(args.out) as out:
-            out.sink.write(b"log_x_mid,k_mean")
-            out.sink.write_rows(*np.array(binned, dtype=np.float64).T)
+            out.write(b"log_x_mid,k_mean")
+            out.write_rows(*np.array(result.bins, dtype=np.float64).T)
     elif args.out:
         _write_json_file(args.out, result.to_json())
     _emit_summary({"command": "fit", "pass": True, **result.to_json()})
@@ -574,18 +563,12 @@ def _finish_report(results, args) -> int:
 # ----------------------------------------------------------------------
 # The command table and the one run path
 
-# glibc mallopt parameters (malloc.h) and the (mmap, trim) thresholds
-# the commands set.  report's larger pair keeps its Li grids on the
-# heap (at 2 / 4 MiB it takes 160 k faults at 1e8); the streaming
-# commands' smaller trim threshold keeps the delta CSV scan's peak RSS
-# near 41 MB at 3e7 (4 / 16 MiB add about 1%).
+# glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_REPORT_THRESHOLDS = (4 << 20, 16 << 20)
-_STREAM_THRESHOLDS = (2 << 20, 4 << 20)
 
 
-def _keep_block_arrays_on_heap(mmap_threshold: int, trim_threshold: int) -> None:
+def _keep_block_arrays_on_heap() -> None:
     """Serve the fold's per-block arrays and sieve segments from the heap,
     under glibc malloc.
 
@@ -594,8 +577,10 @@ def _keep_block_arrays_on_heap(mmap_threshold: int, trim_threshold: int) -> None
     threshold at twice that, so each array is mapped and unmapped again
     (about half a million page faults for ``report`` at 1e8), or the heap
     top is trimmed and faulted in again every few sieve segments (about
-    200 k for ``scan --which cg`` at 1e9).  Fixed thresholds keep them on
-    the heap.  Elsewhere this does nothing.
+    200 k for ``scan --which cg`` at 1e9).  Fixed thresholds, 4 MiB mmap
+    and 16 MiB trim for every command, keep them on the heap: at 4 MiB of
+    trim ``report`` takes 160 k faults at 1e8, and the streaming commands
+    peak no higher at 16.  Elsewhere this does nothing.
     """
     try:
         libc = ctypes.CDLL(None)
@@ -606,8 +591,8 @@ def _keep_block_arrays_on_heap(mmap_threshold: int, trim_threshold: int) -> None
     mallopt = libc.mallopt
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
-    mallopt(_M_TRIM_THRESHOLD, trim_threshold)
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
 class _Command(NamedTuple):
@@ -615,18 +600,16 @@ class _Command(NamedTuple):
 
     ``make(args)`` builds the scan and ``minimum(args)`` is the least
     --limit.  ``key`` names the arguments, besides ``echo(args)``, that
-    shape the output and so enter the checkpoint key.  ``streams`` says
-    the scan's CSV rows go to the sink as it folds (only under
-    --format csv when ``format`` is in the key).  ``thresholds`` is the
-    malloc (mmap, trim) pair, and ``finish(result, args)`` writes the
-    outputs left once the fold ends and returns the exit code.
+    shape the output and so enter the checkpoint key.  ``finish(result,
+    args)`` writes the outputs left once the fold ends and returns the
+    exit code.  A scan with a ``header()`` streams its CSV rows to the
+    sink as it folds (only under --format csv when ``format`` is in the
+    key).
     """
 
     make: Callable[[argparse.Namespace], BlockScan]
     minimum: Callable[[argparse.Namespace], int]
     key: tuple[str, ...]
-    streams: bool
-    thresholds: tuple[int, int]
     finish: Callable[[object, argparse.Namespace], int]
 
 
@@ -636,33 +619,31 @@ def _which_minimum(args) -> int:
 
 _COMMANDS = {
     "selberg": _Command(
-        make=_selberg_scan, minimum=lambda args: 4, key=("points",), streams=True,
-        thresholds=_STREAM_THRESHOLDS, finish=_finish_selberg,
+        make=_selberg_scan, minimum=lambda args: 4, key=("points",),
+        finish=_finish_selberg,
     ),
     "scan": _Command(
         make=lambda args: SCANS[args.which].make(args),
-        minimum=_which_minimum, key=("which", "format"), streams=True,
-        thresholds=_STREAM_THRESHOLDS, finish=_finish_scan,
+        minimum=_which_minimum, key=("which", "format"), finish=_finish_scan,
     ),
     "figure1": _Command(
         make=lambda args: fluct.DerivScan(args.limit, args.c, sink_mode="figure"),
-        minimum=_which_minimum, key=("which", "format"), streams=True,
-        thresholds=_STREAM_THRESHOLDS, finish=_finish_figure1,
+        minimum=_which_minimum, key=("which", "format"), finish=_finish_figure1,
     ),
     "fit": _Command(
         make=_fit_scan, minimum=lambda args: 10**4, key=("stride", "bins", "x_min"),
-        streams=False, thresholds=_STREAM_THRESHOLDS, finish=_finish_fit,
+        finish=_finish_fit,
     ),
     "report": _Command(
         make=_report_scan, minimum=lambda args: 10**6, key=("points",),
-        streams=False, thresholds=_REPORT_THRESHOLDS, finish=_finish_report,
+        finish=_finish_report,
     ),
 }
 
 
 def _run(args) -> int:
-    """Fold the command's scan from its checkpoint, saving after every block,
-    then write its outputs and remove the checkpoint.
+    """Fold the command's scan from its checkpoint, saving after every block
+    under --checkpoint, then write its outputs and remove the checkpoint.
 
     A run stopped by --stop-after-blocks prints the next block instead and
     leaves the checkpoint.
@@ -681,20 +662,20 @@ def _run(args) -> int:
     data = PrimeStream(args.limit, segment_size=args.segment_size, workers=args.workers)
     scan = cmd.make(args)
     ckpt = _Checkpoint(args, **shape)
-    rows = cmd.streams and shape.get("format", "csv") == "csv"
+    rows = scan.header() is not None and shape.get("format", "csv") == "csv"
     if rows and args.checkpoint and args.out is None:
         raise UsageError("checkpointed CSV runs need --out")
 
-    _keep_block_arrays_on_heap(*cmd.thresholds)
-    with _Output(args.out, ckpt.offset) if rows else contextlib.nullcontext() as out:
-        sink = out.sink if out is not None else None
+    _keep_block_arrays_on_heap()
+    with _Output(args.out, ckpt.offset) if rows else contextlib.nullcontext() as sink:
         state, finished = run_scan(
             data,
             scan,
             workers=args.workers,
             sink=sink,
             state=ckpt.state,
-            on_block=lambda st: ckpt.save(st, sink),
+            on_block=(lambda st: ckpt.save(st, sink.offset if rows else 0))
+            if args.checkpoint else None,
             stop_after_blocks=args.stop_after_blocks,
         )
     if not finished:

@@ -10,7 +10,7 @@ after substituting u = log log log x, so it is solved in closed form by
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -138,7 +138,8 @@ def bin_average_k(samples, bin_count: int) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted k = -A (alpha - log log log x) and the implied crossover."""
+    """Fitted k = -A (alpha - log log log x), the implied crossover, and in
+    ``bins`` the fitted (log-x midpoint, mean k) points, not in ``to_json``."""
 
     A: float
     alpha: float
@@ -147,9 +148,10 @@ class FitResult:
     bin_count: int
     x_range: tuple
     alpha_drop_last_delta: float | None = None
+    bins: tuple = field(default=(), repr=False)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {k: v for k, v in asdict(self).items() if k != "bins"}
 
 
 def _solve(us: np.ndarray, ks: np.ndarray) -> tuple[float, float, float]:
@@ -198,6 +200,7 @@ def fit_skewes(binned) -> FitResult:
         bin_count=len(binned),
         x_range=(float(math.exp(w[0])), float(math.exp(w[-1]))),
         alpha_drop_last_delta=delta,
+        bins=tuple(binned),
     )
 
 
@@ -210,6 +213,8 @@ class FitScan(SampleScan):
                  per_decade: int | None = 200, bin_count: int = 20):
         if x_min < MIN_FIT_X:
             raise DomainError(f"fit range must start above {MIN_FIT_X:.2f}")
+        if bin_count < 1:
+            raise DomainError(f"bin_count must be >= 1, got {bin_count}")
         super().__init__(x_min, x_max, stride=stride, per_decade=per_decade)
         self.bin_count = bin_count
 

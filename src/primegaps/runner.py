@@ -131,7 +131,9 @@ def run_scan(
     previously checkpointed ``state`` to resume: the fold skips the
     blocks before ``state["block"]`` and reproduces the uninterrupted
     run bit for bit.  With a ``sink``, a fresh fold writes the scan's
-    header, and each block's rows go to it before ``on_block`` runs.
+    header and each block's rows.  ``on_block(state)`` runs after every
+    block once the sink is synced, so it may commit the state with
+    ``sink.offset``; without ``on_block`` nothing is synced.
     """
     if sink is not None and isinstance(scan, FusedScan):
         raise DomainError("a fused scan folds without a sink: its parts' rows "
@@ -168,6 +170,8 @@ def run_scan(
             continue
         state["block"] = block.index + 1
         if on_block is not None:
+            if sink is not None:
+                sink.sync()
             on_block(state)
     # islice took exactly ``count`` blocks, so the next one, if any, is unread.
     return state, next(blocks, None) is None

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps.cli import _parser, main
-from primegaps.fit import bin_average_k, sample_fluctuations
+from primegaps.cli import _parser, _write_checkpoint, main
+from primegaps.fit import bin_average_k, fit_from_data, sample_fluctuations
 
 LIMIT_1E5 = ["--limit", "100000"]
 LIMIT_1E6 = ["--limit", "1000000"]
@@ -168,6 +169,15 @@ def test_fit_csv_rows_are_the_bins_of_the_table_samples(tmp_path, capsys, data_1
     rows = [f"{mid!r},{k!r}" for mid, k in bin_average_k(samples, 20)]
     assert len(rows) == 20
     assert out.read_text() == "\n".join(["log_x_mid,k_mean", *rows]) + "\n"
+
+
+def test_cli_fit_is_the_library_fit(tmp_path, capsys, data_1e6):
+    out = tmp_path / "fit.json"
+    assert main(["fit", *LIMIT_1E6, "--stride", "200", "--format", "json",
+                 "--out", str(out)]) == 0
+    fitted = fit_from_data(data_1e6, 10**4, 10**6, stride=200).to_json()
+    assert "bins" not in fitted
+    assert json.loads(out.read_text()) == json.loads(json.dumps(fitted))
 
 
 def test_unwritable_output_path(capsys):
@@ -865,3 +875,141 @@ def test_selberg_memory_does_not_grow_with_the_limit(tmp_path):
     # selberg folds over the stream too, near 4 MB at both limits; with
     # the table and a pointwise S1 it went from 7 to 19 MB.
     _assert_memory_flat_from_2e6_to_8e6(["selberg", "--out", str(tmp_path / "s.csv")])
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_checkpoint_write_fsyncs_the_directory_after_the_replace(tmp_path, monkeypatch,
+                                                                relative):
+    # Without it the rename may not survive a power loss on some file
+    # systems; only the order of the calls can be checked here.
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        events.append(("fsync", os.fstat(fd)))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        events.append(("replace", dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    monkeypatch.chdir(tmp_path)
+    path = "c.json" if relative else str(tmp_path / "c.json")
+    _write_checkpoint(path, {"block": 1})
+    assert [kind for kind, _ in events] == ["fsync", "replace", "fsync"]
+    assert os.path.samestat(events[0][1], os.stat(path))  # the .tmp, renamed
+    assert events[1][1] == path
+    assert stat.S_ISDIR(events[2][1].st_mode)
+    assert os.path.samestat(events[2][1], os.stat(tmp_path))
+    assert json.loads((tmp_path / "c.json").read_text()) == {"block": 1}
+
+
+# Runs the CLI with one durable step dying, as under SIGKILL, at its n-th
+# call: argv holds the step, n and the command line.  The torn steps
+# write half their bytes first, so a partial block or checkpoint is left.
+_DIE_AT_STEP = """
+import os, sys
+from primegaps import cli, runner
+step, nth, args = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+tmp = args[args.index("--checkpoint") + 1] + ".tmp"
+calls = [0]
+
+def due():
+    calls[0] += 1
+    return calls[0] == nth
+
+if step == "sink-write":
+    write = runner.RowSink.write
+    def torn_write(sink, line):
+        if due():
+            sink._fh.write(line[: len(line) // 2])
+            sink._fh.flush()
+            os._exit(9)
+        write(sink, line)
+    runner.RowSink.write = torn_write
+elif step == "sink-sync":
+    sync = runner.RowSink.sync
+    def die_sync(sink):
+        if due():
+            os._exit(9)
+        sync(sink)
+    runner.RowSink.sync = die_sync
+elif step == "tmp-write":
+    def torn_open(path, *a, **k):
+        fh = open(path, *a, **k)
+        if path == tmp and due():
+            def torn(text):
+                type(fh).write(fh, text[: len(text) // 2])
+                fh.flush()
+                os._exit(9)
+            fh.write = torn
+        return fh
+    cli.open = torn_open
+elif step == "tmp-fsync":
+    fsync = os.fsync
+    def die_fsync(fd):
+        if (os.path.exists(tmp) and os.path.samestat(os.fstat(fd), os.stat(tmp))
+                and due()):
+            os._exit(9)
+        fsync(fd)
+    os.fsync = die_fsync
+elif step == "replace":
+    replace = os.replace
+    def die_replace(src, dst):
+        if due():
+            os._exit(9)
+        replace(src, dst)
+    os.replace = die_replace
+sys.exit(cli.main(args))
+"""
+
+_KILLED = {
+    "delta": ["scan", "--which", "delta", "--limit", "2000000", "--out", "a.csv"],
+    "report": ["report", "--limit", "2000000"],
+}
+
+# Each step dies at its 2nd call, after the first checkpoint (block 1)
+# is committed.  The sink's first write is the header and its second
+# block 0's rows, before any checkpoint, so it dies at the 3rd: in
+# block 1's rows.
+_STEPS = [("sink-write", 3), ("sink-sync", 2), ("tmp-write", 2), ("tmp-fsync", 2),
+          ("replace", 2)]
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """The exit code, stdout and CSV of each ``_KILLED`` command run whole."""
+    runs = {}
+    for name, args in _KILLED.items():
+        cwd = tmp_path_factory.mktemp(name)
+        done = _run_cli(["-m", "primegaps.cli"], args, cwd)
+        csv = cwd / "a.csv"
+        runs[name] = (done.returncode, done.stdout,
+                      csv.read_bytes() if csv.exists() else None)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "name, step, nth, workers",
+    [pytest.param("delta", step, nth, workers, id=f"delta-{step}-workers-{workers}")
+     for step, nth in _STEPS for workers in ("1", "2")]
+    + [pytest.param("report", step, nth, "1", id=f"report-{step}")
+       for step, nth in _STEPS[2:]],
+)
+def test_resume_after_a_kill_at_each_durable_step_is_byte_identical(
+        tmp_path, uninterrupted, name, step, nth, workers):
+    args = [*_KILLED[name], "--workers", workers, "--checkpoint", "a.ckpt"]
+    killed = _run_cli(["-c", _DIE_AT_STEP, step, str(nth)], args, tmp_path)
+    assert killed.returncode == 9, killed.stderr
+    ckpt = json.loads((tmp_path / "a.ckpt").read_text())
+    assert ckpt["scan_state"]["block"] == 1
+    csv = tmp_path / "a.csv"
+    if name == "delta":
+        assert csv.stat().st_size >= ckpt["sink_offset"]
+    resumed = _run_cli(["-m", "primegaps.cli"], [*args, "--resume"], tmp_path)
+    assert resumed.stderr == b""
+    assert not (tmp_path / "a.ckpt").exists()
+    assert (resumed.returncode, resumed.stdout,
+            csv.read_bytes() if csv.exists() else None) == uninterrupted[name]

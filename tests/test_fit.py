@@ -165,3 +165,20 @@ def test_fit_scan_on_stream_equals_fit_from_data(data_1e6):
         FitScan(10, 10**6)
     with pytest.raises(InsufficientDataError):
         run_to_end(PrimeStream(20000), FitScan(10**4, 20000))
+
+
+class _NoBlocks:
+    """A source that fails the test if a fold asks it for a block."""
+
+    limit = 10**6
+
+    def blocks(self, **kwargs):
+        raise AssertionError("folded before refusing bin_count")
+
+
+@pytest.mark.parametrize("bin_count", [0, -1])
+def test_fit_scan_refuses_bin_count_below_one_before_folding(bin_count):
+    with pytest.raises(DomainError, match="bin_count must be >= 1"):
+        FitScan(10**4, 10**6, bin_count=bin_count)
+    with pytest.raises(DomainError, match="bin_count must be >= 1"):
+        fit_from_data(_NoBlocks(), 10**4, 10**6, bin_count=bin_count)

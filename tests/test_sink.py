@@ -142,3 +142,32 @@ def test_csv_resume_from_any_block_is_byte_identical(data_1e5, drawn):
                                    state=json.loads(saved["state"]), **fold)
         assert finished
         assert part.read_bytes() == ref.read_bytes()
+
+
+def test_run_scan_syncs_the_sink_right_before_each_on_block(data_1e5, tmp_path):
+    events = []
+
+    class Recording(RowSink):
+        def write(self, line):
+            events.append("write")
+            super().write(line)
+
+        def sync(self):
+            events.append(("sync", self.offset))
+            super().sync()
+
+    with open(tmp_path / "d.csv", "wb") as fh:
+        sink = Recording(fh)
+        run_scan(data_1e5, DeltaScan(10**5, 1.0), sink=sink, block_size=4096,
+                 on_block=lambda state: events.append(("block", sink.offset)))
+        header, *blocks = events
+        # every block of the delta scan writes rows
+        assert header == "write" and len(blocks) == 3 * 3
+        assert blocks[0::3] == ["write"] * 3
+        syncs, commits = blocks[1::3], blocks[2::3]
+        assert [kind for kind, _ in syncs] == ["sync"] * 3
+        assert [("block", offset) for _, offset in syncs] == commits
+        assert os.path.getsize(tmp_path / "d.csv") == sink.offset
+        events.clear()
+        run_scan(data_1e5, DeltaScan(10**5, 1.0), sink=sink, block_size=4096)
+        assert "write" in events and not any(isinstance(e, tuple) for e in events)
