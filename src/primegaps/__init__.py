@@ -61,7 +61,6 @@ from .selberg import (
 from .sieve import (
     PrimeData,
     PrimeStream,
-    SievePlan,
     nth_prime,
     prime_count,
     primes_up_to,
@@ -90,7 +89,6 @@ __all__ = [
     "ScanReport",
     "SchoenfeldResult",
     "SelbergSums",
-    "SievePlan",
     "SingularFitError",
     "bbound_scan",
     "bin_average_k",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -314,23 +315,28 @@ class Constants:
 
     c        gap-bound constant (conjectured >= 1)
     B        bound on the normalized expansion remainder b(x)
-    K_rh     fluctuation-ratio bound under RH, 1/(8 pi), valid x > 2657
     K_all    enlarged ratio bound that holds from small x onward
-    granville_c  2 e^(-gamma), the proposed sharp gap constant
+
+    and, fixed by theorem or conjecture rather than chosen, so readable
+    but not settable:
+
+    K_rh     fluctuation-ratio bound under RH, 1/(8 pi), valid x > 2657
+             (Schoenfeld)
+    granville_c  2 e^(-gamma), the proposed sharp gap constant (Granville)
     """
 
     c: float = 1.0
     B: float = 5.0
-    K_rh: float = 1.0 / (8.0 * math.pi)
     K_all: float = 1.0 / 3.0
-    granville_c: float = 1.122918
+    K_rh: ClassVar[float] = 1.0 / (8.0 * math.pi)
+    granville_c: ClassVar[float] = 1.122918
 
     def __post_init__(self):
         # Written so that NaN fails each test: a NaN or infinite bound
         # would pass every check it sets.
         if not 0 < self.B < math.inf:
             raise DomainError(f"Constants.B must be positive and finite, got {self.B}")
-        if not 0 < self.K_rh < self.K_all < math.inf:
+        if not self.K_rh < self.K_all < math.inf:
             raise DomainError(
                 "Constants require 0 < K_rh < K_all < inf, "
                 f"got K_rh = {self.K_rh}, K_all = {self.K_all}"

@@ -12,7 +12,8 @@ arguments and parses ``[command, *file, *env, *flags]`` with the same
 subparser, so the last value given wins: command-line flags, then env
 variables, then the file, then defaults.  ``_check`` then refuses,
 before anything is sieved, a limit below 2, fewer than one worker,
---stop-after-blocks below 1 and a c, B or K that ``Constants`` refuses.
+--stop-after-blocks below 1 or without --checkpoint, ``selberg --format
+json`` and a c, B or K that ``Constants`` refuses.
 The parsed namespace, with that ``Constants`` as ``args.constants``, is
 the one options object every command reads.
 
@@ -166,6 +167,10 @@ def _check(args) -> None:
                                ("--stop-after-blocks", args.stop_after_blocks, 1)):
         if value is not None and value < least:
             raise UsageError(f"{name} must be >= {least}, got {value}")
+    if args.stop_after_blocks is not None and not args.checkpoint:
+        raise UsageError("--stop-after-blocks requires --checkpoint")
+    if args.command == "selberg" and args.format == "json":
+        raise UsageError("selberg writes CSV only, not --format json")
     args.constants = Constants(c=args.c, B=args.B, K_all=args.K)
 
 

@@ -10,7 +10,7 @@ class DomainError(PrimeGapsError, ValueError):
 
 
 class RangeLimitError(PrimeGapsError, ValueError):
-    """A query exceeds the sieved range; rebuild with a larger plan."""
+    """A query exceeds the sieved range; rebuild with a larger limit."""
 
 
 class ResourceLimitError(PrimeGapsError, RuntimeError):

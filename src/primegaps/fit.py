@@ -23,6 +23,9 @@ from .sieve import PrimeData, PrimeStream
 # Model abscissae must keep log log log x real and usefully spread.
 MIN_FIT_X = math.exp(math.e)
 
+# Samples the fit keeps per decade of x (see ``SampleScan``).
+FIT_PER_DECADE = 200
+
 
 class SampleScan(BlockScan):
     """Fluctuation samples at every stride-th prime in [x_min, x_max], folded
@@ -205,17 +208,18 @@ def fit_skewes(binned) -> FitResult:
 
 
 class FitScan(SampleScan):
-    """Sample, bin, and fit in one fold: ``SampleScan`` whose result is the fit."""
+    """Sample, bin, and fit in one fold: ``SampleScan`` thinned to
+    ``FIT_PER_DECADE`` samples per decade, whose result is the fit."""
 
     name = "fit"
 
     def __init__(self, x_min: int, x_max: int, *, stride: int = 1000,
-                 per_decade: int | None = 200, bin_count: int = 20):
+                 bin_count: int = 20):
         if x_min < MIN_FIT_X:
             raise DomainError(f"fit range must start above {MIN_FIT_X:.2f}")
         if bin_count < 1:
             raise DomainError(f"bin_count must be >= 1, got {bin_count}")
-        super().__init__(x_min, x_max, stride=stride, per_decade=per_decade)
+        super().__init__(x_min, x_max, stride=stride, per_decade=FIT_PER_DECADE)
         self.bin_count = bin_count
 
     def result(self, state) -> FitResult:
@@ -233,11 +237,10 @@ def fit_from_data(
     x_max: int,
     *,
     stride: int = 1000,
-    per_decade: int | None = 200,
     bin_count: int = 20,
 ) -> FitResult:
     """Sample, bin, and fit in one step (``FitScan`` over ``data``, up to
     ``x_max`` or the end of ``data``)."""
     scan = FitScan(x_min, min(x_max, data.limit), stride=stride,
-                   per_decade=per_decade, bin_count=bin_count)
+                   bin_count=bin_count)
     return run_to_end(data, scan)

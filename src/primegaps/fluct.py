@@ -412,10 +412,9 @@ def deriv_scan(
     *,
     workers: int = 1,
     sink: RowSink | None = None,
-    sink_mode: str = "records",
 ) -> DerivScanResult:
     """Derivative-condition scan for both b and k sides in one pass."""
-    return run_to_end(data, DerivScan(limit, c, sink_mode), workers=workers, sink=sink)
+    return run_to_end(data, DerivScan(limit, c), workers=workers, sink=sink)
 
 
 # ----------------------------------------------------------------------

@@ -297,15 +297,14 @@ class PartialSumScan(BlockScan):
     The gap sum is exact integer arithmetic; the squared-log sum is a
     compensated prefix.  Also verifies the telescoping identity
     gap_sum + 2 == p_{N+1} at every N.  The rows run over the primes
-    p_N <= ``limit`` whose successor the fold sees: with ``limit=None``,
-    every gap of the source, for a stream whose prime count is known
-    only at its end.
+    p_N <= ``limit`` whose successor the fold sees: over a source that
+    ends at ``limit``, every gap of the source.
     """
 
     name = "partial_sums"
 
-    def __init__(self, limit: int | None = None):
-        if limit is not None and limit < 2:
+    def __init__(self, limit: int):
+        if limit < 2:
             raise DomainError(f"partial-sum scan needs limit >= 2, got {limit}")
         self.limit = limit
 

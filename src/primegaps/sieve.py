@@ -17,7 +17,10 @@ Blocks of primes come from one of two sources with the same
 and answers ``pi``/``nth``/``cumlog`` lookups for the table-backed
 library calls; ``PrimeStream`` sieves as the blocks are consumed and
 holds about one block and one segment, and every CLI command folds over
-it.  Only a held table is checked against the memory budget.
+it.  ``PrimeStream`` when it is built, and ``primes_up_to`` and
+``prime_count`` when called, refuse a limit, segment size or worker
+count no sieve can take; only a held table is checked against the fixed
+``MEMORY_BUDGET``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import DomainError, RangeLimitError, ResourceLimitError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_LIMIT = 2**63
-DEFAULT_MEMORY_BUDGET = 6 << 30  # bytes; generous for desk-scale scans
+MEMORY_BUDGET = 6 << 30  # bytes of prime table; generous for desk-scale scans
 
 # Primes per block handed to scan folds.  Fixed: block boundaries take
 # part in the compensated-summation grouping, so changing this constant
@@ -44,36 +47,20 @@ DEFAULT_MEMORY_BUDGET = 6 << 30  # bytes; generous for desk-scale scans
 BLOCK_PRIMES = 1 << 15
 
 
-@dataclass(frozen=True)
-class SievePlan:
-    """Parameters of a sieve run.
+def _check_sieve(limit: int, segment_size: int, workers: int) -> None:
+    """Refuse a sieve run no segment loop can take.
 
     Output is a pure function of ``limit``; ``segment_size`` and
-    ``worker_count`` only affect how the work is scheduled.
-    ``memory_budget`` bounds the table ``primes_up_to`` holds; a
-    ``PrimeStream`` holds no table and ignores it.
+    ``workers`` only affect how the work is scheduled.
     """
-
-    limit: int
-    segment_size: int = DEFAULT_SEGMENT_SIZE
-    worker_count: int = 1
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
-
-    def __post_init__(self):
-        if self.limit < 2:
-            raise DomainError(f"sieve limit must be >= 2, got {self.limit}")
-        if self.limit > MAX_LIMIT:
-            raise DomainError(
-                f"sieve limit {self.limit} exceeds the 64-bit cap 2**63"
-            )
-        if self.segment_size < 64:
-            raise DomainError(
-                f"segment_size must be >= 64, got {self.segment_size}"
-            )
-        if self.worker_count < 1:
-            raise DomainError(
-                f"worker_count must be >= 1, got {self.worker_count}"
-            )
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > MAX_LIMIT:
+        raise DomainError(f"sieve limit {limit} exceeds the 64-bit cap 2**63")
+    if segment_size < 64:
+        raise DomainError(f"segment_size must be >= 64, got {segment_size}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
 
 
 def estimate_prime_bytes(limit: int) -> int:
@@ -84,12 +71,12 @@ def estimate_prime_bytes(limit: int) -> int:
     return 8 * count
 
 
-def check_budget(limit: int, budget: int) -> None:
+def check_budget(limit: int) -> None:
     need = estimate_prime_bytes(limit)
-    if need > budget:
+    if need > MEMORY_BUDGET:
         raise ResourceLimitError(
             f"sieving to {limit} needs an estimated {need} bytes of prime "
-            f"storage, above the configured memory budget of {budget} bytes"
+            f"storage, above the configured memory budget of {MEMORY_BUDGET} bytes"
         )
 
 
@@ -219,29 +206,27 @@ def ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator[tuple]:
             yield head, future.result()
 
 
-def iter_segments(plan: SievePlan) -> Iterator[np.ndarray]:
-    """Yield arrays of primes per segment, in ascending order.
+def iter_segments(limit: int, segment_size: int, workers: int) -> Iterator[np.ndarray]:
+    """Yield arrays of primes per segment, in ascending order, for a
+    limit, segment size and worker count ``_check_sieve`` accepts.
 
-    With ``worker_count > 1`` segments are sieved concurrently but
-    released strictly in order, so consumers observe the same stream
-    for any worker count.
+    With ``workers > 1`` segments are sieved concurrently but released
+    strictly in order, so consumers observe the same stream for any
+    worker count.
     """
-    bases = _base_primes(math.isqrt(plan.limit))
+    bases = _base_primes(math.isqrt(limit))
     odd_bases = bases[1:] if len(bases) > 0 else bases
 
     # With an odd segment size every other span starts on an even number,
     # which is never prime here: the kernel starts at the odd one after it.
     spans = (
-        (lo | 1, min(lo + plan.segment_size, plan.limit + 1))
-        for lo in range(3, plan.limit + 1, plan.segment_size)
+        (lo | 1, min(lo + segment_size, limit + 1))
+        for lo in range(3, limit + 1, segment_size)
     )
 
-    head = np.array([2], dtype=np.int64) if plan.limit >= 2 else None
-    if head is not None:
-        yield head
-
+    yield np.array([2], dtype=np.int64)
     for _, primes in ordered_map(
-        lambda span: _sieve_odd_segment(*span, odd_bases), spans, plan.worker_count
+        lambda span: _sieve_odd_segment(*span, odd_bases), spans, workers
     ):
         yield primes
 
@@ -251,19 +236,18 @@ def primes_up_to(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
     """All primes <= x in ascending order (empty array for x < 2).
 
-    The whole table is held, so its estimated size must fit ``memory_budget``.
+    The whole table is held, so its estimated size must fit ``MEMORY_BUDGET``.
     """
     if x < 0:
         raise DomainError(f"primes_up_to requires x >= 0, got {x}")
     if x < 2:
         return np.empty(0, dtype=np.int64)
-    plan = SievePlan(x, segment_size, workers, memory_budget)
-    check_budget(plan.limit, plan.memory_budget)
-    return np.concatenate(list(iter_segments(plan)))
+    _check_sieve(x, segment_size, workers)
+    check_budget(x)
+    return np.concatenate(list(iter_segments(x, segment_size, workers)))
 
 
 def prime_count(
@@ -278,7 +262,8 @@ def prime_count(
         raise DomainError(f"prime_count requires x >= 0, got {x}")
     if x < 2:
         return 0
-    return sum(len(s) for s in iter_segments(SievePlan(x, segment_size, workers)))
+    _check_sieve(x, segment_size, workers)
+    return sum(len(s) for s in iter_segments(x, segment_size, workers))
 
 
 def nth_prime(n: int, **kwargs) -> int:
@@ -365,22 +350,16 @@ class PrimeData:
         *,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         workers: int = 1,
-        memory_budget: int = DEFAULT_MEMORY_BUDGET,
     ) -> "PrimeData":
-        primes = primes_up_to(
-            limit,
-            segment_size=segment_size,
-            workers=workers,
-            memory_budget=memory_budget,
-        )
-        return cls(limit, primes)
+        return cls(limit, primes_up_to(limit, segment_size=segment_size,
+                                       workers=workers))
 
     def pi(self, x: int) -> int:
         """pi(x) for any 0 <= x <= limit."""
         if x > self.limit:
             raise RangeLimitError(
                 f"pi({x}) is beyond the sieved limit {self.limit}; "
-                "build a larger plan"
+                "build a larger table"
             )
         if x < 2:
             return 0
@@ -393,7 +372,7 @@ class PrimeData:
         if n > len(self.primes):
             raise RangeLimitError(
                 f"prime index {n} is beyond the sieved range "
-                f"(pi({self.limit}) = {len(self.primes)}); build a larger plan"
+                f"(pi({self.limit}) = {len(self.primes)}); build a larger table"
             )
         return int(self.primes[n - 1])
 
@@ -428,7 +407,9 @@ class PrimeStream:
         workers: int = 1,
     ):
         self.limit = int(limit)
-        self.plan = SievePlan(self.limit, segment_size, workers)
+        _check_sieve(self.limit, segment_size, workers)
+        self.segment_size = segment_size
+        self.workers = workers
 
     def blocks(
         self, *, limit: int | None = None, block_size: int = BLOCK_PRIMES
@@ -445,7 +426,7 @@ class PrimeStream:
             )
         cut = self.limit if limit is None else limit
         index, pieces, held, succ = 0, [], 0, None
-        for segment in iter_segments(self.plan):
+        for segment in iter_segments(self.limit, self.segment_size, self.workers):
             end = int(np.searchsorted(segment, cut, side="right"))
             pieces.append(segment[:end])
             held += end

@@ -396,4 +396,9 @@ def test_constants_defaults_and_validation():
     with pytest.raises(DomainError):
         Constants(B=-1.0)
     with pytest.raises(DomainError):
+        Constants(K_all=0.01)
+    # Fixed by theorem and conjecture: readable, not settable.
+    with pytest.raises(TypeError):
         Constants(K_rh=0.5)
+    with pytest.raises(TypeError):
+        Constants(granville_c=1.0)

@@ -735,6 +735,41 @@ def test_stop_after_blocks_below_one_is_usage_error(tmp_path, capsys, command, c
     assert not out.exists() and not ck.exists()
 
 
+@pytest.mark.parametrize("command", _every_command(), ids=lambda command: command[0])
+def test_stop_after_blocks_without_checkpoint_is_usage_error(tmp_path, capsys,
+                                                              monkeypatch, command):
+    # Without a checkpoint a stopped run leaves a partial output and
+    # nothing to resume it from.
+    monkeypatch.setattr("primegaps.cli.PrimeStream", None)  # nothing is sieved
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out), "--stop-after-blocks", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --stop-after-blocks requires --checkpoint\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("way", ["flag", "env", "file"])
+def test_selberg_refuses_format_json(tmp_path, capsys, monkeypatch, way):
+    # The Selberg rows are CSV only; a JSON request once got CSV rows in
+    # the .json file.  report is always JSON, so its --format stays free.
+    monkeypatch.setattr("primegaps.cli.PrimeStream", None)  # nothing is sieved
+    out = tmp_path / "s.json"
+    args = ["selberg", *LIMIT_1E5, "--out", str(out)]
+    if way == "flag":
+        args += ["--format", "json"]
+    elif way == "env":
+        monkeypatch.setenv("PRIMEGAPS_FORMAT", "json")
+    else:
+        (tmp_path / "run.cfg").write_text("format = json\n")
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: selberg writes CSV only, not --format json\n"
+    assert not out.exists()
+
+
 def _report_stdout(args) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

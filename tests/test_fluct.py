@@ -364,7 +364,7 @@ def test_fused_scan_refuses_parts_with_different_limits():
     with pytest.raises(DomainError, match="share one limit.*cg=1000, delta=2000"):
         FusedScan({"cg": CgScan(1000, 1.0), "delta": DeltaScan(2000, 1.0)})
     with pytest.raises(DomainError, match="share one limit"):
-        FusedScan({"cg": CgScan(1000, 1.0), "partial_sums": PartialSumScan()})
+        FusedScan({"cg": CgScan(1000, 1.0), "partial_sums": PartialSumScan(999)})
     assert FusedScan({"cg": CgScan(1000, 1.0),
                       "partial_sums": PartialSumScan(1000)}).limit == 1000
 

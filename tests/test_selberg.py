@@ -295,8 +295,12 @@ def test_selberg_scan_refuses_blocks_that_end_below_a_point():
 
 
 def test_partial_sum_scan_without_n_max_takes_every_gap(data_1e6):
-    streamed = run_to_end(PrimeStream(10**6), PartialSumScan())
+    # A stream that ends at the scan's limit: the last prime has no
+    # successor, so every gap of the source, as the CLI folds it.
+    streamed = run_to_end(PrimeStream(10**6), PartialSumScan(10**6))
     assert streamed == partial_sum_scan(data_1e6, len(data_1e6.primes) - 1)
     assert streamed.n_max == 78497
     with pytest.raises(DomainError):
         PartialSumScan(1)
+    with pytest.raises(TypeError):
+        PartialSumScan()

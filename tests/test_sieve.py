@@ -14,15 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegaps.errors import DomainError, RangeLimitError, ResourceLimitError
-from primegaps.fluct import CgScan
-from primegaps.runner import run_to_end
 from primegaps.sieve import (
     _WHEEL,
     _WHEEL_PERIOD,
     PrimeBlock,
     PrimeData,
     PrimeStream,
-    SievePlan,
     nth_prime,
     ordered_map,
     prime_count,
@@ -184,31 +181,37 @@ def test_prime_data_lookups(data_1e5):
         data_1e5.pi(10**5 + 1)
 
 
-def test_plan_validation():
-    with pytest.raises(DomainError):
-        SievePlan(1)
-    with pytest.raises(DomainError):
-        SievePlan(100, segment_size=32)
-    with pytest.raises(DomainError):
-        SievePlan(100, worker_count=0)
-    with pytest.raises(DomainError):
-        SievePlan(2**63 + 1)
+@pytest.mark.parametrize("entry", [PrimeStream, primes_up_to, prime_count],
+                         ids=lambda entry: entry.__name__)
+def test_plan_validation(monkeypatch, entry):
+    # Refused on the call, so PrimeStream(1) raises when it is built, not
+    # at its first block.
+    monkeypatch.setattr("primegaps.sieve.iter_segments", None)  # nothing is sieved
+    for args, kwargs, message in [
+        ((1,), {}, "sieve limit must be >= 2, got 1"),
+        ((2**63 + 1,), {}, "exceeds the 64-bit cap"),
+        ((100,), {"segment_size": 32}, "segment_size must be >= 64, got 32"),
+        ((100,), {"workers": 0}, "workers must be >= 1, got 0"),
+    ]:
+        if entry is not PrimeStream and args == (1,):
+            continue  # below 2 the functions answer without sieving
+        with pytest.raises(DomainError, match=message):
+            entry(*args, **kwargs)
 
 
-def test_memory_budget_error_names_budget():
-    with pytest.raises(ResourceLimitError, match="budget of 1024 bytes"):
-        primes_up_to(10**7, memory_budget=1024)
+def test_memory_budget_error_names_budget(monkeypatch):
+    monkeypatch.setattr("primegaps.sieve.iter_segments", None)  # nothing is sieved
+    with pytest.raises(ResourceLimitError, match="budget of 6442450944 bytes"):
+        primes_up_to(10**11)
 
 
-def test_streamed_fold_runs_under_a_tiny_budget(data_1e6):
+def test_stream_beyond_the_memory_budget_yields_blocks():
     # Only a held table is checked against the budget: the stream sieves
-    # the same primes block by block under the budget that stops
-    # primes_up_to(10**7) above.
-    stream = PrimeStream(10**6)
-    stream.plan = SievePlan(10**6, memory_budget=1024)
-    result = run_to_end(stream, CgScan(10**6, 1.0))
-    assert result == run_to_end(data_1e6, CgScan(10**6, 1.0))
-    assert result.violations == [1, 2, 4]
+    # block by block up to a limit whose table the budget refuses above.
+    block = next(PrimeStream(10**11).blocks())
+    assert block.index == 0 and block.n0 == 1
+    assert np.array_equal(block.primes, primes_up_to(int(block.primes[-1])))
+    assert block.succ == nth_prime(len(block.primes) + 1)
 
 
 def _gaps(limit, **kwargs):
