@@ -10,7 +10,6 @@ pi(x) - Li(x).
 
 from .analytic import (
     Constants,
-    DEFAULT_CONSTANTS,
     bprime_threshold,
     dusart_bounds,
     kprime_threshold,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BBoundResult",
     "Constants",
-    "DEFAULT_CONSTANTS",
     "DeltaScanResult",
     "DerivScanResult",
     "DomainError",

@@ -343,6 +343,3 @@ class Constants:
             )
         if not 0 < self.c < math.inf:
             raise DomainError(f"Constants.c must be positive and finite, got {self.c}")
-
-
-DEFAULT_CONSTANTS = Constants()

@@ -98,10 +98,10 @@ def sample_fluctuations(
     per_decade: int | None = None,
 ) -> list[FluctuationSample]:
     """Fluctuation samples at every stride-th prime in [x_min, x_max]
-    (``SampleScan`` over ``data``, up to ``x_max`` or the end of ``data``).
+    (``SampleScan`` over ``data``); a ``data`` that ends below ``x_max``
+    raises ``RangeLimitError``.
     """
-    scan = SampleScan(x_min, min(x_max, data.limit), stride=stride,
-                      per_decade=per_decade)
+    scan = SampleScan(x_min, x_max, stride=stride, per_decade=per_decade)
     return run_to_end(data, scan)
 
 
@@ -239,8 +239,7 @@ def fit_from_data(
     stride: int = 1000,
     bin_count: int = 20,
 ) -> FitResult:
-    """Sample, bin, and fit in one step (``FitScan`` over ``data``, up to
-    ``x_max`` or the end of ``data``)."""
-    scan = FitScan(x_min, min(x_max, data.limit), stride=stride,
-                   bin_count=bin_count)
+    """Sample, bin, and fit in one step (``FitScan`` over ``data``); a
+    ``data`` that ends below ``x_max`` raises ``RangeLimitError``."""
+    scan = FitScan(x_min, x_max, stride=stride, bin_count=bin_count)
     return run_to_end(data, scan)

@@ -91,6 +91,18 @@ def _check_limit(scan: str, limit: int, least: int) -> None:
         raise DomainError(f"the {scan} scan requires limit >= {least}, got {limit}")
 
 
+def _raise_max(state: dict, key: str, at: str, values: np.ndarray,
+               xs: np.ndarray) -> None:
+    """Raise the running maximum ``state[key]`` to the largest of ``values``
+    when that is greater, and ``state[at]`` to the x in ``xs`` of its first
+    occurrence."""
+    if len(values):
+        i = int(np.argmax(values))
+        if values[i] > state[key]:
+            state[key] = float(values[i])
+            state[at] = int(xs[i])
+
+
 # ----------------------------------------------------------------------
 # Cramer-Granville gap ratio scan
 
@@ -155,18 +167,11 @@ class CgScan(BlockScan):
         n0, ps, g, ratio, viol = payload
         if ratio is None:
             return None
-        i = int(np.argmax(ratio))
-        if ratio[i] > state["max_ratio"]:
-            state["max_ratio"] = float(ratio[i])
-            state["max_at"] = int(ps[i])
+        _raise_max(state, "max_ratio", "max_at", ratio, ps)
         # Maximum restricted to n >= 5, where the c = 1 bound is
         # conjectured to hold without exception.
         lo = max(0, 5 - n0)
-        if lo < len(ratio):
-            j = lo + int(np.argmax(ratio[lo:]))
-            if ratio[j] > state["tail_max"]:
-                state["tail_max"] = float(ratio[j])
-                state["tail_at"] = int(ps[j])
+        _raise_max(state, "tail_max", "tail_at", ratio[lo:], ps[lo:])
         state["violations"].extend((n0 + viol).tolist())
         return n0 + viol, ps[viol], g[viol].astype(np.int64), ratio[viol]
 
@@ -270,11 +275,7 @@ class DeltaScan(BlockScan):
         pf = ps.astype(np.float64)
         delta_hat = delta - pf * lg + ((self.c + 1.0) / self.c) * pf
         bhat = delta_hat * lg / pf
-        drift = np.abs(bhat - b_exp)
-        i = int(np.argmax(drift))
-        if drift[i] > state["drift"]:
-            state["drift"] = float(drift[i])
-            state["drift_at"] = int(ps[i])
+        _raise_max(state, "drift", "drift_at", np.abs(bhat - b_exp), ps)
         for i in viol:
             state["violations"].append(n0 + int(i))
         state["count"] += len(ps)
@@ -482,16 +483,10 @@ class SchoenfeldScan(BlockScan):
         xs, pis, livals, ratio = payload
         if ratio is None:
             return None
-        i = int(np.argmax(ratio))
-        if ratio[i] > state["max_ratio"]:
-            state["max_ratio"] = float(ratio[i])
-            state["max_at"] = int(xs[i])
-        tail = xs > SCHOENFELD_CUTOFF
-        if np.any(tail):
-            j = int(np.argmax(np.where(tail, ratio, -np.inf)))
-            if ratio[j] > state["max_tail"]:
-                state["max_tail"] = float(ratio[j])
-                state["max_tail_at"] = int(xs[j])
+        _raise_max(state, "max_ratio", "max_at", ratio, xs)
+        # xs ascends, so the points past the cutoff are a suffix
+        tail = int(np.searchsorted(xs, SCHOENFELD_CUTOFF, side="right"))
+        _raise_max(state, "max_tail", "max_tail_at", ratio[tail:], xs[tail:])
         viol = np.nonzero(ratio > self.k_all)[0]
         if len(viol):
             last = int(viol[-1])
@@ -584,10 +579,7 @@ class BBoundScan(BlockScan):
         if b is None:
             return None
         ab = np.abs(b)
-        i = int(np.argmax(ab))
-        if ab[i] > state["max_abs"]:
-            state["max_abs"] = float(ab[i])
-            state["max_at"] = int(xs[i])
+        _raise_max(state, "max_abs", "max_at", ab, xs)
         for i in np.nonzero(ab >= self.bound)[0]:
             state["violations"].append(int(xs[i]))
         return xs, pis, b

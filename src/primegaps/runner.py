@@ -57,11 +57,11 @@ class BlockScan:
     """Interface for block-folded scans; subclasses fill in the four hooks.
 
     ``limit`` is the one place a scan's range is set: ``run_scan`` folds
-    the blocks of the primes <= ``limit``, and None folds the whole source.
+    the blocks of the primes <= ``limit``.
     """
 
     name = "scan"
-    limit = None
+    limit: int
 
     def start(self) -> dict:
         raise NotImplementedError
@@ -87,23 +87,26 @@ class FusedScan(BlockScan):
     ``run_scan`` maps and reduces each block through the sub-scans in
     turn, so each sees the same blocks in the same order as it would
     alone and its result is bit-identical to a separate run, while only
-    one sub-scan's payload is alive at a time.  So every part must end at
-    the same ``limit``, which is the fused scan's.  The state is ``{name:
-    sub_state}``: one state, one checkpoint.  ``run_scan`` refuses it a
-    sink, where its parts' rows would interleave.
+    one sub-scan's payload is alive at a time.  So there must be a part,
+    and every part must end at the same ``limit``, which is the fused
+    scan's.  The state is ``{name: sub_state}``: one state, one
+    checkpoint.  ``run_scan`` refuses it a sink, where its parts' rows
+    would interleave.
     """
 
     name = "fused"
 
     def __init__(self, scans: dict[str, BlockScan]):
         limits = {scan.limit for scan in scans.values()}
+        if not limits:
+            raise DomainError("a fused scan needs at least one part")
         if len(limits) > 1:
             raise DomainError(
                 "fused scans must share one limit, got "
                 + ", ".join(f"{name}={scan.limit}" for name, scan in scans.items())
             )
         self.scans = scans
-        self.limit = limits.pop() if limits else None
+        self.limit = limits.pop()
 
     def start(self) -> dict:
         return {name: scan.start() for name, scan in self.scans.items()}

@@ -29,6 +29,7 @@ from .accum import (
     fixed_value,
 )
 from .errors import DomainError, RangeLimitError
+from .fluct import _gap_pairs
 from .runner import BlockScan, RowSink, run_to_end
 from .sieve import PrimeData, primes_up_to
 
@@ -321,12 +322,7 @@ class PartialSumScan(BlockScan):
         return "N,gap_sum,logsq_sum,holds"
 
     def map_block(self, block):
-        ps = block.primes
-        if block.succ is not None:
-            succ = np.concatenate([ps[1:], [block.succ]])
-        else:
-            succ = ps[1:]
-            ps = ps[:-1]
+        ps, succ = _gap_pairs(block, math.inf)  # every successor the fold sees
         logs = _logs(ps)
         terms = logs * logs
         local = np.cumsum(terms)

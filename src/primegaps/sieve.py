@@ -383,11 +383,10 @@ class PrimeData:
         return self._cumlog
 
     def blocks(
-        self, *, limit: int | None = None, block_size: int = BLOCK_PRIMES
+        self, *, limit: int, block_size: int = BLOCK_PRIMES
     ) -> Iterator[PrimeBlock]:
-        """Iterate PrimeBlocks over primes <= limit (default: all)."""
-        count = len(self.primes) if limit is None else self.pi(limit)
-        yield from _cut_blocks(self.primes, count, block_size)
+        """Iterate PrimeBlocks over primes <= limit."""
+        yield from _cut_blocks(self.primes, self.pi(limit), block_size)
 
 
 class PrimeStream:
@@ -412,22 +411,21 @@ class PrimeStream:
         self.workers = workers
 
     def blocks(
-        self, *, limit: int | None = None, block_size: int = BLOCK_PRIMES
+        self, *, limit: int, block_size: int = BLOCK_PRIMES
     ) -> Iterator[PrimeBlock]:
-        """Iterate PrimeBlocks over primes <= limit (default: all).
+        """Iterate PrimeBlocks over primes <= limit.
 
         A block is yielded once the prime after it is known; that prime,
         the first one above ``limit`` or None at the end of the sieve, is
         the last block's ``succ``, as in ``PrimeData.blocks``.
         """
-        if limit is not None and limit > self.limit:
+        if limit > self.limit:
             raise RangeLimitError(
                 f"blocks up to {limit} are beyond the sieved limit {self.limit}"
             )
-        cut = self.limit if limit is None else limit
         index, pieces, held, succ = 0, [], 0, None
         for segment in iter_segments(self.limit, self.segment_size, self.workers):
-            end = int(np.searchsorted(segment, cut, side="right"))
+            end = int(np.searchsorted(segment, limit, side="right"))
             pieces.append(segment[:end])
             held += end
             if end < len(segment):

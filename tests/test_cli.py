@@ -1002,8 +1002,14 @@ sys.exit(cli.main(args))
 
 _KILLED = {
     "delta": ["scan", "--which", "delta", "--limit", "2000000", "--out", "a.csv"],
+    "figure1": ["figure1", "--limit", "2000000", "--out", "a.csv"],
+    "selberg": ["selberg", "--limit", "2000000", "--out", "a.csv"],
+    "fit": ["fit", "--limit", "2000000", "--out", "a.csv"],
     "report": ["report", "--limit", "2000000"],
 }
+# The commands that stream their CSV rows as they fold, and so checkpoint
+# a sink offset; fit writes its CSV once the fold ends.
+_STREAMED = {"delta", "figure1", "selberg"}
 
 # Each step dies at its 2nd call, after the first checkpoint (block 1)
 # is committed.  The sink's first write is the header and its second
@@ -1031,7 +1037,11 @@ def uninterrupted(tmp_path_factory):
     [pytest.param("delta", step, nth, workers, id=f"delta-{step}-workers-{workers}")
      for step, nth in _STEPS for workers in ("1", "2")]
     + [pytest.param("report", step, nth, "1", id=f"report-{step}")
-       for step, nth in _STEPS[2:]],
+       for step, nth in _STEPS[2:]]
+    + [pytest.param(name, step, nth, "1", id=f"{name}-{step}")
+       for name in ("figure1", "selberg", "fit")
+       for step, nth in _STEPS if step in ("tmp-write", "replace")
+       or (step == "sink-sync" and name in _STREAMED)],
 )
 def test_resume_after_a_kill_at_each_durable_step_is_byte_identical(
         tmp_path, uninterrupted, name, step, nth, workers):
@@ -1041,7 +1051,7 @@ def test_resume_after_a_kill_at_each_durable_step_is_byte_identical(
     ckpt = json.loads((tmp_path / "a.ckpt").read_text())
     assert ckpt["scan_state"]["block"] == 1
     csv = tmp_path / "a.csv"
-    if name == "delta":
+    if name in _STREAMED:
         assert csv.stat().st_size >= ckpt["sink_offset"]
     resumed = _run_cli(["-m", "primegaps.cli"], [*args, "--resume"], tmp_path)
     assert resumed.stderr == b""

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegaps.analytic import skewes_log10
-from primegaps.errors import DomainError, InsufficientDataError, SingularFitError
+from primegaps.errors import (
+    DomainError,
+    InsufficientDataError,
+    RangeLimitError,
+    SingularFitError,
+)
 from primegaps.fit import (
     FitScan,
     SampleScan,
@@ -127,6 +132,14 @@ def test_sample_fluctuations_stride(data_1e6):
     assert len(thinned) <= 30
 
 
+@pytest.mark.parametrize("wrapper", [fit_from_data, sample_fluctuations])
+def test_table_wrappers_refuse_x_max_beyond_the_table(data_1e6, wrapper):
+    # As every other fold: a table that ends below x_max is refused, not
+    # folded to its end.
+    with pytest.raises(RangeLimitError, match="beyond the sieved limit 1000000"):
+        wrapper(data_1e6, 10**4, 10**7)
+
+
 def test_fit_from_real_data_1e6(data_1e6):
     res = fit_from_data(data_1e6, 10**4, 10**6)
     # loose sanity at the small desk range; the wide-range interval is
@@ -169,8 +182,6 @@ def test_fit_scan_on_stream_equals_fit_from_data(data_1e6):
 
 class _NoBlocks:
     """A source that fails the test if a fold asks it for a block."""
-
-    limit = 10**6
 
     def blocks(self, **kwargs):
         raise AssertionError("folded before refusing bin_count")

@@ -369,6 +369,12 @@ def test_fused_scan_refuses_parts_with_different_limits():
                       "partial_sums": PartialSumScan(1000)}).limit == 1000
 
 
+def test_fused_scan_refuses_no_parts():
+    # An empty fused scan has no limit to fold to.
+    with pytest.raises(DomainError, match="a fused scan needs at least one part"):
+        FusedScan({})
+
+
 @pytest.mark.parametrize(
     "make, least",
     [(lambda limit: CgScan(limit, 1.0), 3), (lambda limit: DeltaScan(limit, 1.0), 3),

@@ -208,7 +208,7 @@ def test_memory_budget_error_names_budget(monkeypatch):
 def test_stream_beyond_the_memory_budget_yields_blocks():
     # Only a held table is checked against the budget: the stream sieves
     # block by block up to a limit whose table the budget refuses above.
-    block = next(PrimeStream(10**11).blocks())
+    block = next(PrimeStream(10**11).blocks(limit=10**11))
     assert block.index == 0 and block.n0 == 1
     assert np.array_equal(block.primes, primes_up_to(int(block.primes[-1])))
     assert block.succ == nth_prime(len(block.primes) + 1)
@@ -256,7 +256,7 @@ def test_gap_stream_bytes_identical_across_workers(workers):
 def test_block_iteration_covers_everything(data_1e5):
     seen = []
     last_succ = None
-    for block in data_1e5.blocks(block_size=1000):
+    for block in data_1e5.blocks(limit=10**5, block_size=1000):
         assert block.n0 == len(seen) + 1
         seen.extend(block.primes.tolist())
         last_succ = block.succ
@@ -283,11 +283,21 @@ def test_stream_blocks_equal_table_blocks(limit, cut_fraction, block_size,
     # segment_size runs from limit / 1500 (a few dozen primes, below most
     # block sizes) up to the whole range (above every block size).
     segment_size = max(64, limit // segments)
-    cut = None if cut_fraction is None else int(cut_fraction * limit)
+    cut = limit if cut_fraction is None else int(cut_fraction * limit)
     table = PrimeData.build(limit, segment_size=segment_size, workers=workers)
     stream = PrimeStream(limit, segment_size=segment_size, workers=workers)
     expected = _block_tuples(table.blocks(limit=cut, block_size=block_size))
     assert _block_tuples(stream.blocks(limit=cut, block_size=block_size)) == expected
+
+
+@pytest.mark.parametrize("source", [PrimeData.build(1000), PrimeStream(1000)],
+                         ids=["table", "stream"])
+def test_blocks_require_a_limit(source):
+    # A fold's range comes from its scan's limit, never from the source.
+    with pytest.raises(TypeError, match="limit"):
+        next(source.blocks())
+    with pytest.raises(TypeError, match="limit"):
+        next(source.blocks(block_size=10))
 
 
 def test_stream_blocks_refuse_limit_beyond_sieve():
