@@ -61,13 +61,18 @@ def block_sum(values) -> float:
 
 def _fixed_parts(terms: np.ndarray):
     """Each term t as int64 ``floor(t)`` and the high and low 27 bits of
-    ``(t - floor t) * 2**54``; all three are exact for t in [1/4, 2**31).
+    ``(t - floor t) * 2**54``; all three are exact for t in [1/4, 2**53).
     """
-    if len(terms) and not (terms.min() >= 0.25 and terms.max() < _MAX_TERM):
-        raise DomainError("exact sums need terms in [1/4, 2**31)")
     whole = np.floor(terms)
     frac = ((terms - whole) * 2.0**FIXED_BITS).astype(np.int64)
     return whole.astype(np.int64), frac >> _HALF_BITS, frac & _HALF_MASK
+
+
+def _bounded_parts(terms: np.ndarray):
+    """``_fixed_parts`` of terms in [1/4, 2**31), so that 2**32 of them sum in int64."""
+    if len(terms) and not (terms.min() >= 0.25 and terms.max() < _MAX_TERM):
+        raise DomainError("exact sums need terms in [1/4, 2**31)")
+    return _fixed_parts(terms)
 
 
 def _units(whole: int, high: int, low: int) -> int:
@@ -81,7 +86,7 @@ def fixed_units(terms: np.ndarray) -> int:
     time so that no sum can overflow, and meet in one Python int.
     """
     return sum(
-        _units(*(int(part.sum()) for part in _fixed_parts(terms[i:i + _CHUNK])))
+        _units(*(int(part.sum()) for part in _bounded_parts(terms[i:i + _CHUNK])))
         for i in range(0, len(terms), _CHUNK)
     )
 
@@ -91,8 +96,22 @@ def fixed_prefix_units(terms: np.ndarray, cuts) -> list[int]:
     int64 sum per part (so at most 2**32 terms).
     """
     sums = [np.concatenate([[0], np.cumsum(part)])[cuts].tolist()
-            for part in _fixed_parts(terms)]
+            for part in _bounded_parts(terms)]
     return [_units(*parts) for parts in zip(*sums)]
+
+
+def fixed_column_units(n: int, pieces) -> list[int]:
+    """Exact sums of ``n`` columns in units of 2**-54: each ``(at, terms)`` of
+    ``pieces`` adds the column sums of the 2-D ``terms`` to columns ``at``,
+    ``at + 1``, ....  A term is 0 or a double in [1/4, 2**53), so above the
+    2**31 of ``fixed_units``: the caller keeps each column's sum of
+    ``floor(t)`` below 2**63, which holds every int64 part exact.
+    """
+    parts = np.zeros((3, n), dtype=np.int64)
+    for at, terms in pieces:
+        for acc, part in zip(parts, _fixed_parts(terms)):
+            acc[at:at + terms.shape[1]] += part.sum(axis=0)
+    return [_units(*column) for column in parts.T.tolist()]
 
 
 def fixed_value(units: int) -> float:

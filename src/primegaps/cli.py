@@ -44,7 +44,7 @@ from .runner import BlockScan, FusedScan, RowSink, run_scan, run_to_end
 from .sieve import DEFAULT_SEGMENT_SIZE, PrimeStream
 
 ENV_PREFIX = "PRIMEGAPS_"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # The options a --config file or a PRIMEGAPS_<KEY> variable may set as
 # well as a flag, by key, with their add_argument keywords.  The flag is

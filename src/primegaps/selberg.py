@@ -7,17 +7,20 @@ theta with a hyperbola split,
     S2(x) = 2 * sum_{p <= sqrt(x)} log p * theta(x // p) - theta(isqrt(x))^2,
 
 which touches pi(sqrt(x)) primes instead of pi(x/2).  The pointwise
-functions read theta from the ``PrimeData.cumlog`` table; ``SelbergScan``
-answers the same theta queries while it folds over the prime blocks, and
-carries S1 as one exact integer, so ``selberg`` and ``report`` need no
-table.  The test suite checks S2 against a one-pass sum over p <= x/2
-and a direct pair loop.
+functions read theta from the ``PrimeData.cumlog`` table.  ``SelbergScan``
+is the one fold of both sums: each block answers the theta queries among
+its primes one small prime p at a time, on the contiguous slice of
+points that own them, and the state holds one exact integer per open
+point and one for S1, so ``selberg`` and ``report`` need no table and
+``lemma_scan`` is that fold plus a minimum.  The test suite checks S2
+against a one-pass sum over p <= x/2 and a direct pair loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .accum import (
     NeumaierSum,
     block_sum,
     fixed_prefix_units,
+    fixed_column_units,
     fixed_sum,
     fixed_value,
 )
@@ -61,28 +65,9 @@ def s1(data: PrimeData, x: int) -> float:
     return fixed_sum(logs * logs)
 
 
-def _theta_at(data: PrimeData, ys: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(data.primes, ys, side="right")
-    cumlog = data.cumlog()
-    out = np.zeros(len(ys), dtype=np.float64)
-    nz = idx > 0
-    out[nz] = cumlog[idx[nz] - 1]
-    return out
-
-
-def _s2_ordered(logs: np.ndarray, thetas: np.ndarray) -> float:
-    """Ordered S2(x) from log p and theta(x // p) over the primes p <= sqrt(x).
-
-    theta(isqrt(x)) is the last running sum of ``logs``, with the bits of
-    the ``cumlog`` table.
-    """
-    theta_root = float(np.cumsum(logs)[-1])
-    return 2.0 * block_sum(logs * thetas) - theta_root ** 2
-
-
-def _s2_unordered(ordered: float, logs: np.ndarray) -> float:
-    """Unordered S2 from the ordered one: each {p, q} once, keeping the diagonal."""
-    diagonal = fixed_sum(logs * logs)
+def _s2_unordered(ordered: float, diagonal: float) -> float:
+    """Unordered S2 from the ordered one and the diagonal, the sum of log^2 p
+    over p <= sqrt(x): each {p, q} once, keeping the diagonal."""
     return (ordered - diagonal) / 2.0 + diagonal
 
 
@@ -102,12 +87,15 @@ def s2(data: PrimeData, x: int, pairing: str = "ordered") -> float:
             f"limit {data.limit}"
         )
     idx = int(np.searchsorted(data.primes, math.isqrt(x), side="right"))
-    small = data.primes[:idx]
-    logs = _logs(small)
-    ordered = _s2_ordered(logs, _theta_at(data, x // small))
+    logs = _logs(data.primes[:idx])
+    # x // p >= p >= 2, so every theta query has a prime at or below it
+    thetas = data.cumlog()[np.searchsorted(data.primes, x // data.primes[:idx],
+                                           side="right") - 1]
+    # theta(isqrt(x)) is the last running sum of ``logs``: the bits of ``cumlog``
+    ordered = 2.0 * block_sum(logs * thetas) - float(np.cumsum(logs)[-1]) ** 2
     if pairing == "ordered":
         return ordered
-    return _s2_unordered(ordered, logs)
+    return _s2_unordered(ordered, fixed_sum(logs * logs))
 
 
 @dataclass(frozen=True)
@@ -125,25 +113,34 @@ class SelbergSums:
         return self.s2 < self.s1
 
 
-def _sums(x: int, v1: float, v2: float, v2u: float) -> SelbergSums:
-    return SelbergSums(x, v1, v2, v2u, (v1 + v2 - 2.0 * x * math.log(x)) / x)
+def _residual(x: int, v1: float, v2: float) -> float:
+    return (v1 + v2 - 2.0 * x * math.log(x)) / x
+
+
+# A point's S2 products, at most sqrt(x) of them and each below x, keep
+# the int64 parts of ``fixed_column_units`` below 2**63 while x < 2**42.
+_MAX_POINT = 2**42
+_CELLS = 1 << 18
 
 
 class SelbergScan(BlockScan):
     """SelbergSums at ascending points (each >= 4), folded over the prime blocks.
 
     ``reduce`` carries theta, the running sum of log p, as one ``np.cumsum``
-    per block whose first term is the previous block's last value, which
-    gives the bits of ``PrimeData.cumlog``.  The S2 queries x // p, for
-    the primes p <= sqrt(x) of every point, are answered in ascending
-    order as the blocks pass; a point's S2 is taken once its last query,
-    x // 2, is answered, so the state holds theta values only for the
-    points still open.  S1 is one exact integer, the sum of log^2 p in
-    units of 2**-54, carried across the whole fold; a row takes it
-    rounded once, so each S1 has the bits of ``s1(data, x)``.  ``reduce``
-    returns the rows a block closes.  The scan's ``limit`` is
-    its last point, so a source that ends below it raises
-    ``RangeLimitError`` before the first block.
+    per block whose first term is the previous block's last value: the
+    bits of ``PrimeData.cumlog``.  A block answers the S2 queries
+    theta(x // p) among its primes one small prime p at a time.  Their
+    owners, the points with p * first <= x < p * succ and x >= p * p, are
+    one slice of the ascending points; each p is a row over the owners,
+    zero outside its slice, and the products log p * theta(x // p) are
+    added as exact int64 parts (``accum.fixed_column_units``).  Only the
+    p <= last point // first are visited.  The state holds S1 and, per
+    open point, half its ordered S2 sum, each as one exact integer in
+    units of 2**-54.  A point closes in the block whose primes reach it,
+    its sums rounded once, so its row has the bits of ``s1(data, x)`` and
+    ``s2(data, x)``; ``reduce`` returns the rows a block closes.  The
+    scan's ``limit`` is its last point, so a source that ends below it
+    raises ``RangeLimitError`` before the first block.
     """
 
     name = "selberg"
@@ -157,74 +154,79 @@ class SelbergScan(BlockScan):
                 raise DomainError(f"residual scan points must be >= 4, got {x}")
             if i and x < xs[i - 1]:
                 raise DomainError("residual scan points must be ascending")
-        self.xs = xs
+        if xs[-1] >= _MAX_POINT:
+            raise DomainError(f"residual scan points must be below 2**42, got "
+                              f"{xs[-1]}: the exact S2 sums would overflow int64")
+        self.xs = np.array(xs, dtype=np.int64)
         self.limit = xs[-1]
-        small = primes_up_to(math.isqrt(xs[-1]))
-        self._small_logs = _logs(small)
-        self._n_small = np.searchsorted(small, np.array([math.isqrt(x) for x in xs]),
-                                        side="right").tolist()
-        ys = np.concatenate([x // small[:n] for x, n in zip(xs, self._n_small)])
-        owners = np.repeat(np.arange(len(xs)), self._n_small)
-        order = np.argsort(ys, kind="stable")
-        self._query_y = ys[order]
-        self._query_owner = owners[order].tolist()
+        self._small = primes_up_to(math.isqrt(xs[-1]))
+        logs = self._small_logs = _logs(self._small)
+        squares = self._small * self._small
+        self._from = np.searchsorted(self.xs, squares, side="left")  # x >= p * p
+        # per point, theta(isqrt(x)) and the diagonal over the p <= sqrt(x)
+        n_small = np.searchsorted(squares, self.xs, side="right")
+        self._root = np.cumsum(logs)[n_small - 1].tolist()
+        self._diagonal = list(map(fixed_value, fixed_prefix_units(logs * logs, n_small)))
 
     def start(self) -> dict:
-        return {
-            "theta": 0.0,
-            "query": 0,
-            "open": {},
-            "s2": {},
-            "s1": 0,
-            "rows": [],
-        }
+        return {"theta": 0.0, "s1": 0, "open": [], "rows": []}
 
     def header(self):
         return "x,s1,s2_ordered,s2_unordered,residual_per_x,lemma1_holds"
 
     def map_block(self, block):
-        logs = _logs(block.primes)
-        cuts = np.searchsorted(block.primes, self.xs, side="right")
-        prefix = fixed_prefix_units(logs * logs, cuts)
-        # runs[k]: the exact sum over the block's primes in (x[k-1], x[k]]
-        runs = [b - a for a, b in zip([0, *prefix], prefix)]
-        return block.primes, block.succ, logs, cuts.tolist(), runs
+        ps, logs = block.primes, _logs(block.primes)
+        # the points the block closes: those its primes, or the end of the data, reach
+        lo, hi = np.searchsorted(self.xs, [ps[0], block.succ or math.inf], side="left")
+        cuts = np.searchsorted(ps, self.xs[lo:hi], side="right")
+        *s1_units, total = fixed_prefix_units(logs * logs, [*cuts, len(ps)])
+        return ps, block.succ, logs, s1_units, total
+
+    def _answer(self, ps, succ, cum, closed: int) -> list[int]:
+        """Per point from ``closed`` on, the exact sum of log p * theta(x // p)
+        over its queries x // p among ``ps``, whose theta is ``cum``."""
+        xs, first, top = self.xs, int(ps[0]), min(succ or math.inf, self.limit + 1)
+        # the small primes p with a query x // p >= first, and their owners' slices
+        small = self._small[:self._small.searchsorted(self.limit // first, side="right")]
+        los = np.maximum(self._from[:len(small)], np.searchsorted(xs, small * first))
+        his = np.searchsorted(xs, small * top)
+        live = np.flatnonzero(los < his)
+        rows = max(1, _CELLS // len(xs))
+
+        def products():  # ``rows`` small primes at a time, each zero outside its slice
+            for j in (live[r:r + rows, None] for r in range(0, len(live), rows)):
+                owners = np.arange(los[j].min(), his[j].max())
+                at = np.searchsorted(ps, xs[owners] // small[j], side="right")
+                terms = cum[at - 1] * self._small_logs[j]
+                yield owners[0] - closed, np.where(
+                    (owners >= los[j]) & (owners < his[j]), terms, 0.0)
+
+        return fixed_column_units(his[live].max(initial=closed) - closed, products())
 
     def reduce(self, state, payload):
-        ps, succ, logs, cuts, runs = payload
+        ps, succ, logs, s1_units, total = payload
         cum = np.cumsum(np.concatenate([[state["theta"]], logs]))[1:]
         state["theta"] = float(cum[-1])
-        first = state["query"]
-        end = (len(self._query_y) if succ is None
-               else int(np.searchsorted(self._query_y, succ, side="left")))
-        at = np.searchsorted(ps, self._query_y[first:end], side="right") - 1
-        for k, value in zip(self._query_owner[first:end], cum[at].tolist()):
-            thetas = state["open"].setdefault(str(k), [])
-            thetas.append(value)
-            if len(thetas) == self._n_small[k]:
-                # answered from x // 2 down, so reversed to ascending p
-                del state["open"][str(k)]
-                logs_k = self._small_logs[: len(thetas)]
-                ordered = _s2_ordered(logs_k, np.array(thetas[::-1]))
-                state["s2"][str(k)] = [ordered, _s2_unordered(ordered, logs_k)]
-        state["query"] = end
-
-        closed = []
-        for k in range(len(state["rows"]), len(self.xs)):
-            state["s1"] += runs[k]
-            x = self.xs[k]
-            if cuts[k] == len(ps) and succ is not None and succ <= x:
-                break  # primes <= x lie beyond this block
-            row = [x, fixed_value(state["s1"]), *state["s2"].pop(str(k))]
-            state["rows"].append(row)
-            closed.append(_sums(*row))
-        if not closed:
+        closed = len(state["rows"])
+        answered = zip_longest(state["open"], self._answer(ps, succ, cum, closed),
+                               fillvalue=0)
+        state["open"] = [a + b for a, b in answered]
+        # a closing point's last query, x // 2, is among the primes up to x
+        count = len(s1_units)
+        halves, state["open"] = state["open"][:count], state["open"][count:]
+        new = slice(closed, closed + count)
+        ordered = [2 * fixed_value(h) - r**2 for h, r in zip(halves, self._root[new])]
+        rows = [[x, fixed_value(state["s1"] + u), v2, _s2_unordered(v2, d)] for x, u, v2, d
+                in zip(self.xs[new].tolist(), s1_units, ordered, self._diagonal[new])]
+        state["s1"] += total
+        state["rows"] += rows
+        if not rows:
             return None
-        cols = map(np.array, zip(*map(astuple, closed)))
-        return (*cols, np.array([s.lemma_holds for s in closed]))
+        x, v1, v2, v2u = map(np.array, zip(*rows))
+        return x, v1, v2, v2u, np.array([_residual(*row[:3]) for row in rows]), v2 < v1
 
     def result(self, state) -> list[SelbergSums]:
-        return [_sums(*row) for row in state["rows"]]
+        return [SelbergSums(*row, _residual(*row[:3])) for row in state["rows"]]
 
 
 def selberg_residual_scan(data: PrimeData, limits) -> list[SelbergSums]:
@@ -233,9 +235,6 @@ def selberg_residual_scan(data: PrimeData, limits) -> list[SelbergSums]:
     if not xs:
         return []
     return run_to_end(data, SelbergScan(xs))
-
-
-_S1_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -250,10 +249,9 @@ class LemmaScanResult:
 def lemma_scan(data: PrimeData, xs) -> LemmaScanResult:
     """Check S2(x) < S1(x) along ascending evaluation points.
 
-    S1 at every point is the exactly rounded ``s1(data, x)``, read from
-    one exact running sum over the primes, taken 65 536 at a time; S2 is
-    evaluated fresh per point via the hyperbola split, so the sweep costs
-    far less than independent S1 evaluations would.
+    The rows are ``SelbergScan(xs)`` folded over ``data``, the one
+    Selberg fold; this adds the points where the lemma fails and the
+    least margin S1 - S2, with the first point that has it.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if len(xs) == 0:
@@ -266,30 +264,12 @@ def lemma_scan(data: PrimeData, xs) -> LemmaScanResult:
         raise RangeLimitError(
             f"lemma_scan point {int(xs[-1])} beyond sieved limit {data.limit}"
         )
-
-    cuts = np.searchsorted(data.primes, xs, side="right")
-    s1s = []
-    units = 0
-    for lo in range(0, int(cuts[-1]), _S1_CHUNK):
-        hi = min(lo + _S1_CHUNK, int(cuts[-1]))
-        logs = _logs(data.primes[lo:hi])
-        inside = cuts[(cuts > lo) & (cuts <= hi)] - lo
-        *at_cuts, total = fixed_prefix_units(logs * logs, [*inside, hi - lo])
-        s1s += [fixed_value(units + u) for u in at_cuts]
-        units += total
-
-    failures = []
-    min_margin = math.inf
-    min_at = 0
-    for x, v1 in zip(xs.tolist(), s1s):
-        v2 = s2(data, x, "ordered")
-        margin = v1 - v2
-        if margin < min_margin:
-            min_margin = margin
-            min_at = x
-        if not v2 < v1:
-            failures.append(x)
-    return LemmaScanResult(len(xs), not failures, failures, min_margin, min_at)
+    rows = run_to_end(data, SelbergScan(xs))
+    margins = [row.s1 - row.s2 for row in rows]
+    least = min(range(len(rows)), key=margins.__getitem__)
+    failures = [row.x for row in rows if not row.lemma_holds]
+    return LemmaScanResult(len(rows), not failures, failures, margins[least],
+                           rows[least].x)
 
 
 class PartialSumScan(BlockScan):

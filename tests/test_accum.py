@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps.accum import fixed_prefix_units, fixed_sum, fixed_units, fixed_value
+from primegaps.accum import (
+    fixed_prefix_units,
+    fixed_column_units,
+    fixed_sum,
+    fixed_units,
+    fixed_value,
+)
 from primegaps.errors import DomainError
 from primegaps.sieve import BLOCK_PRIMES, primes_up_to
 
@@ -62,3 +68,27 @@ def test_fixed_sum_edges():
     for bad in ([0.2, 1.0], [1.0, -1.0], [np.nan], [2.0**31]):
         with pytest.raises(DomainError):
             fixed_units(np.array(bad))
+
+
+def test_fixed_column_units_sum_products_above_2_31_exactly():
+    # The Selberg scan's products log p * theta(x // p) pass 2**31 near
+    # x = 6.2e9; at 1e10 they reach about 3.5e9.  Each column, fed rows of
+    # terms at a time, must still be the exactly rounded sum of its terms.
+    rng = np.random.default_rng(5)
+    pieces, terms = [], [[] for _ in range(300)]
+    for _ in range(100):
+        at = int(rng.integers(0, 300))
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 301 - at)))
+        # large products mixed with small ones, whose low bits must survive,
+        # and zeros, as outside a row's slice
+        rows = np.select([rng.random(shape) < 0.4, rng.random(shape) < 0.7],
+                         [rng.uniform(0.25, 10.0, shape), rng.uniform(2.0**31, 3.5e9, shape)])
+        pieces.append((at, rows))
+        for i, column in enumerate(rows.T.tolist()):
+            terms[at + i] += column
+    assert max(max(ts) for ts in terms if ts) > 2.0**31
+    units = fixed_column_units(300, iter(pieces))
+    assert [fixed_value(u) for u in units] == [math.fsum(ts) for ts in terms]
+    assert fixed_column_units(0, iter([])) == []
+    with pytest.raises(DomainError):
+        fixed_units(np.array([3.5e9]))

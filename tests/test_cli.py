@@ -857,6 +857,11 @@ def test_report_resumes_under_other_workers(tmp_path, capsys):
     assert capsys.readouterr().out == ref
 
 
+def _selberg_v4(state):
+    """A version-4 Selberg state: the open points' theta lists by owner."""
+    return {**state, "query": 0, "open": {"0": [state["theta"]]}, "s2": {}}
+
+
 def test_report_refuses_version_2_checkpoint(tmp_path, capsys):
     ck = tmp_path / "r.ckpt"
     args = ["report", *LIMIT_1E6, "--checkpoint", str(ck)]
@@ -870,13 +875,29 @@ def test_report_refuses_version_2_checkpoint(tmp_path, capsys):
     sel = current["scan_state"]["selberg_points"]
     v3 = {**current["scan_state"],
           "selberg_points": {**sel, "run": 0, "s1": [float(sel["s1"]), 0.0]}}
-    for version, state in ((2, v2), (3, v3)):
+    # the version-4 layout: theta lists of the open points and their S2 values
+    v4 = {**current["scan_state"], "selberg_points": _selberg_v4(sel)}
+    for version, state in ((2, v2), (3, v3), (4, v4)):
         ck.write_text(json.dumps({"version": version, "key": current["key"],
                                   "scan_state": state, "sink_offset": 0}))
         capsys.readouterr()
         assert main([*args, "--resume"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unsupported version" in captured.err
+
+
+def test_selberg_refuses_version_4_checkpoint(tmp_path, capsys):
+    ck, out = tmp_path / "s.ckpt", tmp_path / "s.csv"
+    args = ["selberg", *LIMIT_1E6, "--out", str(out), "--checkpoint", str(ck)]
+    assert main([*args, "--stop-after-blocks", "1"]) == 0
+    current = json.loads(ck.read_text())
+    assert all(type(units) is int for units in current["scan_state"]["open"])
+    ck.write_text(json.dumps({**current, "version": 4,
+                              "scan_state": _selberg_v4(current["scan_state"])}))
+    capsys.readouterr()
+    assert main([*args, "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unsupported version" in captured.err
 
 
 def _assert_memory_flat_from_2e6_to_8e6(args):

@@ -124,7 +124,8 @@ def test_lemma_scan_matches_pointwise(data_1e6):
     assert result.all_hold
     assert result.points == len(xs)
     margins = [s1(data_1e6, x) - s2(data_1e6, x, "ordered") for x in xs]
-    assert result.min_margin == pytest.approx(min(margins), rel=1e-9)
+    assert result.min_margin == min(margins)
+    assert result.min_margin_at == xs[margins.index(min(margins))]
 
 
 def test_lemma_scan_every_prime_to_1e5(data_1e6):
@@ -267,18 +268,36 @@ def test_selberg_scan_resumed_from_json_at_every_block(data_1e6):
     while not finished:
         state, finished = run_scan(data_1e6, scan, state=state, stop_after_blocks=1,
                                    **fold)
+        # one exact integer per open point
+        assert all(type(units) is int for units in state["open"])
         most_open = max(most_open, len(state["open"]))
         state = json.loads(json.dumps(state))  # as a checkpoint stores it
     assert scan.result(state) == expected
-    # theta values are held only while a point has unanswered queries
-    assert state["open"] == {} and state["s2"] == {}
-    assert 0 < most_open < len(xs)
+    assert state["open"] == []
+    assert 0 < most_open <= len(xs)
+
+
+def test_selberg_scan_rows_at_every_prime_to_1e5(data_1e6):
+    xs = data_1e6.primes[(data_1e6.primes >= 4) & (data_1e6.primes <= 10**5)]
+    assert len(xs) == 9590
+    buf = io.BytesIO()
+    rows = run_to_end(data_1e6, SelbergScan(xs), sink=RowSink(buf))
+    expected = [selberg_sums_at(data_1e6, x) for x in xs.tolist()]
+    assert rows == expected
+    lines = buf.getvalue().decode("ascii").splitlines()
+    assert lines[0] == "x,s1,s2_ordered,s2_unordered,residual_per_x,lemma1_holds"
+    assert [line.split(",") for line in lines[1:]] == [
+        [str(e.x), repr(e.s1), repr(e.s2), repr(e.s2_unordered),
+         repr(e.residual_per_x), "true" if e.lemma_holds else "false"]
+        for e in expected
+    ]
 
 
 def test_selberg_scan_errors():
-    for xs in ([], [3, 10], [100, 10]):
+    for xs in ([], [3, 10], [100, 10], [10, 2**42]):
         with pytest.raises(DomainError):
             SelbergScan(xs)
+    assert SelbergScan([2**42 - 1]).limit == 2**42 - 1
 
 
 def test_selberg_scan_refuses_blocks_that_end_below_a_point():
