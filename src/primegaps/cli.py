@@ -5,7 +5,7 @@ set passes, 1 when a mathematical violation was found (violations are
 still fully emitted), 2 on usage or resource errors.
 
 The argparse subparsers are the one schema of the options: each is
-declared once, with its type, default and choices.  The nine of
+declared once, with its type, default and choices.  The eight of
 ``_SETTINGS`` may also come from a --config key=value file or a
 PRIMEGAPS_<KEY> variable.  ``_parse`` turns those into ``--flag=value``
 arguments and parses ``[command, *file, *env, *flags]`` with the same
@@ -41,7 +41,7 @@ from . import fluct, selberg
 from .analytic import Constants
 from .errors import PrimeGapsError
 from .runner import BlockScan, FusedScan, RowSink, run_scan, run_to_end
-from .sieve import DEFAULT_SEGMENT_SIZE, PrimeStream
+from .sieve import PrimeStream
 
 ENV_PREFIX = "PRIMEGAPS_"
 CHECKPOINT_VERSION = 5
@@ -51,12 +51,10 @@ CHECKPOINT_VERSION = 5
 # --key with "-" for "_".
 _SETTINGS = {
     "limit": dict(type=int, default=10**8, help="scan limit"),
-    "c": dict(type=float, default=1.0, help="gap-bound constant"),
-    "B": dict(type=float, default=5.0, help="|b(x)| bound"),
-    "K": dict(type=float, default=1.0 / 3.0, help="all-x ratio bound"),
+    "c": dict(type=float, default=Constants.c, help="gap-bound constant"),
+    "B": dict(type=float, default=Constants.B, help="|b(x)| bound"),
+    "K": dict(type=float, default=Constants.K_all, help="all-x ratio bound"),
     "workers": dict(type=int, default=1, help="sieve and fold threads"),
-    "segment_size": dict(type=int, default=DEFAULT_SEGMENT_SIZE,
-                         help="sieve segment length"),
     "format": dict(choices=["csv", "json"], default="csv", help="output format"),
     "out": dict(default=None, help="output path, stdout if None"),
     "checkpoint": dict(default=None, help="checkpoint path"),
@@ -72,9 +70,8 @@ class UsageError(Exception):
 
 
 def echo(args) -> dict:
-    """The settings that shape the results.  Workers and segment size
-    only schedule the work and change no output byte, so a run may
-    resume under others."""
+    """The settings that shape the results.  Workers only schedule the
+    work and change no output byte, so a run may resume under others."""
     return {"limit": args.limit, "c": args.c, "B": args.B, "K": args.K}
 
 
@@ -139,7 +136,8 @@ def _parser() -> argparse.ArgumentParser:
     p = command("fit", "fit the k(x) drift model")
     p.add_argument("--stride", type=int, default=1000, help="sample every N-th prime")
     p.add_argument("--bins", type=int, default=20, help="equal-width log-x bins")
-    p.add_argument("--x-min", dest="x_min", type=int, default=10**4, help="least x")
+    p.add_argument("--x-min", dest="x_min", type=int, default=fitmod.FIT_X_MIN,
+                   help="least x")
     _add_common(p)
 
     p = command("report", "one-shot JSON reproduction document")
@@ -493,7 +491,7 @@ def _report_scan(args) -> BlockScan:
     scans = {name: SCANS[which].make(args) for name, which in _REPORT_SCANS.items()}
     scans["partial_sums"] = selberg.PartialSumScan(args.limit)
     scans["selberg_points"] = _selberg_scan(args)
-    scans["fit"] = fitmod.FitScan(10**4, args.limit)
+    scans["fit"] = fitmod.FitScan(fitmod.FIT_X_MIN, args.limit)
     return FusedScan(scans)
 
 
@@ -636,7 +634,8 @@ _COMMANDS = {
         minimum=_which_minimum, key=("which", "format"), finish=_finish_figure1,
     ),
     "fit": _Command(
-        make=_fit_scan, minimum=lambda args: 10**4, key=("stride", "bins", "x_min"),
+        make=_fit_scan, minimum=lambda args: fitmod.FIT_X_MIN,
+        key=("stride", "bins", "x_min"),
         finish=_finish_fit,
     ),
     "report": _Command(
@@ -664,7 +663,7 @@ def _run(args) -> int:
     least = cmd.minimum(args)
     if args.limit < least:
         raise UsageError(f"{named} needs --limit >= {least}, got {args.limit}")
-    data = PrimeStream(args.limit, segment_size=args.segment_size, workers=args.workers)
+    data = PrimeStream(args.limit, workers=args.workers)
     scan = cmd.make(args)
     ckpt = _Checkpoint(args, **shape)
     rows = scan.header() is not None and shape.get("format", "csv") == "csv"

@@ -26,6 +26,9 @@ MIN_FIT_X = math.exp(math.e)
 # Samples the fit keeps per decade of x (see ``SampleScan``).
 FIT_PER_DECADE = 200
 
+# ``fit --x-min``'s default and least --limit, and where ``report``'s fit starts.
+FIT_X_MIN = 10**4
+
 
 class SampleScan(BlockScan):
     """Fluctuation samples at every stride-th prime in [x_min, x_max], folded

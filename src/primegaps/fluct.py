@@ -25,6 +25,7 @@ from .accum import NeumaierSum, block_sum
 from .analytic import (
     DUSART_LOWER_MIN_X,
     DUSART_UPPER_MIN_X,
+    Constants,
     _bprime_threshold,
     _dusart_bounds,
     _kprime_threshold,
@@ -194,7 +195,7 @@ class CgScan(BlockScan):
 def cg_scan(
     data: PrimeData | PrimeStream,
     limit: int,
-    c: float = 1.0,
+    c: float = Constants.c,
     *,
     workers: int = 1,
     sink: RowSink | None = None,
@@ -299,7 +300,7 @@ class DeltaScan(BlockScan):
 def delta_scan(
     data: PrimeData | PrimeStream,
     limit: int,
-    c: float = 1.0,
+    c: float = Constants.c,
     *,
     workers: int = 1,
     sink: RowSink | None = None,
@@ -409,7 +410,7 @@ class DerivScan(BlockScan):
 def deriv_scan(
     data: PrimeData | PrimeStream,
     limit: int,
-    c: float = 1.0,
+    c: float = Constants.c,
     *,
     workers: int = 1,
     sink: RowSink | None = None,
@@ -472,8 +473,6 @@ class SchoenfeldScan(BlockScan):
 
     def map_block(self, block):
         xs, pis = _jump_grid(block)
-        if len(xs) == 0:
-            return xs, pis, None, None
         xf = xs.astype(np.float64)
         livals = li_ascending(xf)
         ratio = np.abs(pis - livals) / (np.sqrt(xf) * np.log(xf))
@@ -481,8 +480,6 @@ class SchoenfeldScan(BlockScan):
 
     def reduce(self, state, payload):
         xs, pis, livals, ratio = payload
-        if ratio is None:
-            return None
         _raise_max(state, "max_ratio", "max_at", ratio, xs)
         # xs ascends, so the points past the cutoff are a suffix
         tail = int(np.searchsorted(xs, SCHOENFELD_CUTOFF, side="right"))
@@ -535,7 +532,7 @@ def schoenfeld_scan(
     data: PrimeData | PrimeStream,
     limit: int,
     *,
-    k_all: float = 1.0 / 3.0,
+    k_all: float = Constants.K_all,
     windows: dict | None = None,
     workers: int = 1,
     sink: RowSink | None = None,
@@ -566,8 +563,6 @@ class BBoundScan(BlockScan):
 
     def map_block(self, block):
         xs, pis = _jump_grid(block)
-        if len(xs) == 0:
-            return xs, pis, None
         xf = xs.astype(np.float64)
         lg = np.log(xf)
         lg3 = lg**3
@@ -576,8 +571,6 @@ class BBoundScan(BlockScan):
 
     def reduce(self, state, payload):
         xs, pis, b = payload
-        if b is None:
-            return None
         ab = np.abs(b)
         _raise_max(state, "max_abs", "max_at", ab, xs)
         for i in np.nonzero(ab >= self.bound)[0]:
@@ -612,7 +605,7 @@ class BBoundResult:
 def bbound_scan(
     data: PrimeData | PrimeStream,
     limit: int,
-    bound: float = 5.0,
+    bound: float = Constants.B,
     *,
     workers: int = 1,
     sink: RowSink | None = None,

@@ -251,19 +251,9 @@ def lemma_scan(data: PrimeData, xs) -> LemmaScanResult:
 
     The rows are ``SelbergScan(xs)`` folded over ``data``, the one
     Selberg fold; this adds the points where the lemma fails and the
-    least margin S1 - S2, with the first point that has it.
+    least margin S1 - S2, with the first point that has it.  Its refusals
+    of points are the fold's, made before the first block.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    if len(xs) == 0:
-        raise DomainError("lemma_scan needs at least one evaluation point")
-    if np.any(np.diff(xs) < 0):
-        raise DomainError("lemma_scan points must be ascending")
-    if xs[0] < 4:
-        raise DomainError("lemma_scan points must be >= 4")
-    if int(xs[-1]) > data.limit:
-        raise RangeLimitError(
-            f"lemma_scan point {int(xs[-1])} beyond sieved limit {data.limit}"
-        )
     rows = run_to_end(data, SelbergScan(xs))
     margins = [row.s1 - row.s2 for row in rows]
     least = min(range(len(rows)), key=margins.__getitem__)

@@ -4,13 +4,16 @@ import io
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -276,7 +279,6 @@ _REJECTED = {
     "B=inf": "Constants.B must be positive and finite, got inf",
     "K=0.01": "Constants require 0 < K_rh < K_all < inf",
     "format=xml": "argument --format: invalid choice: 'xml'",
-    "segment_size=10": "segment_size must be >= 64, got 10",
 }
 
 
@@ -300,6 +302,17 @@ def test_rejected_value_exits_2_before_the_fold(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == "" and _REJECTED[setting] in captured.err
     assert not out.exists() and not ck.exists()
+
+
+def test_segment_size_is_no_setting(tmp_path, capsys):
+    # Every command sieves in DEFAULT_SEGMENT_SIZE segments; the setting is gone.
+    args = ["scan", "--which", "delta", *LIMIT_1E5, "--out", str(tmp_path / "d.csv")]
+    assert main([*args, "--segment-size", "5000"]) == 2
+    assert "unrecognized arguments: --segment-size 5000" in capsys.readouterr().err
+    (tmp_path / "run.cfg").write_text("segment_size = 5000\n")
+    assert main([*args, "--config", str(tmp_path / "run.cfg")]) == 2
+    assert "run.cfg:1: unknown key 'segment_size'" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_report_refuses_k_below_k_rh_before_the_fold(tmp_path, capsys):
@@ -838,6 +851,28 @@ def test_fit_resume_after_hard_kill_byte_identical(tmp_path):
     assert resumed.stdout == ref.stdout
     assert not (tmp_path / "a.ckpt").exists()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_scan_resume_after_sigkill_at_a_random_time_byte_identical(tmp_path, capsys):
+    # A real SIGKILL from outside, at a seeded random time after the first
+    # checkpoint of a 21-block run, wherever the fold, the sink or the
+    # checkpoint write then is.
+    args = ["scan", "--which", "delta", "--limit", "10000000",
+            "--out", "d.csv", "--checkpoint", "d.ck"]
+    child = subprocess.Popen([sys.executable, "-m", "primegaps.cli", *args],
+                             cwd=tmp_path, env=_cli_env(), stdout=subprocess.DEVNULL)
+    while not (tmp_path / "d.ck").exists() and child.poll() is None:
+        time.sleep(0.002)
+    time.sleep(np.random.default_rng(22).uniform(0.0, 0.2))
+    assert child.poll() is None, "the run ended before the kill"
+    child.send_signal(signal.SIGKILL)
+    assert child.wait(timeout=60) == -signal.SIGKILL
+    resumed = _run_cli(["-m", "primegaps.cli"], [*args, "--resume"], tmp_path)
+    assert not (tmp_path / "d.ck").exists()
+    ref = tmp_path / "ref.csv"
+    assert main([*args[:-4], "--out", str(ref)]) == resumed.returncode == 1
+    assert resumed.stdout.decode("ascii") == capsys.readouterr().out
+    assert (tmp_path / "d.csv").read_bytes() == ref.read_bytes()
 
 
 def test_report_resumes_under_other_workers(tmp_path, capsys):

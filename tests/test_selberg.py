@@ -136,6 +136,18 @@ def test_lemma_scan_every_prime_to_1e5(data_1e6):
     assert result.min_margin_at == 5
 
 
+@pytest.mark.parametrize("xs, error", [
+    ([], DomainError),
+    ([10, 5], DomainError),
+    ([3, 10], DomainError),
+    ([10, 10**5 + 1], RangeLimitError),
+], ids=["empty", "descending", "below-4", "past-the-table"])
+def test_lemma_scan_refusals(data_1e5, xs, error):
+    # SelbergScan refuses the points and the table refuses the range.
+    with pytest.raises(error):
+        lemma_scan(data_1e5, np.array(xs, dtype=np.int64))
+
+
 def test_residual_scan(data_1e6):
     rows = selberg_residual_scan(data_1e6, [10**4, 10**5, 10**6])
     assert [r.x for r in rows] == [10**4, 10**5, 10**6]

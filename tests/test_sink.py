@@ -69,8 +69,7 @@ def test_partial_sum_rows_equal_the_row_by_row_oracle(data_1e6, n_max):
 
 @pytest.mark.parametrize("points", [32, 7])
 @pytest.mark.parametrize(
-    "schedule", [[], ["--workers", "2", "--segment-size", "5000"]],
-    ids=["default", "workers-2-segment-5000"],
+    "schedule", [[], ["--workers", "2"]], ids=["default", "workers-2"],
 )
 def test_selberg_csv_equals_the_pointwise_rows(tmp_path, capsys, data_1e6,
                                                points, schedule):
