@@ -1,5 +1,6 @@
 """The golden byte manifest: every command at --limit 1000000, in each
-format it accepts, run through ``cli.main`` in one process.
+format it accepts, and ``report --limit 100000000``, run through
+``cli.main`` in one process.
 
     PYTHONPATH=src python tests/golden/make_manifest.py
 
@@ -8,9 +9,11 @@ sha256 and size of stdout and of each file the case writes, with numpy's
 version and the SIMD extensions numpy dispatches to, as
 ``np.show_runtime()`` lists them.  The float outputs' last bits follow
 that dispatch, so the bytes are golden for one numpy build on one CPU.
-``tests/test_golden.py`` reruns every case and compares.  The manifest is
-never edited by hand; regenerate it only in a change that says which
-bytes move and why.
+It also writes ``tests/golden/fixtures/<case>/``: what each ``RESUMED``
+case leaves when stopped under --checkpoint after one block.
+``tests/test_golden.py`` reruns every case, resumes every fixture, and
+compares.  Neither is ever edited by hand; regenerate them only in a
+change that says which bytes move and why.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +34,10 @@ from primegaps.cli import ENV_PREFIX, SCANS, main
 
 MANIFEST = Path(__file__).with_name("manifest.json")
 LIMIT = ["--limit", "1000000"]
+FIXTURES = Path(__file__).with_name("fixtures")
+# The cases kept as checkpoint fixtures: those whose partial output is small.
+RESUMED = ("report", "fit-json", "selberg-csv", "scan-bbound-json")
+RESUME = ["--checkpoint", "checkpoint.json", "--resume"]
 
 
 def cases() -> dict[str, list[str]]:
@@ -45,6 +53,7 @@ def cases() -> dict[str, list[str]]:
                                    "--out", "out.json"]
     runs["selberg-csv"] = ["selberg", *LIMIT, "--out", "out.csv"]
     runs["report"] = ["report", *LIMIT, "--out", "out.json"]
+    runs["report-1e8"] = ["report", "--limit", "100000000"]
     return runs
 
 
@@ -103,7 +112,20 @@ def build() -> dict:
     return {"numpy": numpy_runtime(), "cases": runs}
 
 
+def write_fixtures() -> None:
+    """Stop each ``RESUMED`` case after one block and keep what it leaves,
+    its checkpoint and any partial output, in ``FIXTURES/<case>``."""
+    shutil.rmtree(FIXTURES, ignore_errors=True)
+    for name in RESUMED:
+        directory = FIXTURES / name
+        directory.mkdir(parents=True)
+        stop = [*cases()[name], *RESUME[:2], "--stop-after-blocks", "1"]
+        if run_case(stop, directory)["exit"] != 0:
+            raise SystemExit(f"{name} did not stop cleanly")
+
+
 if __name__ == "__main__":
     MANIFEST.write_text(json.dumps(build(), indent=1, sort_keys=True) + "\n",
                         encoding="ascii")
-    print(f"wrote {MANIFEST}", file=sys.stderr)
+    write_fixtures()
+    print(f"wrote {MANIFEST} and {FIXTURES}", file=sys.stderr)
