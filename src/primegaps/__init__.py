@@ -40,7 +40,6 @@ from .fluct import (
     SchoenfeldResult,
     bbound_scan,
     cg_scan,
-    delta_scan,
     deriv_scan,
     dusart_scan,
     fluctuation_at,
@@ -92,7 +91,6 @@ __all__ = [
     "bin_average_k",
     "bprime_threshold",
     "cg_scan",
-    "delta_scan",
     "deriv_scan",
     "dusart_bounds",
     "dusart_scan",

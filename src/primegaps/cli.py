@@ -7,11 +7,11 @@ still fully emitted), 2 on usage or resource errors.
 The argparse subparsers are the one schema of the options: each is
 declared once, with its type, default and choices.  The eight of
 ``_SETTINGS`` may also come from a --config key=value file or a
-PRIMEGAPS_<KEY> variable.  ``_parse`` turns those into ``--flag=value``
-arguments and parses ``[command, *file, *env, *flags]`` with the same
-subparser, so the last value given wins: command-line flags, then env
-variables, then the file, then defaults.  ``_check`` then refuses,
-before anything is sieved, a limit below 2, fewer than one worker,
+PRIMEGAPS_<KEY> variable (any other key or PRIMEGAPS_* name is refused).
+``_parse`` turns those into ``--flag=value`` arguments and parses
+``[command, *file, *env, *flags]`` with the same subparser, so the last
+value given wins: command-line flags, then env variables, then the file,
+then defaults.  ``_check`` then refuses, before anything is sieved,
 --stop-after-blocks below 1 or without --checkpoint, ``selberg --format
 json`` and a c, B or K that ``Constants`` refuses.
 The parsed namespace, with that ``Constants`` as ``args.constants``, is
@@ -151,8 +151,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser = _parser()
     args = parser.parse_args(argv)
     file = _file_args(args.config) if args.config else []
-    env = [f"{_flag(key)}={os.environ[ENV_PREFIX + key.upper()]}"
-           for key in _SETTINGS if ENV_PREFIX + key.upper() in os.environ]
+    names = {ENV_PREFIX + key.upper(): key for key in _SETTINGS}
+    given = sorted(name for name in os.environ if name.startswith(ENV_PREFIX))
+    unknown = [name for name in given if name not in names]
+    if unknown:
+        raise UsageError(f"unknown environment variable {', '.join(unknown)}")
+    env = [f"{_flag(names[name])}={os.environ[name]}" for name in given]
     args = parser.parse_args([args.command, *file, *env, *argv[1:]])
     _check(args)
     return args
@@ -160,12 +164,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def _check(args) -> None:
     """Refuse, before anything is sieved, a value no run can take."""
-    for name, value, least in (("--limit", args.limit, 2),
-                               ("--workers", args.workers, 1),
-                               ("--stop-after-blocks", args.stop_after_blocks, 1)):
-        if value is not None and value < least:
-            raise UsageError(f"{name} must be >= {least}, got {value}")
-    if args.stop_after_blocks is not None and not args.checkpoint:
+    stop = args.stop_after_blocks
+    if stop is not None and stop < 1:
+        raise UsageError(f"--stop-after-blocks must be >= 1, got {stop}")
+    if stop is not None and not args.checkpoint:
         raise UsageError("--stop-after-blocks requires --checkpoint")
     if args.command == "selberg" and args.format == "json":
         raise UsageError("selberg writes CSV only, not --format json")
@@ -451,10 +453,6 @@ def _finish_selberg(rows, args) -> int:
 
 
 def _fit_scan(args) -> BlockScan:
-    if args.x_min < 16:
-        raise UsageError(f"fit needs --x-min >= 16, got {args.x_min}")
-    if args.bins < 1:
-        raise UsageError(f"fit needs --bins >= 1, got {args.bins}")
     return fitmod.FitScan(args.x_min, args.limit, stride=args.stride,
                           bin_count=args.bins)
 

@@ -33,7 +33,7 @@ from .analytic import (
     li_ascending,
 )
 from .errors import DomainError
-from .runner import BlockScan, RowSink, run_to_end
+from .runner import BlockScan, run_to_end
 from .sieve import PrimeData, PrimeStream
 
 # The 2! coefficient of x/L^3 in the asymptotic expansion of Li(x).
@@ -198,10 +198,9 @@ def cg_scan(
     c: float = Constants.c,
     *,
     workers: int = 1,
-    sink: RowSink | None = None,
 ) -> ScanReport:
     """Exact violation set and running maximum of g_n / log^2 p_n."""
-    return run_to_end(data, CgScan(limit, c), workers=workers, sink=sink)
+    return run_to_end(data, CgScan(limit, c), workers=workers)
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +279,7 @@ class DeltaScan(BlockScan):
         for i in viol:
             state["violations"].append(n0 + int(i))
         state["count"] += len(ps)
-        state["final"] = float(delta[-1]) if len(ps) else state.get("final", 0.0)
+        state["final"] = float(delta[-1])
         prefix.add(total)
         state["prefix"] = prefix.state()
         return ps, delta, delta_hat
@@ -291,22 +290,10 @@ class DeltaScan(BlockScan):
             c=self.c,
             violations=state["violations"],
             count=state["count"],
-            final_delta=state.get("final", 0.0),
+            final_delta=state["final"],
             max_bhat_drift=state["drift"],
             max_bhat_drift_at=state["drift_at"],
         )
-
-
-def delta_scan(
-    data: PrimeData | PrimeStream,
-    limit: int,
-    c: float = Constants.c,
-    *,
-    workers: int = 1,
-    sink: RowSink | None = None,
-) -> DeltaScanResult:
-    """Gap-deficit sums at every prime <= limit plus monotonicity violations."""
-    return run_to_end(data, DeltaScan(limit, c), workers=workers, sink=sink)
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +400,9 @@ def deriv_scan(
     c: float = Constants.c,
     *,
     workers: int = 1,
-    sink: RowSink | None = None,
 ) -> DerivScanResult:
     """Derivative-condition scan for both b and k sides in one pass."""
-    return run_to_end(data, DerivScan(limit, c), workers=workers, sink=sink)
+    return run_to_end(data, DerivScan(limit, c), workers=workers)
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +521,6 @@ def schoenfeld_scan(
     k_all: float = Constants.K_all,
     windows: dict | None = None,
     workers: int = 1,
-    sink: RowSink | None = None,
 ) -> SchoenfeldResult:
     """Scan |pi - Li| / (sqrt(x) log x) on the jump-edge grid.
 
@@ -543,8 +528,7 @@ def schoenfeld_scan(
     cutoff 2657, and the least grid point from which the enlarged
     bound ``k_all`` holds onward.
     """
-    return run_to_end(data, SchoenfeldScan(limit, k_all, windows), workers=workers,
-                      sink=sink)
+    return run_to_end(data, SchoenfeldScan(limit, k_all, windows), workers=workers)
 
 
 class BBoundScan(BlockScan):
@@ -608,10 +592,9 @@ def bbound_scan(
     bound: float = Constants.B,
     *,
     workers: int = 1,
-    sink: RowSink | None = None,
 ) -> BBoundResult:
     """Empirical maximum of |b(x)| over the jump-edge grid."""
-    return run_to_end(data, BBoundScan(limit, bound), workers=workers, sink=sink)
+    return run_to_end(data, BBoundScan(limit, bound), workers=workers)
 
 
 class DusartScan(BlockScan):
@@ -675,7 +658,6 @@ def dusart_scan(
     limit: int,
     *,
     workers: int = 1,
-    sink: RowSink | None = None,
 ) -> DusartResult:
     """pi(x) bracketing scan: strict lower bound from 32299, both from 355991."""
-    return run_to_end(data, DusartScan(limit), workers=workers, sink=sink)
+    return run_to_end(data, DusartScan(limit), workers=workers)

@@ -34,7 +34,7 @@ from .accum import (
 )
 from .errors import DomainError, RangeLimitError
 from .fluct import _gap_pairs
-from .runner import BlockScan, RowSink, run_to_end
+from .runner import BlockScan, run_to_end
 from .sieve import PrimeData, primes_up_to
 
 
@@ -333,7 +333,7 @@ class PartialSumResult:
     final_logsq: float
 
 
-def partial_sum_scan(data: PrimeData, n_max: int, *, sink: RowSink | None = None,
+def partial_sum_scan(data: PrimeData, n_max: int, *,
                      workers: int = 1) -> PartialSumResult:
     """Run the partial-sum comparison up to index n_max: ``PartialSumScan``
     up to the prime p_{n_max}.
@@ -346,5 +346,4 @@ def partial_sum_scan(data: PrimeData, n_max: int, *, sink: RowSink | None = None
             f"partial-sum scan to N={n_max} needs {n_max + 1} primes, "
             f"sieve holds {len(data.primes)}"
         )
-    return run_to_end(data, PartialSumScan(data.nth(n_max)), workers=workers,
-                      sink=sink)
+    return run_to_end(data, PartialSumScan(data.nth(n_max)), workers=workers)

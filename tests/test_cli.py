@@ -138,7 +138,15 @@ def test_fit_bins_below_one_fails_before_the_fold(tmp_path, capsys):
     ck = tmp_path / "f.ckpt"
     assert main(["fit", *LIMIT_1E5, "--bins", "0", "--checkpoint", str(ck)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "fit needs --bins >= 1, got 0" in captured.err
+    assert captured.out == "" and "bin_count must be >= 1, got 0" in captured.err
+    assert not ck.exists()
+
+
+def test_fit_x_min_below_the_fit_range_fails_before_the_fold(tmp_path, capsys):
+    ck = tmp_path / "f.ckpt"
+    assert main(["fit", *LIMIT_1E5, "--x-min", "15", "--checkpoint", str(ck)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fit range must start above" in captured.err
     assert not ck.exists()
 
 
@@ -270,9 +278,9 @@ def test_values_starting_with_a_dash_stay_values(tmp_path, capsys, monkeypatch):
 
 
 _REJECTED = {
-    "limit=1": "--limit must be >= 2, got 1",
+    "limit=1": "scan --which delta needs --limit >= 3, got 1",
     "limit=abc": "argument --limit: invalid int value: 'abc'",
-    "workers=0": "--workers must be >= 1, got 0",
+    "workers=0": "workers must be >= 1, got 0",
     "c=0": "Constants.c must be positive and finite, got 0.0",
     "c=nan": "Constants.c must be positive and finite, got nan",
     "B=0": "Constants.B must be positive and finite, got 0.0",
@@ -304,7 +312,7 @@ def test_rejected_value_exits_2_before_the_fold(tmp_path, capsys, monkeypatch,
     assert not out.exists() and not ck.exists()
 
 
-def test_segment_size_is_no_setting(tmp_path, capsys):
+def test_segment_size_is_no_setting(tmp_path, capsys, monkeypatch):
     # Every command sieves in DEFAULT_SEGMENT_SIZE segments; the setting is gone.
     args = ["scan", "--which", "delta", *LIMIT_1E5, "--out", str(tmp_path / "d.csv")]
     assert main([*args, "--segment-size", "5000"]) == 2
@@ -312,6 +320,15 @@ def test_segment_size_is_no_setting(tmp_path, capsys):
     (tmp_path / "run.cfg").write_text("segment_size = 5000\n")
     assert main([*args, "--config", str(tmp_path / "run.cfg")]) == 2
     assert "run.cfg:1: unknown key 'segment_size'" in capsys.readouterr().err
+    # a retired or misspelt variable is refused as a file key is, not ignored
+    monkeypatch.setattr("primegaps.cli.PrimeStream", None)  # nothing is sieved
+    for name in ("PRIMEGAPS_SEGMENT_SIZE", "PRIMEGAPS_LIMT"):
+        monkeypatch.setenv(name, "5")
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown environment variable {name}\n"
+        monkeypatch.delenv(name)
     assert not (tmp_path / "d.csv").exists()
 
 

@@ -13,7 +13,6 @@ from primegaps.errors import DomainError, PrimeGapsError, RangeLimitError
 from primegaps.fluct import (
     bbound_scan,
     cg_scan,
-    delta_scan,
     deriv_scan,
     dusart_scan,
     fluctuation_at,
@@ -115,7 +114,7 @@ DeltaRow = namedtuple("DeltaRow", "p delta delta_hat")
 def _delta_rows(data, limit, c):
     """The delta scan's CSV rows up to ``limit``, parsed."""
     buf = io.BytesIO()
-    delta_scan(data, limit, c, sink=RowSink(buf))
+    run_to_end(data, DeltaScan(limit, c), sink=RowSink(buf))
     lines = buf.getvalue().decode("ascii").splitlines()[1:]
     return [
         DeltaRow(int(p), float(d), float(dh))
@@ -132,13 +131,13 @@ def test_delta_samples_start(data_1e6):
 
 
 def test_delta_scan_violations_match_hand_check(data_1e6):
-    assert delta_scan(data_1e6, 100, 1.0).violations == [1, 2, 4]
-    assert delta_scan(data_1e6, 10**6, 1.0).violations == [1, 2, 4]
+    assert run_to_end(data_1e6, DeltaScan(100, 1.0)).violations == [1, 2, 4]
+    assert run_to_end(data_1e6, DeltaScan(10**6, 1.0)).violations == [1, 2, 4]
 
 
 def test_delta_violations_equal_cg_violations(data_1e6):
     for c in (1.0, 1.122918, 2.0):
-        dv = delta_scan(data_1e6, 10**5, c).violations
+        dv = run_to_end(data_1e6, DeltaScan(10**5, c)).violations
         cv = cg_scan(data_1e6, 10**5, c).violations
         assert dv == cv
 
@@ -171,7 +170,7 @@ def test_delta_hat_definition(data_1e6):
 
 
 def test_delta_scan_drift_recorded(data_1e6):
-    res = delta_scan(data_1e6, 10**6, 1.0)
+    res = run_to_end(data_1e6, DeltaScan(10**6, 1.0))
     # the two b reconstructions differ by an O(1)-scale drift that is
     # recorded, never asserted away
     assert res.max_bhat_drift > 0.0
@@ -243,7 +242,7 @@ def test_kprime_sign_logic(data_1e6):
 def test_deriv_scan_rows_match_pointwise_li_records(data_1e6):
     # The scan steps Li by li_ascending; the oracle takes li() per prime.
     buf = io.BytesIO()
-    res = deriv_scan(data_1e6, 10**6, 1.0, sink=RowSink(buf))
+    res = run_to_end(data_1e6, DerivScan(10**6, 1.0), sink=RowSink(buf))
     lines = buf.getvalue().decode("ascii").splitlines()
     assert lines[0] == "n,p,b_prime,k_prime,b_rhs,k_rhs,b_ok,k_ok"
     rows = [line.split(",") for line in lines[1:]]

@@ -209,7 +209,7 @@ PartialSumRow = namedtuple("PartialSumRow", "N gap_sum logsq_sum holds")
 def _partial_sum_rows(data, n_max):
     """The partial-sum scan's CSV rows up to index ``n_max``, parsed."""
     buf = io.BytesIO()
-    partial_sum_scan(data, n_max, sink=RowSink(buf))
+    run_to_end(data, PartialSumScan(data.nth(n_max)), sink=RowSink(buf))
     lines = buf.getvalue().decode("ascii").splitlines()[1:]
     return [
         PartialSumRow(int(n), int(g), float(lsq), holds == "true")

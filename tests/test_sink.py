@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from primegaps import cli
 from primegaps.fluct import DeltaScan, SchoenfeldScan
-from primegaps.runner import RowSink, run_scan
-from primegaps.selberg import PartialSumScan, partial_sum_scan
+from primegaps.runner import RowSink, run_scan, run_to_end
+from primegaps.selberg import PartialSumScan
 
 from .oracles import csv_rows_oracle, selberg_csv_oracle
 
@@ -61,8 +61,8 @@ def test_partial_sum_rows_equal_the_row_by_row_oracle(data_1e6, n_max):
     # 50 000 ends mid-block, so the last block's rows are cut short;
     # 32 768 ends on the first block's last prime and 32 769 one past it.
     buf = io.BytesIO()
-    partial_sum_scan(data_1e6, n_max, sink=RowSink(buf))
     scan = PartialSumScan(data_1e6.nth(n_max))
+    run_to_end(data_1e6, scan, sink=RowSink(buf))
     expected = csv_rows_oracle(scan, data_1e6, scan.limit)
     assert buf.getvalue() == expected
 
