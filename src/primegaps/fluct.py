@@ -135,10 +135,27 @@ def _gap_pairs(block, limit):
 
 
 class CgScan(BlockScan):
+    """Violations of g_n < c log^2 p_n and the running maximum of the ratio
+    g_n / log^2 p_n, overall and from n = 5 on.
+
+    From n = 5 on a block's map takes logs only for the lanes whose gap
+    reaches min(g_max (L0/L1)^2, c L0^2), less a 1e-9 margin for rounding,
+    with L0 and L1 the logs of the block's first and last prime.  Any other
+    lane's ratio is below g_max / L1^2, so strictly below the block's
+    largest, and its gap is below c log^2 p: it can neither violate nor be
+    the first lane that reaches the block's maximum.  So the maxima, the
+    places where they occur, the violations and the rows are those of every
+    lane.  A block that starts below n = 5 keeps every lane, as its maximum
+    from n = 5 on may lie below its own maximum.
+    """
+
     name = "cg"
 
     def __init__(self, limit: int, c: float):
         _check_limit(self.name, limit, 3)
+        # The lane bound in map_block needs a positive, finite c.
+        if not 0 < c < math.inf:
+            raise DomainError(f"the cg scan requires finite c > 0, got {c}")
         self.limit = limit
         self.c = c
 
@@ -157,24 +174,32 @@ class CgScan(BlockScan):
     def map_block(self, block):
         ps, succ = _gap_pairs(block, self.limit)
         if len(ps) == 0:
-            return block.n0, ps, succ, None, None
-        g = (succ - ps).astype(np.float64)
+            return None
+        gaps = succ - ps
+        if block.n0 < 5:
+            lanes = np.arange(len(ps))
+        else:
+            lg0, lg1 = math.log(ps[0]), math.log(ps[-1])
+            least = min(int(gaps.max()) * (lg0 / lg1) ** 2, self.c * lg0 * lg0)
+            lanes = np.flatnonzero(gaps >= least * (1.0 - 1e-9))
+            ps, gaps = ps[lanes], gaps[lanes]
+        g = gaps.astype(np.float64)
         lg = np.log(ps.astype(np.float64))
         ratio = g / (lg * lg)
         viol = np.nonzero(g >= self.c * (lg * lg))[0]
-        return block.n0, ps, g, ratio, viol
+        return lanes + block.n0, ps, g, ratio, viol
 
     def reduce(self, state, payload):
-        n0, ps, g, ratio, viol = payload
-        if ratio is None:
+        if payload is None:
             return None
+        ns, ps, g, ratio, viol = payload
         _raise_max(state, "max_ratio", "max_at", ratio, ps)
         # Maximum restricted to n >= 5, where the c = 1 bound is
         # conjectured to hold without exception.
-        lo = max(0, 5 - n0)
+        lo = int(np.searchsorted(ns, 5))
         _raise_max(state, "tail_max", "tail_at", ratio[lo:], ps[lo:])
-        state["violations"].extend((n0 + viol).tolist())
-        return n0 + viol, ps[viol], g[viol].astype(np.int64), ratio[viol]
+        state["violations"].extend(ns[viol].tolist())
+        return ns[viol], ps[viol], g[viol].astype(np.int64), ratio[viol]
 
     def result(self, state):
         violations = state["violations"]

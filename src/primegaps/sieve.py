@@ -7,10 +7,14 @@ crossed off in place and doubled over the segment).  The start offsets of
 all the other base primes are computed in one numpy expression; primes
 below 1/64 of the segment's odd count clear their multiples with one
 strided slice each, and all larger ones with a single scatter whose
-indices are built by one cumulative sum.  Nothing is kept between
-segments, so segments can be produced by a thread pool; consumers always
-see them in ascending order, so every downstream accumulation is
-deterministic regardless of the worker count.
+indices are built by one cumulative sum.  The primes are read off with
+``np.flatnonzero`` from the mask's two classes of positions prime to 3,
+laid side by side, not from the whole mask: that array stays above the
+10% density below which numpy's ``nonzero`` takes a slower loop, and it
+gives the same primes (see ``_sieve_odd_segment``).  Nothing is kept
+between segments, so segments can be produced by a thread pool;
+consumers always see them in ascending order, so every downstream
+accumulation is deterministic regardless of the worker count.
 
 Blocks of primes come from one of two sources with the same
 ``blocks(limit=, block_size=)``: ``PrimeData`` holds the whole table
@@ -101,16 +105,39 @@ def _base_primes(limit: int) -> np.ndarray:
 def _sieve_odd_segment(lo: int, hi: int, odd_bases: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi) for odd lo >= 3, via the precomputed odd base primes.
 
-    Position i of the mask stands for the odd number lo + 2i.
+    Position i of the mask stands for the odd number lo + 2i.  The only
+    set position whose number is a multiple of 3 is that of 3 itself, so
+    the two classes of i whose numbers are prime to 3, a and b, are laid
+    side by side in a (rows, 2) array, whose flat index k stands for
+    position (k >> 1) * 3 + a + (k & 1) * (b - a), and 3 is put back.  The
+    array holds the mask's set ones in a third fewer bytes, which keeps it
+    above numpy's 10% density switch: below that, as the mask is past
+    about 4.85e8, ``nonzero`` takes a branchy loop at about twice the time.
     """
     count = (hi - lo + 1) // 2
     if count <= 0:
         return np.empty(0, dtype=np.int64)
     mask = _wheel_mask(lo, hi, count)
     _cross_off(mask, lo, hi, odd_bases)
-    primes = np.flatnonzero(mask)
-    primes *= 2
-    primes += lo
+    a, b = (r for r in range(3) if r != (-2 * lo) % 3)
+    pairs = np.empty(((count - a + 2) // 3, 2), dtype=bool)
+    pairs[:, 0] = mask[a::3]
+    rows_b = (count - b + 2) // 3
+    pairs[:rows_b, 1] = mask[b::3]
+    pairs[rows_b:, 1] = False
+    # Each array is freed once read, so the peak stays below two masks.
+    mask = None
+    k = np.flatnonzero(pairs)
+    pairs = None
+    primes = k >> 1
+    primes *= 6
+    k &= 1
+    k *= 2 * (b - a)
+    primes += k
+    k = None
+    primes += lo + 2 * a
+    if lo == 3:
+        primes = np.concatenate(([3], primes))
     return primes
 
 

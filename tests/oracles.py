@@ -9,8 +9,8 @@ per-block batched row sink.
 
 The reference kernels at the end are the other kind: earlier forms of
 the library's own kernels (the array-only Ei path, the unchunked
-quadrature loop, a fresh ``np.log`` for every formula), kept to check
-that the faster forms give the same bits.
+quadrature loop, a fresh ``np.log`` for every formula, the cg map's logs
+for every lane), kept to check that the faster forms give the same bits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from primegaps.accum import NeumaierSum
 from primegaps.analytic import (
@@ -87,6 +86,9 @@ def _is_prime_naive(n: int) -> bool:
 
 def li_quad(x: float, epsrel: float = 2e-14) -> float:
     """Adaptive quadrature of the logarithmic integral from 2 to x."""
+    # Imported here, so the sieve tests run where scipy is not installed.
+    from scipy.integrate import quad
+
     value, _ = quad(lambda t: 1.0 / math.log(t), 2.0, x, epsabs=0.0,
                     epsrel=epsrel, limit=400)
     return value
@@ -246,10 +248,10 @@ def _flag(v) -> str:
 
 
 def _cg_rows(scan, state, payload):
-    n0, ps, g, ratio, viol = payload
-    if ratio is None:
+    if payload is None:
         return []
-    return [f"{n0 + int(i)},{int(ps[i])},{int(g[i])},{_fmt(ratio[i])}" for i in viol]
+    ns, ps, g, ratio, viol = payload
+    return [f"{int(ns[i])},{int(ps[i])},{int(g[i])},{_fmt(ratio[i])}" for i in viol]
 
 
 def _delta_rows(scan, state, payload):
@@ -356,8 +358,9 @@ def csv_rows_oracle(scan, data, limit: int) -> bytes:
 
 # ----------------------------------------------------------------------
 # Reference kernels: the scans' Li and log forms before the scalar Ei
-# path, the chunked quadrature loop and the shared logs.  Each map
-# payload below is the scan's ``map_block`` payload built from them.
+# path, the chunked quadrature loop, the shared logs and the cg map's
+# candidate lanes.  Each map payload below is the scan's ``map_block``
+# payload built from them.
 
 
 def li_array_path(xs) -> np.ndarray:
@@ -403,6 +406,18 @@ def li_ascending_unchunked(xs) -> np.ndarray:
 def _expansion_plain(x):
     lg = np.log(x)
     return x / lg + x / lg**2 + 2.0 * x / lg**3
+
+
+def _cg_payload(scan, block):
+    """``CgScan.map_block`` with a log and a ratio for every lane."""
+    ps, succ = _gap_pairs(block, scan.limit)
+    if len(ps) == 0:
+        return None
+    g = (succ - ps).astype(np.float64)
+    lg = np.log(ps.astype(np.float64))
+    ratio = g / (lg * lg)
+    viol = np.nonzero(g >= scan.c * (lg * lg))[0]
+    return np.arange(block.n0, block.n0 + len(ps)), ps, g, ratio, viol
 
 
 def _schoenfeld_payload(scan, block):
@@ -468,6 +483,7 @@ def _delta_payload(scan, block):
 
 
 _PAYLOADS = {
+    "cg": _cg_payload,
     "schoenfeld": _schoenfeld_payload,
     "deriv": _deriv_payload,
     "bbound": _bbound_payload,

@@ -28,7 +28,7 @@ from primegaps.fluct import (
     SchoenfeldScan,
 )
 from primegaps.selberg import PartialSumScan
-from primegaps.sieve import BLOCK_PRIMES, PrimeData, PrimeStream
+from primegaps.sieve import BLOCK_PRIMES, PrimeBlock, PrimeData, PrimeStream
 
 from .oracles import deriv_records_li, map_payload_oracle
 
@@ -529,3 +529,94 @@ def test_map_payloads_equal_the_reference_kernels_block_by_block(data_1e6):
                 got = scan.map_block(block)
                 assert _same_bits(got, map_payload_oracle(scan, block)), \
                     (scan.name, block_size, block.index)
+
+
+class _FullLaneCg(CgScan):
+    """CgScan with a log and a ratio for every lane of every block."""
+
+    def map_block(self, block):
+        return map_payload_oracle(self, block)
+
+
+def _cg_fold(data, scan, workers, **fold):
+    buf = io.BytesIO()
+    state, finished = run_scan(data, scan, workers=workers, sink=RowSink(buf), **fold)
+    assert finished
+    return _plain(scan.result(state)), buf.getvalue()
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5, 0.3, 2.5])
+@pytest.mark.parametrize("source", ["table", "stream"])
+def test_cg_candidate_lanes_fold_as_every_lane(data_1e6, source, c):
+    # The lanes the map leaves without logs can neither violate nor set a
+    # maximum: the result and the rows are those of the full-lane map.
+    # Blocks of 1000 primes put n = 5 in the first block and give short
+    # blocks whose first and last logs lie close together.
+    limit = 10**6 if source == "table" else 3 * 10**7
+    data = data_1e6 if source == "table" else PrimeStream(limit)
+    for fold in ({}, {"block_size": 1000}) if source == "table" else ({},):
+        for workers in (1, 2):
+            got = _cg_fold(data, CgScan(limit, c), workers, **fold)
+            assert got == _cg_fold(data, _FullLaneCg(limit, c), workers, **fold), \
+                (fold, workers)
+    assert got[1].count(b"\n") - 1 == len(got[0]["violations"])
+
+
+def _cg_block_alone(scan, block, payload):
+    """A block's payload folded into a fresh state: the state and the rows."""
+    state = scan.start()
+    rows = scan.reduce(state, payload)
+    return state, None if rows is None else [col.tolist() for col in rows]
+
+
+@pytest.mark.parametrize("c", [1.0, 0.3])
+def test_cg_candidate_lanes_give_each_blocks_own_maxima(data_1e6, c):
+    # Each block from a fresh state, so its own maxima count, not only
+    # those that beat the earlier blocks; the short blocks start below and
+    # around n = 5, and those of 1000 primes span wide log ranges.
+    for limit, block_size in ((10**6, BLOCK_PRIMES), (10**6, 1000), (10**4, 3),
+                              (10**4, 7)):
+        scan = CgScan(limit, c)
+        for block in data_1e6.blocks(limit=limit, block_size=block_size):
+            got = _cg_block_alone(scan, block, scan.map_block(block))
+            assert got == _cg_block_alone(scan, block, map_payload_oracle(scan, block)), \
+                (block_size, block.index)
+
+
+@pytest.mark.parametrize("n0, p0, gaps, c, kept, ties", [
+    # Near 1e18 the doubles log(p) of nearby p are equal, so equal gaps
+    # give equal ratios: the maximum is placed at the first of the tie.
+    # c log^2 p is about 1716 and 34.3: at c = 0.02 the gaps 40, 40 and
+    # 38 violate as well.
+    pytest.param(100, 10**18 + 9, [2, 40, 6, 40, 2, 38, 4], 1.0, [101, 103], 2,
+                 id="tie"),
+    pytest.param(100, 10**18 + 9, [2, 40, 6, 40, 2, 38, 4], 0.02,
+                 [101, 103, 105], 2, id="tie-violating"),
+    # The gap 40 violates by the map's c * (lg * lg), but c * L0 * L0
+    # rounds above 40: the margin keeps the lane.
+    pytest.param(100, 1_000_003, [40, 100], 0.20956846122082698, [100, 101], 1,
+                 id="bound-up-to-rounding"),
+    # Logs far apart: the largest ratio is not at the largest gap, but its
+    # gap 12 reaches 14 (L0/L1)^2, about 7.1.
+    pytest.param(100, 11, [12, 2, 2, 2, 14], 10.0, [100, 104], 1, id="wide-logs"),
+    # A block that starts below n = 5 keeps every lane: the bound would
+    # drop n = 5, the largest ratio from n = 5 on.
+    pytest.param(3, 5, [20, 2, 2], 1.0, [3, 4, 5], 1, id="below-n5"),
+])
+def test_cg_candidate_lanes_on_synthetic_blocks(n0, p0, gaps, c, kept, ties):
+    primes = p0 + np.cumsum([0, *gaps], dtype=np.int64)
+    block = PrimeBlock(1, n0, primes[:-1], int(primes[-1]))
+    scan = CgScan(2 * int(primes[-1]), c)
+    assert scan.map_block(block)[0].tolist() == kept
+    state, rows = _cg_block_alone(scan, block, scan.map_block(block))
+    assert (state, rows) == _cg_block_alone(scan, block, map_payload_oracle(scan, block))
+    # np.argmax is the first lane at the maximum
+    ratio = map_payload_oracle(scan, block)[3]
+    assert np.count_nonzero(ratio == ratio.max()) == ties
+    assert state["max_at"] == int(primes[int(np.argmax(ratio))])
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_cg_scan_refuses_c_that_is_not_positive_and_finite(c):
+    with pytest.raises(DomainError, match="cg scan requires finite c > 0"):
+        CgScan(1000, c)

@@ -17,6 +17,7 @@ from primegaps.errors import DomainError, RangeLimitError, ResourceLimitError
 from primegaps.sieve import (
     _WHEEL,
     _WHEEL_PERIOD,
+    DEFAULT_SEGMENT_SIZE,
     PrimeBlock,
     PrimeData,
     PrimeStream,
@@ -24,7 +25,9 @@ from primegaps.sieve import (
     ordered_map,
     prime_count,
     _base_primes,
+    _cross_off,
     _sieve_odd_segment,
+    _wheel_mask,
     primes_up_to,
 )
 
@@ -110,6 +113,58 @@ def test_segment_near_1e12_equals_trial_division():
     got = _sieve_odd_segment(lo, hi, odd_bases)
     assert np.array_equal(got, trial_division_window(lo, hi))
     assert len(got) == 144
+
+
+def _mask_and_plain_primes(lo, hi, odd_bases):
+    """A segment's mask and its primes the plain way, ``np.flatnonzero(mask)
+    * 2 + lo``, against which the kernel's pairwise extraction is checked."""
+    mask = _wheel_mask(lo, hi, (hi - lo + 1) // 2)
+    _cross_off(mask, lo, hi, odd_bases)
+    return mask, np.flatnonzero(mask) * 2 + lo
+
+
+def _assert_extraction_is_plain(lo, hi, odd_bases=None):
+    if odd_bases is None:
+        odd_bases = _base_primes(math.isqrt(hi))[1:]
+    got = _sieve_odd_segment(lo, hi, odd_bases)
+    assert np.array_equal(got, _mask_and_plain_primes(lo, hi, odd_bases)[1]), (lo, hi)
+    assert got.dtype == np.int64
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    span=st.sampled_from([64, 65, 77_777, 2**20]).flatmap(
+        lambda size: st.tuples(st.just(size), st.integers(3, min(4 * 10**6, 32 * size)))
+    ),
+)
+def test_segment_primes_equal_the_plain_extraction(span):
+    # The spans iter_segments cuts: an odd size starts every other span on
+    # an even number, so the starts run through each residue mod 3, and the
+    # last span is cut short at the limit.
+    segment_size, limit = span
+    odd_bases = _base_primes(math.isqrt(limit))[1:]
+    for lo in range(3, limit + 1, segment_size):
+        hi = min(lo + segment_size, limit + 1)
+        _assert_extraction_is_plain(lo | 1, hi, odd_bases)
+
+
+@pytest.mark.parametrize("start", [3, 10**6 + 1, 10**6 + 3, 10**6 + 5])
+def test_segment_primes_at_each_start_mod_3(start):
+    # Starts of each residue mod 3, and the first segment, whose 3 is the
+    # one prime in the class of multiples of 3; widths of one to a few odd
+    # numbers leave one class of the pair a row short or empty.
+    for width in (1, 2, 3, 4, 5, 6, 7, 64, 2000, 6 * _WHEEL_PERIOD + 5):
+        _assert_extraction_is_plain(start, start + width)
+
+
+def test_default_segment_below_the_nonzero_density_switch():
+    # Past about 4.85e8 fewer than 10% of a segment's mask bytes are set,
+    # where numpy's nonzero changes loops; the primes must not change.
+    lo = 600_000_001
+    hi = lo + DEFAULT_SEGMENT_SIZE
+    mask, _ = _mask_and_plain_primes(lo, hi, _base_primes(math.isqrt(hi))[1:])
+    assert np.count_nonzero(mask) < 0.1 * len(mask)
+    _assert_extraction_is_plain(lo, hi)
 
 
 _KERNEL_MEMORY = """
