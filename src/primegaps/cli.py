@@ -356,6 +356,12 @@ def _schoenfeld_verdict(result, args) -> tuple[bool, dict]:
     return result.max_after_cutoff <= k_rh, doc
 
 
+def _writes_rows(args) -> bool:
+    """Whether the scan's own CSV rows are written: not under --format json,
+    nor inside ``report``, which folds its scans without a sink."""
+    return args.command == "scan" and args.format == "csv"
+
+
 def _deriv(args):
     return fluct.DerivScan(args.limit, args.c)
 
@@ -371,7 +377,10 @@ SCANS = {
         lambda args: fluct.SchoenfeldScan(args.limit, args.K), 10, _schoenfeld_verdict
     ),
     "dusart": _ScanEntry(lambda args: fluct.DusartScan(args.limit), 355992, _passed),
-    "bbound": _ScanEntry(lambda args: fluct.BBoundScan(args.limit, args.B), 10, _passed),
+    "bbound": _ScanEntry(
+        lambda args: fluct.BBoundScan(args.limit, args.B, rows=_writes_rows(args)),
+        10, _passed,
+    ),
 }
 
 

@@ -12,6 +12,14 @@ Discrete derivatives of b and k at a prime are forward differences to
 the next prime.  Continuous-bound scans (Schoenfeld ratio, |b| < B,
 pi(x) bracketing) are evaluated at every prime p and at p - 1, the two
 edges of each jump of the prime-counting step function.
+
+Along that grid pi never falls, and from x = 21 on Dusart's two bounds
+and the expansion x/L + x/L^2 + 2 x/L^3 rise with x while L^3/x falls.
+So the bracketing scan, and the |b| scan when it writes no rows, cut a
+block's grid into runs of ``RUN_LANES`` lanes and bound each run from its
+two end points.  Only the slice of lanes from the first run whose bound
+leaves a violation or a new maximum possible to the last such run is
+evaluated, with the same expression as every lane would be.
 """
 
 from __future__ import annotations
@@ -251,8 +259,9 @@ class DeltaScan(BlockScan):
 
     def __init__(self, limit: int, c: float):
         _check_limit(self.name, limit, 3)
-        if not c > 0:
-            raise DomainError(f"the delta scan requires c > 0, got {c}")
+        # At c = inf, (c + 1) / c in reduce is NaN in every delta_hat.
+        if not 0 < c < math.inf:
+            raise DomainError(f"the delta scan requires finite c > 0, got {c}")
         self.limit = limit
         self.c = c
 
@@ -370,8 +379,8 @@ class DerivScan(BlockScan):
     def __init__(self, limit: int, c: float, sink_mode: str = "records"):
         _check_limit(self.name, limit, 5)
         # The thresholds' own check, made once instead of per block.
-        if not c > 0:
-            raise DomainError(f"DerivScan requires c > 0, got {c}")
+        if not 0 < c < math.inf:
+            raise DomainError(f"the deriv scan requires finite c > 0, got {c}")
         self.limit = limit
         self.c = c
         self.sink_mode = sink_mode
@@ -460,11 +469,37 @@ def _build_jump_grid(block):
     return xs, pis
 
 
+# Grid lanes per run in the |b| and bracketing scans' run bounds.
+RUN_LANES = 128
+# From here on E(x) and Dusart's bounds rise with x and L^3/x falls (e^3 < 21).
+MONOTONE_MIN_X = 21
+
+
+def _run_ends(n: int):
+    """The first and the last lane of each run of ``RUN_LANES`` among ``n``."""
+    heads = np.arange(0, n, RUN_LANES)
+    return heads, np.minimum(heads + (RUN_LANES - 1), n - 1)
+
+
+def _run_span(runs: np.ndarray, n: int) -> slice:
+    """The lanes from the first run marked in ``runs`` to the end of the
+    last, among ``n`` lanes; empty when no run is marked."""
+    marked = np.flatnonzero(runs)
+    if len(marked) == 0:
+        return slice(0, 0)
+    return slice(int(marked[0]) * RUN_LANES,
+                 min((int(marked[-1]) + 1) * RUN_LANES, n))
+
+
 class SchoenfeldScan(BlockScan):
     name = "schoenfeld"
 
     def __init__(self, limit: int, k_all: float, windows: dict | None = None):
         _check_limit(self.name, limit, 10)
+        # A NaN bound is exceeded nowhere, so x_star would be the first point.
+        if not 0 < k_all < math.inf:
+            raise DomainError(f"the schoenfeld scan requires finite k_all > 0, "
+                              f"got {k_all}")
         self.limit = limit
         self.k_all = k_all
         self.windows = windows or {}
@@ -557,34 +592,62 @@ def schoenfeld_scan(
 
 
 class BBoundScan(BlockScan):
+    """The maximum of |b(x)| on the jump-edge grid and the points where
+    |b(x)| >= B.
+
+    With ``rows`` (the CSV) the map evaluates b at every lane.  Without,
+    it bounds |b| over each run of ``RUN_LANES`` lanes from the run's ends:
+    for x_h <= x <= x_t from 21 on, pi(x) - E(x) lies between
+    pi_h - E(x_t) and pi_t - E(x_h), and L^3/x is at most its value at
+    x_h.  A slack of 1e-6 E(x_t) covers the rounding of pi - E, and a
+    factor 1 + 1e-9 that of the product; runs that start below x = 21 are
+    unbounded.  The reduce then evaluates b from the first run whose bound
+    reaches min(running maximum, B) to the last: no lane of any other run
+    can beat the strict running maximum or reach B, so the result is that
+    of every lane.
+    """
+
     name = "bbound"
 
-    def __init__(self, limit: int, bound: float):
+    def __init__(self, limit: int, bound: float, rows: bool = True):
         _check_limit(self.name, limit, 10)
+        # A NaN bound would be reached nowhere, so every run would pass.
+        if not 0 < bound < math.inf:
+            raise DomainError(f"the bbound scan requires finite B > 0, got {bound}")
         self.limit = limit
         self.bound = bound
+        self.rows = rows
 
     def start(self):
         return {"max_abs": 0.0, "max_at": 0, "violations": []}
 
     def header(self):
-        return "x,pi,b"
+        return "x,pi,b" if self.rows else None
 
     def map_block(self, block):
         xs, pis = _jump_grid(block)
-        xf = xs.astype(np.float64)
-        lg = np.log(xf)
-        lg3 = lg**3
-        b = (pis - _expansion(xf, lg, lg3)) * lg3 / xf
-        return xs, pis, b
+        if self.rows:
+            return xs, pis, _b_at(xs, pis)
+        heads, tails = _run_ends(len(xs))
+        xh = xs[heads].astype(np.float64)
+        xt = xs[tails].astype(np.float64)
+        eh, et = _expansion(xh), _expansion(xt)
+        spread = np.maximum(np.abs(pis[heads] - et), np.abs(pis[tails] - eh))
+        runs = (spread + 1e-6 * et) * (np.log(xh) ** 3 / xh) * (1.0 + 1e-9)
+        runs[xh < MONOTONE_MIN_X] = np.inf
+        return xs, pis, runs
 
     def reduce(self, state, payload):
         xs, pis, b = payload
+        if not self.rows:
+            # the map's bound on |b| over each run, in place of b
+            span = _run_span(b >= min(state["max_abs"], self.bound), len(xs))
+            xs, pis = xs[span], pis[span]
+            b = _b_at(xs, pis)
         ab = np.abs(b)
         _raise_max(state, "max_abs", "max_at", ab, xs)
-        for i in np.nonzero(ab >= self.bound)[0]:
-            state["violations"].append(int(xs[i]))
-        return xs, pis, b
+        state["violations"].extend(xs[ab >= self.bound].tolist())
+        return (xs, pis, b) if self.rows else None
 
     def result(self, state):
         return BBoundResult(
@@ -594,6 +657,14 @@ class BBoundScan(BlockScan):
             max_abs_b_at=state["max_at"],
             violations=state["violations"],
         )
+
+
+def _b_at(xs, pis):
+    """b(x) at grid points ``xs`` with prime counts ``pis``."""
+    xf = xs.astype(np.float64)
+    lg = np.log(xf)
+    lg3 = lg**3
+    return (pis - _expansion(xf, lg, lg3)) * lg3 / xf
 
 
 @dataclass(frozen=True)
@@ -619,10 +690,22 @@ def bbound_scan(
     workers: int = 1,
 ) -> BBoundResult:
     """Empirical maximum of |b(x)| over the jump-edge grid."""
-    return run_to_end(data, BBoundScan(limit, bound), workers=workers)
+    return run_to_end(data, BBoundScan(limit, bound, rows=False), workers=workers)
 
 
 class DusartScan(BlockScan):
+    """Grid points from 32299 on where pi(x) <= Dusart's lower bound, or
+    from 355991 on where pi(x) >= his upper bound.
+
+    The map bounds each run of ``RUN_LANES`` lanes from its ends: the run
+    is clear when pi at its head exceeds the lower bound at its tail and pi
+    at its tail falls short of the upper bound at its head, each by a
+    relative 1e-9 for rounding.  As pi and both bounds rise with x, no lane
+    of a clear run violates.  The lanes from the first run that is not
+    clear to the last are evaluated as every lane would be, so the
+    violations, their rows and ``checked`` are those of every lane.
+    """
+
     name = "dusart"
 
     def __init__(self, limit: int):
@@ -637,25 +720,27 @@ class DusartScan(BlockScan):
 
     def map_block(self, block):
         xs, pis = _jump_grid(block)
-        keep = xs >= DUSART_LOWER_MIN_X
-        xs, pis = xs[keep], pis[keep]
+        first = int(np.searchsorted(xs, DUSART_LOWER_MIN_X))
+        xs, pis = xs[first:], pis[first:]
         if len(xs) == 0:
-            return xs, pis, None, None
-        xf = xs.astype(np.float64)
-        lg = np.log(xf)
-        lower, upper = _dusart_bounds(xf, lg, lg**3)
-        bad_low = pis <= lower
-        bad_high = (xs >= DUSART_UPPER_MIN_X) & (pis >= upper)
-        return xs, pis, (lower, upper), np.nonzero(bad_low | bad_high)[0]
+            return None
+        heads, tails = _run_ends(len(xs))
+        clear = ((pis[heads] > _dusart_at(xs[tails])[0] * (1.0 + 1e-9))
+                 & (pis[tails] < _dusart_at(xs[heads])[1] * (1.0 - 1e-9)))
+        span = _run_span(~clear, len(xs))
+        x, pi = xs[span], pis[span]
+        lower, upper = _dusart_at(x)
+        bad = np.flatnonzero((pi <= lower)
+                             | ((x >= DUSART_UPPER_MIN_X) & (pi >= upper)))
+        return len(xs), x[bad], pi[bad], lower[bad], upper[bad]
 
     def reduce(self, state, payload):
-        xs, pis, bounds, bad = payload
-        if bounds is None:
+        if payload is None:
             return None
-        lower, upper = bounds
-        state["checked"] += len(xs)
-        state["violations"].extend(xs[bad].tolist())
-        return xs[bad], pis[bad], lower[bad], upper[bad]
+        checked, *rows = payload
+        state["checked"] += checked
+        state["violations"].extend(rows[0].tolist())
+        return tuple(rows)
 
     def result(self, state):
         return DusartResult(
@@ -663,6 +748,13 @@ class DusartScan(BlockScan):
             violations=state["violations"],
             checked=state["checked"],
         )
+
+
+def _dusart_at(xs):
+    """Dusart's lower and upper bounds at grid points ``xs``."""
+    xf = xs.astype(np.float64)
+    lg = np.log(xf)
+    return _dusart_bounds(xf, lg, lg**3)
 
 
 @dataclass(frozen=True)

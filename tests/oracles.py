@@ -10,7 +10,8 @@ per-block batched row sink.
 The reference kernels at the end are the other kind: earlier forms of
 the library's own kernels (the array-only Ei path, the unchunked
 quadrature loop, a fresh ``np.log`` for every formula, the cg map's logs
-for every lane), kept to check that the faster forms give the same bits.
+for every lane, the |b| and Dusart maps' arithmetic at every grid lane),
+kept to check that the faster forms give the same bits.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from primegaps.analytic import (
     kprime_threshold,
     li,
 )
-from primegaps.fluct import _gap_pairs, _jump_grid
+from primegaps.fluct import RUN_LANES, _gap_pairs, _jump_grid
 from primegaps.selberg import SelbergSums, s1, s2
 
 
@@ -293,18 +294,16 @@ def _schoenfeld_rows(scan, state, payload):
 
 def _bbound_rows(scan, state, payload):
     xs, pis, b = payload
-    if b is None:
-        return []
     return [f"{int(xs[i])},{int(pis[i])},{_fmt(b[i])}" for i in range(len(xs))]
 
 
 def _dusart_rows(scan, state, payload):
-    xs, pis, bounds, bad = payload
-    if bounds is None:
+    if payload is None:
         return []
-    lower, upper = bounds
+    checked, xs, pis, lower, upper = payload
     return [
-        f"{int(xs[i])},{int(pis[i])},{_fmt(lower[i])},{_fmt(upper[i])}" for i in bad
+        f"{int(xs[i])},{int(pis[i])},{_fmt(lower[i])},{_fmt(upper[i])}"
+        for i in range(len(xs))
     ]
 
 
@@ -358,9 +357,10 @@ def csv_rows_oracle(scan, data, limit: int) -> bytes:
 
 # ----------------------------------------------------------------------
 # Reference kernels: the scans' Li and log forms before the scalar Ei
-# path, the chunked quadrature loop, the shared logs and the cg map's
-# candidate lanes.  Each map payload below is the scan's ``map_block``
-# payload built from them.
+# path, the chunked quadrature loop, the shared logs, the cg map's
+# candidate lanes and the jump-grid runs of the |b| and Dusart scans.
+# Each map payload below is the scan's ``map_block`` payload built from
+# them.
 
 
 def li_array_path(xs) -> np.ndarray:
@@ -446,27 +446,30 @@ def _deriv_payload(scan, block):
 
 
 def _bbound_payload(scan, block):
+    """``BBoundScan.map_block`` with b at every lane; without rows, a bound
+    of inf on every run, so that its reduce evaluates every lane."""
     xs, pis = _jump_grid(block)
-    if len(xs) == 0:
-        return xs, pis, None
+    if not scan.rows:
+        return xs, pis, np.full(-(-len(xs) // RUN_LANES), np.inf)
     xf = xs.astype(np.float64)
     lg = np.log(xf)
     return xs, pis, (pis - _expansion_plain(xf)) * lg**3 / xf
 
 
 def _dusart_payload(scan, block):
+    """``DusartScan.map_block`` with both bounds at every lane."""
     xs, pis = _jump_grid(block)
     keep = xs >= DUSART_LOWER_MIN_X
     xs, pis = xs[keep], pis[keep]
     if len(xs) == 0:
-        return xs, pis, None, None
+        return None
     xf = xs.astype(np.float64)
     lg = np.log(xf)
     base = xf / lg + xf / lg**2
     lower = base + DUSART_LOWER_COEFF * xf / lg**3
     upper = base + DUSART_UPPER_COEFF * xf / lg**3
     bad = (pis <= lower) | ((xs >= DUSART_UPPER_MIN_X) & (pis >= upper))
-    return xs, pis, (lower, upper), np.nonzero(bad)[0]
+    return len(xs), xs[bad], pis[bad], lower[bad], upper[bad]
 
 
 def _delta_payload(scan, block):

@@ -398,6 +398,23 @@ def test_delta_scan_refuses_c_that_is_not_positive():
             DeltaScan(1000, c)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make, what", [
+    # At c = inf the delta CSV had NaN in every delta_hat and a drift of 0.
+    (lambda v: DeltaScan(1000, v), "the delta scan requires finite c > 0"),
+    (lambda v: DerivScan(1000, v), "the deriv scan requires finite c > 0"),
+    # A NaN B passed every lane, and min(running maximum, NaN) would
+    # leave the |b| runs unchecked.
+    (lambda v: BBoundScan(1000, v), "the bbound scan requires finite B > 0"),
+    (lambda v: BBoundScan(1000, v, rows=False), "the bbound scan requires finite B > 0"),
+    # A NaN k_all put x_star at the first grid point, 2.
+    (lambda v: SchoenfeldScan(1000, v), "the schoenfeld scan requires finite k_all > 0"),
+], ids=["delta", "deriv", "bbound", "bbound-no-rows", "schoenfeld"])
+def test_scans_refuse_constants_that_are_not_positive_and_finite(make, what, value):
+    with pytest.raises(DomainError, match=what):
+        make(value)
+
+
 def test_fused_scan_folds_without_a_sink(data_1e6):
     fused = FusedScan({"cg": CgScan(1000, 1.0), "bbound": BBoundScan(1000, 5.0)})
     buf = io.BytesIO()
