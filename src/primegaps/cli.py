@@ -363,7 +363,8 @@ def _writes_rows(args) -> bool:
 
 
 def _deriv(args):
-    return fluct.DerivScan(args.limit, args.c)
+    return fluct.DerivScan(args.limit, args.c,
+                           sink_mode="records" if _writes_rows(args) else None)
 
 
 SCANS = {
@@ -374,7 +375,8 @@ SCANS = {
         lambda args: fluct.DeltaScan(args.limit, args.c), 3, _no_violations
     ),
     "schoenfeld": _ScanEntry(
-        lambda args: fluct.SchoenfeldScan(args.limit, args.K), 10, _schoenfeld_verdict
+        lambda args: fluct.SchoenfeldScan(args.limit, args.K, rows=_writes_rows(args)),
+        10, _schoenfeld_verdict,
     ),
     "dusart": _ScanEntry(lambda args: fluct.DusartScan(args.limit), 355992, _passed),
     "bbound": _ScanEntry(

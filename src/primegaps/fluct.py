@@ -13,13 +13,19 @@ the next prime.  Continuous-bound scans (Schoenfeld ratio, |b| < B,
 pi(x) bracketing) are evaluated at every prime p and at p - 1, the two
 edges of each jump of the prime-counting step function.
 
-Along that grid pi never falls, and from x = 21 on Dusart's two bounds
-and the expansion x/L + x/L^2 + 2 x/L^3 rise with x while L^3/x falls.
-So the bracketing scan, and the |b| scan when it writes no rows, cut a
-block's grid into runs of ``RUN_LANES`` lanes and bound each run from its
-two end points.  Only the slice of lanes from the first run whose bound
-leaves a violation or a new maximum possible to the last such run is
-evaluated, with the same expression as every lane would be.
+Along that grid pi never falls, Li and sqrt(x) log x rise, and from
+x = 21 on Dusart's two bounds and the expansion x/L + x/L^2 + 2 x/L^3
+rise with x while L^3/x falls.  So the bracketing scan, and the |b|,
+Schoenfeld and derivative scans when they write no rows, cut a block's
+grid into runs of ``RUN_LANES`` lanes and bound each run from its two end
+points.  The bracketing and |b| scans evaluate only the slice of lanes
+from the first run whose bound leaves a violation or a new maximum
+possible to the last such run.  The Schoenfeld scan evaluates every
+lane of a block, or none when no run can change its result; the
+derivative scan evaluates every lane of a block whose largest gap its
+bounds do not clear, and none of any other.  What is evaluated takes the
+same expression as every lane would, so the results are those of every
+lane.
 """
 
 from __future__ import annotations
@@ -373,14 +379,82 @@ def _deriv_block(ps_ext: np.ndarray, n0: int, c: float):
     return b_prime, k_prime, b_rhs, k_rhs
 
 
+def _gaps_clear(block, ps, succ, c: float) -> tuple[bool, bool]:
+    """Whether every gap q - p of the pairs ``ps``, ``succ`` lies below
+    c log^2 p0 (1 - eps), p0 = ps[0], for the k side's eps and for the b
+    side's, as ``DerivScan`` derives them."""
+    gap = int((succ - ps).max())
+    p0, q = float(ps[0]), float(succ[-1])
+    lg0, lgq = math.log(p0), math.log(q)
+    top = c * lg0 * lg0
+    if gap >= top:  # eps >= 0: decided without the runs' bounds and their grid
+        return False, False
+    t = gap / p0
+    drho = t * (0.5 + 1.0 / lg0) + t * t / (2.0 * lg0)
+    f, fhat = float(_li_spread(block).max()), float(_e_spread(block).max())
+    eps_k = drho * (1.0 + f) + 1e-11 * q + 1e-13 * (f + c * lgq + 2.0)
+    eps_b = t * (1.0 + fhat) + 1e-14 * q + 1e-13 * (fhat + c * lgq + 2.0)
+    return gap < top * (1.0 - eps_k), gap < top * (1.0 - eps_b)
+
+
+DERIV_SINK_MODES = ("records", "figure", None)
+
+
 class DerivScan(BlockScan):
+    """b' and k', the forward differences of b and k at each prime, against
+    their lower bounds b_rhs and k_rhs.
+
+    ``sink_mode`` "records" writes every condition, "figure" k' and k_rhs
+    for figure1, and None no rows.  Without rows a block whose gaps
+    ``_gaps_clear`` clears adds only its count: no lane of it can fail.
+    For primes p < q with g = q - p, t = g/p, L = log p and I the
+    integral of dt/log t from p to q, which is at most g/L:
+
+    k side.  With s(x) = sqrt(x) log x, rho = s(q)/s(p) and f = pi - Li,
+
+        g s(q) (k' - k_rhs) = 1 - I - f(p) (rho - 1) + g rho/L - g rho/(c L^2)
+                           >= 1 - g rho/(c L^2) - |f(p)| (rho - 1),
+
+    and sqrt(1 + t) <= 1 + t/2, log q <= L + t give
+    rho - 1 <= drho = t (1/2 + 1/L) + t^2/(2 L).
+
+    b side, from p >= 21.  With w(x) = L^3/x, omega = w(q)/w(p), which
+    lies in [1 - t, 1], fhat = pi - E and E(q) - E(p) <= g/L, as
+    E' = 1/L - 6/L^4,
+
+        g (b' - b_rhs) / w(p) = (1 - E(q) + E(p)) omega - fhat(p) (1 - omega)
+                                + g/L - g/(c L^2)
+                             >= 1 - g/(c L^2) - t (1 + |fhat(p)|).
+
+    So for g < c L^2 (1 - eps) the margins are at least eps - drho (1 + F)
+    and eps - t (1 + Fhat), with F and Fhat the largest run bounds of |f|
+    and |fhat| in the block (``_li_spread``, ``_e_spread``; both inf below
+    x = 21).  The test takes drho and t at the block's largest gap and
+    first prime, and L^2 at its first prime.  Rounding moves the computed
+    k margin by at most 2.03e-12 rho Li(q), from Li's 1e-12 relative
+    contract at p and q, which is below 4.1e-12 q as Li(q) < q and rho < 2
+    whenever eps < 1; the b margin by at most 3.6e-15 E(q) < 4e-15 q, from
+    E and b with numpy's log within 4 ulp; and each by less than
+    1e-13 (F + c L + 2), or 1e-13 (Fhat + c L + 2), in the other roundings
+    of f or fhat, s or w, the differences and the bounds.  Hence
+
+        eps_k = drho (1 + F) + 1e-11 q + 1e-13 (F + c log q + 2),
+        eps_b = t (1 + Fhat) + 1e-14 q + 1e-13 (Fhat + c log q + 2).
+
+    A block with a gap that either side does not clear runs
+    ``_deriv_block`` at every lane.
+    """
+
     name = "deriv"
 
-    def __init__(self, limit: int, c: float, sink_mode: str = "records"):
+    def __init__(self, limit: int, c: float, sink_mode: str | None = "records"):
         _check_limit(self.name, limit, 5)
         # The thresholds' own check, made once instead of per block.
         if not 0 < c < math.inf:
             raise DomainError(f"the deriv scan requires finite c > 0, got {c}")
+        if sink_mode not in DERIV_SINK_MODES:
+            raise DomainError(f"the deriv scan's sink_mode is one of "
+                              f"{DERIV_SINK_MODES}, got {sink_mode!r}")
         self.limit = limit
         self.c = c
         self.sink_mode = sink_mode
@@ -391,17 +465,21 @@ class DerivScan(BlockScan):
     def header(self):
         if self.sink_mode == "figure":
             return "p,k_prime,rhs24"
-        return "n,p,b_prime,k_prime,b_rhs,k_rhs,b_ok,k_ok"
+        if self.sink_mode == "records":
+            return "n,p,b_prime,k_prime,b_rhs,k_rhs,b_ok,k_ok"
+        return None
 
     def map_block(self, block):
         ps, succ = _gap_pairs(block, self.limit)
-        if len(ps) == 0:
+        if len(ps) == 0 or (self.sink_mode is None
+                            and all(_gaps_clear(block, ps, succ, self.c))):
             return block.n0, ps, None
         ps_ext = np.concatenate([ps, [succ[-1]]])
         return block.n0, ps, _deriv_block(ps_ext, block.n0, self.c)
 
     def reduce(self, state, payload):
         n0, ps, cols = payload
+        state["count"] += len(ps)
         if cols is None:
             return None
         b_prime, k_prime, b_rhs, k_rhs = cols
@@ -411,9 +489,10 @@ class DerivScan(BlockScan):
             state["b_violations"].append((n0 + int(i), int(ps[i])))
         for i in np.nonzero(~k_ok)[0]:
             state["k_violations"].append((n0 + int(i), int(ps[i])))
-        state["count"] += len(ps)
         if self.sink_mode == "figure":
             return ps, k_prime, k_rhs
+        if self.sink_mode is None:
+            return None
         return (np.arange(n0, n0 + len(ps)), ps, b_prime, k_prime, b_rhs, k_rhs,
                 b_ok, k_ok)
 
@@ -436,7 +515,7 @@ def deriv_scan(
     workers: int = 1,
 ) -> DerivScanResult:
     """Derivative-condition scan for both b and k sides in one pass."""
-    return run_to_end(data, DerivScan(limit, c), workers=workers)
+    return run_to_end(data, DerivScan(limit, c, sink_mode=None), workers=workers)
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +548,7 @@ def _build_jump_grid(block):
     return xs, pis
 
 
-# Grid lanes per run in the |b| and bracketing scans' run bounds.
+# Grid lanes per run in the jump-grid scans' run bounds.
 RUN_LANES = 128
 # From here on E(x) and Dusart's bounds rise with x and L^3/x falls (e^3 < 21).
 MONOTONE_MIN_X = 21
@@ -491,10 +570,67 @@ def _run_span(runs: np.ndarray, n: int) -> slice:
                  min((int(marked[-1]) + 1) * RUN_LANES, n))
 
 
+def _run_spread(block, fn, slack):
+    """Per run of ``RUN_LANES`` grid lanes, max(|pi_h - F(x_t)|, |pi_t - F(x_h)|)
+    + slack F(x_t) with F = ``fn`` at the run's head x_h and tail x_t.
+
+    Where F rises, that bounds |pi(x) - F(x)| at the run's lanes; runs
+    that start below x = 21, where E may fall, are unbounded (inf).  ``fn``
+    takes the ascending heads and tails in one array.  Built once per block
+    and shared by the scans that read it, so the array is read-only.
+    """
+    xs, pis = _jump_grid(block)
+    heads, tails = _run_ends(len(xs))
+    ends = np.empty(2 * len(heads), dtype=np.float64)
+    ends[0::2], ends[1::2] = xs[heads], xs[tails]
+    at = fn(ends)
+    spread = (np.maximum(np.abs(pis[heads] - at[1::2]), np.abs(pis[tails] - at[0::2]))
+              + slack * at[1::2])
+    spread[ends[0::2] < MONOTONE_MIN_X] = np.inf
+    spread.flags.writeable = False
+    return spread
+
+
+def _li_spread(block):
+    """``_run_spread`` of Li, for the Schoenfeld and derivative scans.  The
+    slack of 1e-9 Li(x_t) covers Li's 1e-12 relative error, at the ends
+    and at any lane, and the rounding of the differences."""
+    return block.column("li_spread", lambda: _run_spread(block, li_ascending, 1e-9))
+
+
+def _e_spread(block):
+    """``_run_spread`` of E, for the |b| and derivative scans.  The slack of
+    1e-6 E(x_t) covers the rounding of pi - E."""
+    return block.column("e_spread", lambda: _run_spread(block, _expansion, 1e-6))
+
+
+def _schoenfeld_at(xs, pis):
+    """Li and the ratio |pi - Li| / (sqrt(x) log x) at grid points ``xs``."""
+    xf = xs.astype(np.float64)
+    livals = li_ascending(xf)
+    return livals, np.abs(pis - livals) / (np.sqrt(xf) * np.log(xf))
+
+
 class SchoenfeldScan(BlockScan):
+    """The maxima of |pi(x) - Li(x)| / (sqrt(x) log x) on the jump-edge grid,
+    overall, past ``SCHOENFELD_CUTOFF`` and in each window, and x_star, the
+    least grid point from which it stays at most ``k_all``.
+
+    With ``rows`` (the CSV) the map evaluates the ratio at every lane.
+    Without, it bounds the ratio over each run by ``_li_spread`` over
+    sqrt(x_h) log x_h, which is at most sqrt(x) log x at every lane of the
+    run, times 1 + 1e-9 for rounding.  The reduce leaves a block unevaluated
+    when every run's bound is below both the running maximum past the
+    cutoff and ``k_all``, the block lies past the cutoff and outside every
+    window, and x_star is set: then no lane can raise a maximum, violate
+    or move x_star.  Any other block is evaluated at every lane, as with
+    rows, so the result is that of every lane.
+    """
+
     name = "schoenfeld"
 
-    def __init__(self, limit: int, k_all: float, windows: dict | None = None):
+    def __init__(self, limit: int, k_all: float, windows: dict | None = None,
+                 rows: bool = True):
         _check_limit(self.name, limit, 10)
         # A NaN bound is exceeded nowhere, so x_star would be the first point.
         if not 0 < k_all < math.inf:
@@ -503,6 +639,7 @@ class SchoenfeldScan(BlockScan):
         self.limit = limit
         self.k_all = k_all
         self.windows = windows or {}
+        self.rows = rows
 
     def start(self):
         return {
@@ -515,17 +652,30 @@ class SchoenfeldScan(BlockScan):
         }
 
     def header(self):
-        return "x,pi,li,ratio"
+        return "x,pi,li,ratio" if self.rows else None
 
     def map_block(self, block):
         xs, pis = _jump_grid(block)
-        xf = xs.astype(np.float64)
-        livals = li_ascending(xf)
-        ratio = np.abs(pis - livals) / (np.sqrt(xf) * np.log(xf))
-        return xs, pis, livals, ratio
+        if self.rows:
+            return (xs, pis, *_schoenfeld_at(xs, pis))
+        xh = xs[::RUN_LANES].astype(np.float64)
+        return xs, pis, _li_spread(block) / (np.sqrt(xh) * np.log(xh)) * (1.0 + 1e-9)
+
+    def _clear(self, state, xs, runs) -> bool:
+        """Whether no lane under the run bounds ``runs`` can change ``state``."""
+        lo, hi = int(xs[0]), int(xs[-1])
+        return (state["x_star"] is not None and lo > SCHOENFELD_CUTOFF
+                and not any(a <= hi and lo <= b for a, b in self.windows.values())
+                and bool(np.all(runs < min(state["max_tail"], self.k_all))))
 
     def reduce(self, state, payload):
-        xs, pis, livals, ratio = payload
+        xs, pis, *cols = payload
+        if not self.rows:
+            # the map's bound on the ratio over each run, in place of Li
+            if self._clear(state, xs, cols[0]):
+                return None
+            cols = _schoenfeld_at(xs, pis)
+        livals, ratio = cols
         _raise_max(state, "max_ratio", "max_at", ratio, xs)
         # xs ascends, so the points past the cutoff are a suffix
         tail = int(np.searchsorted(xs, SCHOENFELD_CUTOFF, side="right"))
@@ -542,7 +692,7 @@ class SchoenfeldScan(BlockScan):
                 m = float(np.max(ratio[mask]))
                 if m > state["windows"][name]:
                     state["windows"][name] = m
-        return xs, pis, livals, ratio
+        return (xs, pis, livals, ratio) if self.rows else None
 
     def result(self, state):
         return SchoenfeldResult(
@@ -588,7 +738,8 @@ def schoenfeld_scan(
     cutoff 2657, and the least grid point from which the enlarged
     bound ``k_all`` holds onward.
     """
-    return run_to_end(data, SchoenfeldScan(limit, k_all, windows), workers=workers)
+    return run_to_end(data, SchoenfeldScan(limit, k_all, windows, rows=False),
+                      workers=workers)
 
 
 class BBoundScan(BlockScan):
@@ -597,14 +748,12 @@ class BBoundScan(BlockScan):
 
     With ``rows`` (the CSV) the map evaluates b at every lane.  Without,
     it bounds |b| over each run of ``RUN_LANES`` lanes from the run's ends:
-    for x_h <= x <= x_t from 21 on, pi(x) - E(x) lies between
-    pi_h - E(x_t) and pi_t - E(x_h), and L^3/x is at most its value at
-    x_h.  A slack of 1e-6 E(x_t) covers the rounding of pi - E, and a
-    factor 1 + 1e-9 that of the product; runs that start below x = 21 are
-    unbounded.  The reduce then evaluates b from the first run whose bound
-    reaches min(running maximum, B) to the last: no lane of any other run
-    can beat the strict running maximum or reach B, so the result is that
-    of every lane.
+    for x_h <= x <= x_t from 21 on, |pi(x) - E(x)| is at most
+    ``_e_spread``, and L^3/x is at most its value at x_h.  A factor
+    1 + 1e-9 covers the rounding of the product.  The reduce then
+    evaluates b from the first run whose bound reaches min(running
+    maximum, B) to the last: no lane of any other run can beat the strict
+    running maximum or reach B, so the result is that of every lane.
     """
 
     name = "bbound"
@@ -628,14 +777,8 @@ class BBoundScan(BlockScan):
         xs, pis = _jump_grid(block)
         if self.rows:
             return xs, pis, _b_at(xs, pis)
-        heads, tails = _run_ends(len(xs))
-        xh = xs[heads].astype(np.float64)
-        xt = xs[tails].astype(np.float64)
-        eh, et = _expansion(xh), _expansion(xt)
-        spread = np.maximum(np.abs(pis[heads] - et), np.abs(pis[tails] - eh))
-        runs = (spread + 1e-6 * et) * (np.log(xh) ** 3 / xh) * (1.0 + 1e-9)
-        runs[xh < MONOTONE_MIN_X] = np.inf
-        return xs, pis, runs
+        xh = xs[::RUN_LANES].astype(np.float64)
+        return xs, pis, _e_spread(block) * (np.log(xh) ** 3 / xh) * (1.0 + 1e-9)
 
     def reduce(self, state, payload):
         xs, pis, b = payload

@@ -134,18 +134,22 @@ def run_scan(
     previously checkpointed ``state`` to resume: the fold skips the
     blocks before ``state["block"]`` and reproduces the uninterrupted
     run bit for bit.  With a ``sink``, a fresh fold writes the scan's
-    header and each block's rows.  ``on_block(state)`` runs after every
+    header and each block's rows; a scan without a ``header()`` writes no
+    rows and is refused one.  ``on_block(state)`` runs after every
     block once the sink is synced, so it may commit the state with
     ``sink.offset``; without ``on_block`` nothing is synced.
     """
     if sink is not None and isinstance(scan, FusedScan):
         raise DomainError("a fused scan folds without a sink: its parts' rows "
                           "would interleave")
+    header = scan.header()
+    if sink is not None and header is None:
+        raise DomainError(f"the {scan.name} scan writes no rows, so it folds "
+                          "without a sink")
     if state is None:
         state = scan.start()
         state["block"] = 0
-        header = scan.header()
-        if sink is not None and header is not None:
+        if sink is not None:
             sink.write(header.encode("ascii"))
     # Each block is folded through its parts in turn; a plain scan is its
     # only part and owns the whole state (key None).

@@ -423,6 +423,19 @@ def test_fused_scan_folds_without_a_sink(data_1e6):
     assert buf.getvalue() == b""
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BBoundScan(10**5, 5.0, rows=False),
+    lambda: SchoenfeldScan(10**5, 1.0 / 3.0, rows=False),
+    lambda: DerivScan(10**5, 1.0, sink_mode=None),
+], ids=["bbound", "schoenfeld", "deriv"])
+def test_scan_without_rows_is_refused_a_sink(data_1e5, make):
+    # A sink it never writes would leave an empty CSV behind a result.
+    buf = io.BytesIO()
+    with pytest.raises(DomainError, match="writes no rows"):
+        run_to_end(data_1e5, make(), sink=RowSink(buf))
+    assert buf.getvalue() == b""
+
+
 def test_deriv_scan_resumed_from_json_equals_uninterrupted(data_1e6):
     # A JSON checkpoint turns the violation tuples into lists; the
     # result must not show which of the two runs it came from.
