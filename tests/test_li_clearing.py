@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from primegaps import fluct
 from primegaps.analytic import li
+from primegaps.errors import DomainError
 from primegaps.fluct import SCHOENFELD_CUTOFF, DerivScan, SchoenfeldScan, _jump_grid
 from primegaps.runner import FusedScan, run_scan
 from primegaps.sieve import PrimeBlock, PrimeStream
@@ -83,7 +84,7 @@ def test_cleared_folds_take_li_in_their_first_block_only(monkeypatch):
 
 
 def test_sink_mode_is_one_of_three():
-    with pytest.raises(fluct.DomainError, match="sink_mode"):
+    with pytest.raises(DomainError, match="sink_mode"):
         DerivScan(1000, 1.0, sink_mode="figur")
     assert DerivScan(1000, 1.0, sink_mode=None).header() is None
     assert SchoenfeldScan(1000, 1.0 / 3.0, rows=False).header() is None
