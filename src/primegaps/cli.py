@@ -357,14 +357,14 @@ def _schoenfeld_verdict(result, args) -> tuple[bool, dict]:
 
 
 def _writes_rows(args) -> bool:
-    """Whether the scan's own CSV rows are written: not under --format json,
-    nor inside ``report``, which folds its scans without a sink."""
-    return args.command == "scan" and args.format == "csv"
+    """Whether the scan's own CSV rows are written: by ``scan`` and ``figure1``
+    under --format csv, not inside ``report``, which folds without a sink."""
+    return args.command in ("scan", "figure1") and args.format == "csv"
 
 
-def _deriv(args):
+def _deriv(args, mode="records"):
     return fluct.DerivScan(args.limit, args.c,
-                           sink_mode="records" if _writes_rows(args) else None)
+                           sink_mode=mode if _writes_rows(args) else None)
 
 
 SCANS = {
@@ -639,11 +639,11 @@ _COMMANDS = {
         minimum=_which_minimum, key=("which", "format"), finish=_finish_scan,
     ),
     "figure1": _Command(
-        make=lambda args: fluct.DerivScan(args.limit, args.c, sink_mode="figure"),
+        make=lambda args: _deriv(args, "figure"),
         minimum=_which_minimum, key=("which", "format"), finish=_finish_figure1,
     ),
     "fit": _Command(
-        make=_fit_scan, minimum=lambda args: fitmod.FIT_X_MIN,
+        make=_fit_scan, minimum=lambda args: args.x_min + 1,
         key=("stride", "bins", "x_min"),
         finish=_finish_fit,
     ),

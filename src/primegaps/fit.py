@@ -26,7 +26,7 @@ MIN_FIT_X = math.exp(math.e)
 # Samples the fit keeps per decade of x (see ``SampleScan``).
 FIT_PER_DECADE = 200
 
-# ``fit --x-min``'s default and least --limit, and where ``report``'s fit starts.
+# ``fit --x-min``'s default, and where ``report``'s fit starts.
 FIT_X_MIN = 10**4
 
 

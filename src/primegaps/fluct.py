@@ -541,9 +541,11 @@ def _build_jump_grid(block):
     xs[1::2] = ps
     pis[0::2] = ns - 1
     pis[1::2] = ns
-    keep = np.ones(len(xs), dtype=bool)
-    keep[0::2] = (ps - 1 >= 2) & (ps != 3)
-    xs, pis = xs[keep], pis[keep]
+    # Only 2 and 3, the first primes of the first block, lose their p - 1
+    # lane.  3's, (2, 1), repeats 2's own, so the grid drops one lane per
+    # such prime from its start.
+    k = int(np.searchsorted(ps, 3, side="right"))
+    xs, pis = xs[k:], pis[k:]
     xs.flags.writeable = pis.flags.writeable = False
     return xs, pis
 

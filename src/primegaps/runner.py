@@ -6,7 +6,8 @@ state dict and returns the block's CSV rows as columns, which
 ``run_scan`` writes to its sink.  Because blocks are consumed strictly
 in index order and all floating-point grouping is tied to the fixed
 block size, a scan's output is byte-identical for any worker count and
-across a checkpoint/resume cycle.
+across a checkpoint/resume cycle.  A ``FusedScan`` folds as any scan
+does: its reduce maps and folds its parts in turn.
 
 The fold is lazy: it takes blocks from any source with
 ``blocks(limit=, block_size=)`` one at a time, so over a
@@ -84,14 +85,13 @@ class BlockScan:
 class FusedScan(BlockScan):
     """Several scans folded in one pass over the blocks.
 
-    ``run_scan`` maps and reduces each block through the sub-scans in
-    turn, so each sees the same blocks in the same order as it would
-    alone and its result is bit-identical to a separate run, while only
-    one sub-scan's payload is alive at a time.  So there must be a part,
-    and every part must end at the same ``limit``, which is the fused
-    scan's.  The state is ``{name: sub_state}``: one state, one
-    checkpoint.  ``run_scan`` refuses it a sink, where its parts' rows
-    would interleave.
+    Its map passes the block on and its reduce maps and folds it through
+    the parts in turn, so each sees the blocks it would alone and its
+    result is bit-identical to a separate run, while only one part's
+    payload is alive at a time.  So there must be a part, and every part
+    must end at the same ``limit``, which is the fused scan's.  The state
+    is ``{name: sub_state}``: one state, one checkpoint.  The parts'
+    rows, which would interleave, are dropped: no ``header()``, no sink.
     """
 
     name = "fused"
@@ -110,6 +110,13 @@ class FusedScan(BlockScan):
 
     def start(self) -> dict:
         return {name: scan.start() for name, scan in self.scans.items()}
+
+    def map_block(self, block):
+        return block
+
+    def reduce(self, state: dict, block) -> None:
+        for name, scan in self.scans.items():
+            scan.reduce(state[name], scan.map_block(block))
 
     def result(self, state: dict) -> dict:
         return {name: scan.result(state[name]) for name, scan in self.scans.items()}
@@ -135,13 +142,11 @@ def run_scan(
     blocks before ``state["block"]`` and reproduces the uninterrupted
     run bit for bit.  With a ``sink``, a fresh fold writes the scan's
     header and each block's rows; a scan without a ``header()`` writes no
-    rows and is refused one.  ``on_block(state)`` runs after every
-    block once the sink is synced, so it may commit the state with
-    ``sink.offset``; without ``on_block`` nothing is synced.
+    rows and is refused one, a ``FusedScan`` too, which folds its parts
+    in its own reduce.  ``on_block(state)`` runs after every block once
+    the sink is synced, so it may commit the state with ``sink.offset``;
+    without ``on_block`` nothing is synced.
     """
-    if sink is not None and isinstance(scan, FusedScan):
-        raise DomainError("a fused scan folds without a sink: its parts' rows "
-                          "would interleave")
     header = scan.header()
     if sink is not None and header is None:
         raise DomainError(f"the {scan.name} scan writes no rows, so it folds "
@@ -151,9 +156,6 @@ def run_scan(
         state["block"] = 0
         if sink is not None:
             sink.write(header.encode("ascii"))
-    # Each block is folded through its parts in turn; a plain scan is its
-    # only part and owns the whole state (key None).
-    parts = list(scan.scans.items()) if isinstance(scan, FusedScan) else [(None, scan)]
     first = state["block"]
     blocks = (
         block
@@ -162,19 +164,11 @@ def run_scan(
     )
     # A stop below one block still folds one, so a stopped run leaves a checkpoint.
     count = None if stop_after_blocks is None else max(stop_after_blocks, 1)
-    steps = (
-        (block, key, part)
-        for block in islice(blocks, count)
-        for key, part in parts
-    )
-    folded = ordered_map(lambda step: step[2].map_block(step[0]), steps, workers)
-    for (block, key, part), payload in folded:
-        rows = part.reduce(state if key is None else state[key], payload)
+    for block, payload in ordered_map(scan.map_block, islice(blocks, count), workers):
+        rows = scan.reduce(state, payload)
         if sink is not None and rows is not None:
             sink.write_rows(*rows)
-        del payload, rows  # free them before the next part maps
-        if key != parts[-1][0]:
-            continue
+        del payload, rows  # free them before the next block maps
         state["block"] = block.index + 1
         if on_block is not None:
             if sink is not None:

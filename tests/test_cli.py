@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps.cli import _parser, _write_checkpoint, main
+from primegaps.cli import _COMMANDS, _parse, _parser, _write_checkpoint, main
 from primegaps.fit import bin_average_k, fit_from_data, sample_fluctuations
 
 LIMIT_1E5 = ["--limit", "100000"]
@@ -122,8 +122,35 @@ def test_figure1_rows_and_script(tmp_path, capsys):
     assert "matplotlib" in script.read_text()
 
 
+def test_figure1_json_is_the_k_scan_json_folded_without_rows(tmp_path, capsys):
+    # Under --format json figure1 writes no row, so its scan makes none.
+    assert _COMMANDS["figure1"].make(
+        _parse(["figure1", *LIMIT_1E5, "--format", "json"])).header() is None
+    fig, k = tmp_path / "fig.json", tmp_path / "k.json"
+    assert main(["figure1", *LIMIT_1E5, "--format", "json", "--out", str(fig)]) == 0
+    assert main(["scan", "--which", "k", *LIMIT_1E5, "--format", "json",
+                 "--out", str(k)]) == 0
+    assert fig.read_bytes() == k.read_bytes()
+    assert not (tmp_path / "fig.json.plot.py").exists()
+
+
 def test_fit_requires_limit(capsys):
     assert main(["fit", "--limit", "5000"]) == 2
+
+
+def test_fit_least_limit_is_above_x_min(tmp_path, capsys):
+    # The least --limit follows --x-min: a fit range below the default
+    # x_min folds, and a --limit at x_min is refused with its flag named.
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--x-min", "5000", "--limit", "8000", "--stride", "10",
+                 "--bins", "5", "--format", "json", "--out", str(out)]) == 0
+    lo, hi = json.loads(out.read_text())["x_range"]
+    assert 5000 <= lo < hi <= 8000
+    capsys.readouterr()
+    assert main(["fit", "--limit", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: fit needs --limit >= 10001, got 10000" in captured.err
 
 
 def test_fit_stride_below_one_is_usage_error(capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from collections import namedtuple
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from primegaps.fluct import (
     fluctuation_at,
     schoenfeld_scan,
 )
-from primegaps.runner import FusedScan, RowSink, run_scan, run_to_end
+from primegaps.runner import BlockScan, FusedScan, RowSink, run_scan, run_to_end
 from primegaps.fluct import (
     BBoundScan,
     CgScan,
@@ -26,6 +27,7 @@ from primegaps.fluct import (
     DerivScan,
     DusartScan,
     SchoenfeldScan,
+    _jump_grid,
 )
 from primegaps.selberg import PartialSumScan
 from primegaps.sieve import BLOCK_PRIMES, PrimeBlock, PrimeData, PrimeStream
@@ -357,6 +359,40 @@ def test_scan_limit_cuts_a_longer_source(make):
     assert _plain(longer) == _plain(run_to_end(PrimeData.build(1000), make()))
 
 
+class _Logged(BlockScan):
+    """A part that logs its map and reduce of each block."""
+
+    def __init__(self, name, log):
+        self.name, self.limit, self.log = name, 1000, log
+
+    def start(self):
+        return {}
+
+    def map_block(self, block):
+        self.log.append(("map", self.name, block.index))
+        return block.index
+
+    def reduce(self, state, payload):
+        self.log.append(("reduce", self.name, payload))
+        return (np.array([payload]),)
+
+    def header(self):
+        return "index"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fused_scan_maps_each_part_just_before_it_reduces(workers):
+    # So only one part's payload is alive at a time, on any worker count;
+    # the parts' rows are dropped.
+    log = []
+    fused = FusedScan({"a": _Logged("a", log), "b": _Logged("b", log)})
+    state, finished = run_scan(PrimeData.build(1000), fused, block_size=50,
+                               workers=workers)
+    assert finished and state == {"a": {}, "b": {}, "block": 4}
+    assert log == [(step, part, index) for index in range(4)
+                   for part in "ab" for step in ("map", "reduce")]
+
+
 def test_fused_scan_refuses_parts_with_different_limits():
     # Refused when built, so before any block is folded: a part cut at
     # another limit would not see the blocks it sees alone.
@@ -510,9 +546,22 @@ def test_dusart_minimum_limit(data_1e6):
         dusart_scan(data_1e6, 300000)
 
 
+@pytest.mark.parametrize("block_size", [1, 2, 3, 7, 1000, 32768])
+def test_jump_grid_is_every_edge_but_one_and_two(data_1e5, block_size):
+    # (x, pi(x)) at p and p - 1 for each prime p, without x = 1 (below
+    # the grid) and 3's p - 1 = 2 (prime 2's own lane), read-only.
+    for block in islice(data_1e5.blocks(limit=10**5, block_size=block_size), 50):
+        edges = [(x, data_1e5.pi(x)) for p in block.primes.tolist()
+                 for x in ((p - 1, p) if p > 3 else (p,))]
+        xs, pis = _jump_grid(block)
+        assert list(zip(xs.tolist(), pis.tolist())) == edges
+        assert xs.dtype == pis.dtype == np.int64
+        assert not (xs.flags.writeable or pis.flags.writeable)
+
+
 def test_jump_grid_built_once_per_block_in_a_fused_fold(monkeypatch):
     # schoenfeld, bbound and dusart read one grid per block, also when
-    # their maps of one block run at once on two workers.
+    # two workers hand the fused scan its blocks.
     from primegaps import fluct
 
     calls = []
