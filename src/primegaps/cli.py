@@ -90,7 +90,7 @@ def _file_args(path: str) -> list[str]:
                 if key not in _SETTINGS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 flags.append(f"{_flag(key)}={value}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return flags
 
@@ -199,17 +199,24 @@ def _write_checkpoint(path: str, payload: dict) -> None:
 
 
 def _differing(old, new: dict, prefix: str = "") -> list[str]:
-    """The fields, as dotted paths, in which checkpoint key ``old`` differs
-    from ``new``."""
+    """The fields, as dotted paths, in which ``old``, a checkpoint's key or
+    the key tree of its state, differs from ``new``."""
     old = old if isinstance(old, dict) else {}
     names = []
     for name in sorted(set(old) | set(new)):
         a, b = old.get(name), new.get(name)
         if isinstance(a, dict) and isinstance(b, dict):
             names += _differing(a, b, f"{prefix}{name}.")
-        elif a != b:
+        elif a != b or (name in old) != (name in new):
             names.append(prefix + name)
     return names
+
+
+def _key_tree(value):
+    """The nested dicts of ``value`` with every other value put to None."""
+    if isinstance(value, dict):
+        return {name: _key_tree(item) for name, item in value.items()}
+    return None
 
 
 class _Checkpoint:
@@ -217,10 +224,12 @@ class _Checkpoint:
 
     ``key`` names the command, ``echo(args)`` and the command's own
     output-shaping arguments, so a resume that changes any of them is
-    refused instead of mixing two runs in one output.
+    refused instead of mixing two runs in one output.  So is a state whose
+    dict keys are not ``scan.start()``'s and ``"block"``, or a block or
+    sink offset that is not an int >= 0, before any output is touched.
     """
 
-    def __init__(self, args, **shape):
+    def __init__(self, args, scan: BlockScan, **shape):
         self.path = args.checkpoint
         self.key = {"command": args.command, "config": echo(args), **shape}
         self.state = None
@@ -242,8 +251,16 @@ class _Checkpoint:
             raise UsageError(
                 f"checkpoint {self.path} differs from this run in {', '.join(changed)}"
             )
-        self.state = payload["scan_state"]
-        self.offset = payload["sink_offset"]
+        state, offset = payload.get("scan_state"), payload.get("sink_offset")
+        wrong = _differing(_key_tree(state), _key_tree({**scan.start(), "block": 0}))
+        if wrong:
+            raise UsageError(f"checkpoint {self.path} has a scan_state that differs "
+                             f"from the {scan.name} scan's in {', '.join(wrong)}")
+        for name, value in (("block", state["block"]), ("sink_offset", offset)):
+            if type(value) is not int or value < 0:
+                raise UsageError(f"checkpoint {self.path} has {name} {value!r}, "
+                                 f"not an int >= 0")
+        self.state, self.offset = state, offset
 
     def save(self, state: dict, offset: int) -> None:
         """Record ``state`` and the sink ``offset``, whose rows ``run_scan``
@@ -356,15 +373,8 @@ def _schoenfeld_verdict(result, args) -> tuple[bool, dict]:
     return result.max_after_cutoff <= k_rh, doc
 
 
-def _writes_rows(args) -> bool:
-    """Whether the scan's own CSV rows are written: by ``scan`` and ``figure1``
-    under --format csv, not inside ``report``, which folds without a sink."""
-    return args.command in ("scan", "figure1") and args.format == "csv"
-
-
 def _deriv(args, mode="records"):
-    return fluct.DerivScan(args.limit, args.c,
-                           sink_mode=mode if _writes_rows(args) else None)
+    return fluct.DerivScan(args.limit, args.c, mode)
 
 
 SCANS = {
@@ -375,14 +385,11 @@ SCANS = {
         lambda args: fluct.DeltaScan(args.limit, args.c), 3, _no_violations
     ),
     "schoenfeld": _ScanEntry(
-        lambda args: fluct.SchoenfeldScan(args.limit, args.K, rows=_writes_rows(args)),
-        10, _schoenfeld_verdict,
+        lambda args: fluct.SchoenfeldScan(args.limit, args.K), 10, _schoenfeld_verdict
     ),
     "dusart": _ScanEntry(lambda args: fluct.DusartScan(args.limit), 355992, _passed),
-    "bbound": _ScanEntry(
-        lambda args: fluct.BBoundScan(args.limit, args.B, rows=_writes_rows(args)),
-        10, _passed,
-    ),
+    "bbound": _ScanEntry(lambda args: fluct.BBoundScan(args.limit, args.B), 10,
+                         _passed),
 }
 
 
@@ -615,8 +622,8 @@ class _Command(NamedTuple):
     shape the output and so enter the checkpoint key.  ``finish(result,
     args)`` writes the outputs left once the fold ends and returns the
     exit code.  A scan with a ``header()`` streams its CSV rows to the
-    sink as it folds (only under --format csv when ``format`` is in the
-    key).
+    sink as it folds, only under --format csv when ``format`` is in the
+    key; otherwise it folds without a sink, and so without rows.
     """
 
     make: Callable[[argparse.Namespace], BlockScan]
@@ -674,7 +681,7 @@ def _run(args) -> int:
         raise UsageError(f"{named} needs --limit >= {least}, got {args.limit}")
     data = PrimeStream(args.limit, workers=args.workers)
     scan = cmd.make(args)
-    ckpt = _Checkpoint(args, **shape)
+    ckpt = _Checkpoint(args, scan, **shape)
     rows = scan.header() is not None and shape.get("format", "csv") == "csv"
     if rows and args.checkpoint and args.out is None:
         raise UsageError("checkpointed CSV runs need --out")

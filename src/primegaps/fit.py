@@ -63,7 +63,7 @@ class SampleScan(BlockScan):
     def map_block(self, block):
         return block.n0, block.primes
 
-    def reduce(self, state, payload):
+    def reduce(self, state, payload, rows: bool = False):
         n0, ps = payload
         base = n0 - 1  # 0-based index of ps[0]
         if state["first"] is None:

@@ -16,10 +16,10 @@ edges of each jump of the prime-counting step function.
 Along that grid pi never falls, Li and sqrt(x) log x rise, and from
 x = 21 on Dusart's two bounds and the expansion x/L + x/L^2 + 2 x/L^3
 rise with x while L^3/x falls.  So the bracketing scan, and the |b|,
-Schoenfeld and derivative scans when they write no rows, cut a block's
-grid into runs of ``RUN_LANES`` lanes and bound each run from its two end
-points.  The bracketing and |b| scans evaluate only the slice of lanes
-from the first run whose bound leaves a violation or a new maximum
+Schoenfeld and derivative scans when they fold without a sink, cut a
+block's grid into runs of ``RUN_LANES`` lanes and bound each run from its
+two end points.  The bracketing and |b| scans evaluate only the slice of
+lanes from the first run whose bound leaves a violation or a new maximum
 possible to the last such run.  The Schoenfeld scan evaluates every
 lane of a block, or none when no run can change its result; the
 derivative scan evaluates every lane of a block whose largest gap its
@@ -203,7 +203,7 @@ class CgScan(BlockScan):
         viol = np.nonzero(g >= self.c * (lg * lg))[0]
         return lanes + block.n0, ps, g, ratio, viol
 
-    def reduce(self, state, payload):
+    def reduce(self, state, payload, rows: bool = False):
         if payload is None:
             return None
         ns, ps, g, ratio, viol = payload
@@ -213,7 +213,9 @@ class CgScan(BlockScan):
         lo = int(np.searchsorted(ns, 5))
         _raise_max(state, "tail_max", "tail_at", ratio[lo:], ps[lo:])
         state["violations"].extend(ns[viol].tolist())
-        return ns[viol], ps[viol], g[viol].astype(np.int64), ratio[viol]
+        if rows:
+            return ns[viol], ps[viol], g[viol].astype(np.int64), ratio[viol]
+        return None
 
     def result(self, state):
         violations = state["violations"]
@@ -278,6 +280,7 @@ class DeltaScan(BlockScan):
             "count": 0,
             "drift": 0.0,
             "drift_at": 0,
+            "final": 0.0,
         }
 
     def header(self):
@@ -308,7 +311,7 @@ class DeltaScan(BlockScan):
             b_exp,
         )
 
-    def reduce(self, state, payload):
+    def reduce(self, state, payload, rows: bool = False):
         n0, ps, lg, local, total, viol, b_exp = payload
         prefix = NeumaierSum.from_state(state["prefix"])
         delta = prefix.value + local
@@ -322,7 +325,7 @@ class DeltaScan(BlockScan):
         state["final"] = float(delta[-1])
         prefix.add(total)
         state["prefix"] = prefix.state()
-        return ps, delta, delta_hat
+        return (ps, delta, delta_hat) if rows else None
 
     def result(self, state):
         return DeltaScanResult(
@@ -397,15 +400,16 @@ def _gaps_clear(block, ps, succ, c: float) -> tuple[bool, bool]:
     return gap < top * (1.0 - eps_k), gap < top * (1.0 - eps_b)
 
 
-DERIV_SINK_MODES = ("records", "figure", None)
+DERIV_SINK_MODES = ("records", "figure")
 
 
 class DerivScan(BlockScan):
     """b' and k', the forward differences of b and k at each prime, against
     their lower bounds b_rhs and k_rhs.
 
-    ``sink_mode`` "records" writes every condition, "figure" k' and k_rhs
-    for figure1, and None no rows.  Without rows a block whose gaps
+    ``sink_mode`` "records" writes every condition and "figure" k' and
+    k_rhs for figure1.  The map passes the block on.  Folded with rows the
+    reduce evaluates every lane; without, a block whose gaps
     ``_gaps_clear`` clears adds only its count: no lane of it can fail.
     For primes p < q with g = q - p, t = g/p, L = log p and I the
     integral of dt/log t from p to q, which is at most g/L:
@@ -442,12 +446,12 @@ class DerivScan(BlockScan):
         eps_b = t (1 + Fhat) + 1e-14 q + 1e-13 (Fhat + c log q + 2).
 
     A block with a gap that either side does not clear runs
-    ``_deriv_block`` at every lane.
+    ``_deriv_block`` at every lane, as with rows.
     """
 
     name = "deriv"
 
-    def __init__(self, limit: int, c: float, sink_mode: str | None = "records"):
+    def __init__(self, limit: int, c: float, sink_mode: str = "records"):
         _check_limit(self.name, limit, 5)
         # The thresholds' own check, made once instead of per block.
         if not 0 < c < math.inf:
@@ -465,34 +469,29 @@ class DerivScan(BlockScan):
     def header(self):
         if self.sink_mode == "figure":
             return "p,k_prime,rhs24"
-        if self.sink_mode == "records":
-            return "n,p,b_prime,k_prime,b_rhs,k_rhs,b_ok,k_ok"
-        return None
+        return "n,p,b_prime,k_prime,b_rhs,k_rhs,b_ok,k_ok"
 
     def map_block(self, block):
-        ps, succ = _gap_pairs(block, self.limit)
-        if len(ps) == 0 or (self.sink_mode is None
-                            and all(_gaps_clear(block, ps, succ, self.c))):
-            return block.n0, ps, None
-        ps_ext = np.concatenate([ps, [succ[-1]]])
-        return block.n0, ps, _deriv_block(ps_ext, block.n0, self.c)
+        return block
 
-    def reduce(self, state, payload):
-        n0, ps, cols = payload
+    def reduce(self, state, block, rows: bool = False):
+        ps, succ = _gap_pairs(block, self.limit)
         state["count"] += len(ps)
-        if cols is None:
+        if len(ps) == 0 or (not rows and all(_gaps_clear(block, ps, succ, self.c))):
             return None
-        b_prime, k_prime, b_rhs, k_rhs = cols
-        b_ok = b_prime > b_rhs
-        k_ok = k_prime > k_rhs
+        n0, ps_ext = block.n0, np.concatenate([ps, succ[-1:]])
+        del succ  # freed before the kernel, where block 0 peaks in RSS; ps_ext after
+        b_prime, k_prime, b_rhs, k_rhs = _deriv_block(ps_ext, n0, self.c)
+        del ps_ext
+        b_ok, k_ok = b_prime > b_rhs, k_prime > k_rhs
         for i in np.nonzero(~b_ok)[0]:
             state["b_violations"].append((n0 + int(i), int(ps[i])))
         for i in np.nonzero(~k_ok)[0]:
             state["k_violations"].append((n0 + int(i), int(ps[i])))
+        if not rows:
+            return None
         if self.sink_mode == "figure":
             return ps, k_prime, k_rhs
-        if self.sink_mode is None:
-            return None
         return (np.arange(n0, n0 + len(ps)), ps, b_prime, k_prime, b_rhs, k_rhs,
                 b_ok, k_ok)
 
@@ -515,7 +514,7 @@ def deriv_scan(
     workers: int = 1,
 ) -> DerivScanResult:
     """Derivative-condition scan for both b and k sides in one pass."""
-    return run_to_end(data, DerivScan(limit, c, sink_mode=None), workers=workers)
+    return run_to_end(data, DerivScan(limit, c), workers=workers)
 
 
 # ----------------------------------------------------------------------
@@ -613,26 +612,32 @@ def _schoenfeld_at(xs, pis):
     return livals, np.abs(pis - livals) / (np.sqrt(xf) * np.log(xf))
 
 
+def _schoenfeld_runs(block):
+    """Per run of ``RUN_LANES`` grid lanes, a bound on the Schoenfeld ratio:
+    ``_li_spread`` over sqrt(x_h) log x_h, which is at most sqrt(x) log x at
+    every lane of the run, times 1 + 1e-9 for rounding."""
+    xh = _jump_grid(block)[0][::RUN_LANES].astype(np.float64)
+    return _li_spread(block) / (np.sqrt(xh) * np.log(xh)) * (1.0 + 1e-9)
+
+
 class SchoenfeldScan(BlockScan):
     """The maxima of |pi(x) - Li(x)| / (sqrt(x) log x) on the jump-edge grid,
     overall, past ``SCHOENFELD_CUTOFF`` and in each window, and x_star, the
     least grid point from which it stays at most ``k_all``.
 
-    With ``rows`` (the CSV) the map evaluates the ratio at every lane.
-    Without, it bounds the ratio over each run by ``_li_spread`` over
-    sqrt(x_h) log x_h, which is at most sqrt(x) log x at every lane of the
-    run, times 1 + 1e-9 for rounding.  The reduce leaves a block unevaluated
-    when every run's bound is below both the running maximum past the
-    cutoff and ``k_all``, the block lies past the cutoff and outside every
-    window, and x_star is set: then no lane can raise a maximum, violate
-    or move x_star.  Any other block is evaluated at every lane, as with
-    rows, so the result is that of every lane.
+    The map passes the block on.  Folded with rows (the CSV) the reduce
+    evaluates the ratio at every lane.  Without, it leaves a block
+    unevaluated when the block lies past the cutoff and outside every
+    window, x_star is set, and every run's bound, ``_schoenfeld_runs``, is
+    below both the running maximum past the cutoff and ``k_all``: then no
+    lane can raise a maximum, violate or move x_star.  Any other block is
+    evaluated at every lane, as with rows, so the result is that of every
+    lane.
     """
 
     name = "schoenfeld"
 
-    def __init__(self, limit: int, k_all: float, windows: dict | None = None,
-                 rows: bool = True):
+    def __init__(self, limit: int, k_all: float, windows: dict | None = None):
         _check_limit(self.name, limit, 10)
         # A NaN bound is exceeded nowhere, so x_star would be the first point.
         if not 0 < k_all < math.inf:
@@ -641,7 +646,6 @@ class SchoenfeldScan(BlockScan):
         self.limit = limit
         self.k_all = k_all
         self.windows = windows or {}
-        self.rows = rows
 
     def start(self):
         return {
@@ -654,30 +658,20 @@ class SchoenfeldScan(BlockScan):
         }
 
     def header(self):
-        return "x,pi,li,ratio" if self.rows else None
+        return "x,pi,li,ratio"
 
     def map_block(self, block):
+        return block
+
+    def reduce(self, state, block, rows: bool = False):
         xs, pis = _jump_grid(block)
-        if self.rows:
-            return (xs, pis, *_schoenfeld_at(xs, pis))
-        xh = xs[::RUN_LANES].astype(np.float64)
-        return xs, pis, _li_spread(block) / (np.sqrt(xh) * np.log(xh)) * (1.0 + 1e-9)
-
-    def _clear(self, state, xs, runs) -> bool:
-        """Whether no lane under the run bounds ``runs`` can change ``state``."""
         lo, hi = int(xs[0]), int(xs[-1])
-        return (state["x_star"] is not None and lo > SCHOENFELD_CUTOFF
+        if (not rows and state["x_star"] is not None and lo > SCHOENFELD_CUTOFF
                 and not any(a <= hi and lo <= b for a, b in self.windows.values())
-                and bool(np.all(runs < min(state["max_tail"], self.k_all))))
-
-    def reduce(self, state, payload):
-        xs, pis, *cols = payload
-        if not self.rows:
-            # the map's bound on the ratio over each run, in place of Li
-            if self._clear(state, xs, cols[0]):
-                return None
-            cols = _schoenfeld_at(xs, pis)
-        livals, ratio = cols
+                and np.all(_schoenfeld_runs(block)
+                           < min(state["max_tail"], self.k_all))):
+            return None  # no lane of the block can change the state
+        livals, ratio = _schoenfeld_at(xs, pis)
         _raise_max(state, "max_ratio", "max_at", ratio, xs)
         # xs ascends, so the points past the cutoff are a suffix
         tail = int(np.searchsorted(xs, SCHOENFELD_CUTOFF, side="right"))
@@ -694,7 +688,7 @@ class SchoenfeldScan(BlockScan):
                 m = float(np.max(ratio[mask]))
                 if m > state["windows"][name]:
                     state["windows"][name] = m
-        return (xs, pis, livals, ratio) if self.rows else None
+        return (xs, pis, livals, ratio) if rows else None
 
     def result(self, state):
         return SchoenfeldResult(
@@ -740,59 +734,54 @@ def schoenfeld_scan(
     cutoff 2657, and the least grid point from which the enlarged
     bound ``k_all`` holds onward.
     """
-    return run_to_end(data, SchoenfeldScan(limit, k_all, windows, rows=False),
-                      workers=workers)
+    return run_to_end(data, SchoenfeldScan(limit, k_all, windows), workers=workers)
 
 
 class BBoundScan(BlockScan):
     """The maximum of |b(x)| on the jump-edge grid and the points where
     |b(x)| >= B.
 
-    With ``rows`` (the CSV) the map evaluates b at every lane.  Without,
-    it bounds |b| over each run of ``RUN_LANES`` lanes from the run's ends:
-    for x_h <= x <= x_t from 21 on, |pi(x) - E(x)| is at most
+    The map bounds |b| over each run of ``RUN_LANES`` lanes from the run's
+    ends: for x_h <= x <= x_t from 21 on, |pi(x) - E(x)| is at most
     ``_e_spread``, and L^3/x is at most its value at x_h.  A factor
-    1 + 1e-9 covers the rounding of the product.  The reduce then
-    evaluates b from the first run whose bound reaches min(running
-    maximum, B) to the last: no lane of any other run can beat the strict
-    running maximum or reach B, so the result is that of every lane.
+    1 + 1e-9 covers the rounding of the product.  Folded with rows (the
+    CSV) the reduce evaluates b at every lane.  Without, it evaluates b
+    from the first run whose bound reaches min(running maximum, B) to the
+    last: no lane of any other run can beat the strict running maximum or
+    reach B, so the result is that of every lane.
     """
 
     name = "bbound"
 
-    def __init__(self, limit: int, bound: float, rows: bool = True):
+    def __init__(self, limit: int, bound: float):
         _check_limit(self.name, limit, 10)
         # A NaN bound would be reached nowhere, so every run would pass.
         if not 0 < bound < math.inf:
             raise DomainError(f"the bbound scan requires finite B > 0, got {bound}")
         self.limit = limit
         self.bound = bound
-        self.rows = rows
 
     def start(self):
         return {"max_abs": 0.0, "max_at": 0, "violations": []}
 
     def header(self):
-        return "x,pi,b" if self.rows else None
+        return "x,pi,b"
 
     def map_block(self, block):
         xs, pis = _jump_grid(block)
-        if self.rows:
-            return xs, pis, _b_at(xs, pis)
         xh = xs[::RUN_LANES].astype(np.float64)
         return xs, pis, _e_spread(block) * (np.log(xh) ** 3 / xh) * (1.0 + 1e-9)
 
-    def reduce(self, state, payload):
-        xs, pis, b = payload
-        if not self.rows:
-            # the map's bound on |b| over each run, in place of b
-            span = _run_span(b >= min(state["max_abs"], self.bound), len(xs))
+    def reduce(self, state, payload, rows: bool = False):
+        xs, pis, runs = payload
+        if not rows:
+            span = _run_span(runs >= min(state["max_abs"], self.bound), len(xs))
             xs, pis = xs[span], pis[span]
-            b = _b_at(xs, pis)
+        b = _b_at(xs, pis)
         ab = np.abs(b)
         _raise_max(state, "max_abs", "max_at", ab, xs)
         state["violations"].extend(xs[ab >= self.bound].tolist())
-        return (xs, pis, b) if self.rows else None
+        return (xs, pis, b) if rows else None
 
     def result(self, state):
         return BBoundResult(
@@ -835,7 +824,7 @@ def bbound_scan(
     workers: int = 1,
 ) -> BBoundResult:
     """Empirical maximum of |b(x)| over the jump-edge grid."""
-    return run_to_end(data, BBoundScan(limit, bound, rows=False), workers=workers)
+    return run_to_end(data, BBoundScan(limit, bound), workers=workers)
 
 
 class DusartScan(BlockScan):
@@ -879,13 +868,13 @@ class DusartScan(BlockScan):
                              | ((x >= DUSART_UPPER_MIN_X) & (pi >= upper)))
         return len(xs), x[bad], pi[bad], lower[bad], upper[bad]
 
-    def reduce(self, state, payload):
+    def reduce(self, state, payload, rows: bool = False):
         if payload is None:
             return None
-        checked, *rows = payload
+        checked, *cols = payload
         state["checked"] += checked
-        state["violations"].extend(rows[0].tolist())
-        return tuple(rows)
+        state["violations"].extend(cols[0].tolist())
+        return tuple(cols) if rows else None
 
     def result(self, state):
         return DusartResult(

@@ -2,12 +2,13 @@
 
 A scan is split into a pure per-block ``map_block`` (parallelizable)
 and an order-fixed ``reduce`` that folds payloads into a JSON-able
-state dict and returns the block's CSV rows as columns, which
-``run_scan`` writes to its sink.  Because blocks are consumed strictly
-in index order and all floating-point grouping is tied to the fixed
-block size, a scan's output is byte-identical for any worker count and
-across a checkpoint/resume cycle.  A ``FusedScan`` folds as any scan
-does: its reduce maps and folds its parts in turn.
+state dict.  ``run_scan`` asks ``reduce`` for the block's CSV rows, as
+columns, only when it has a sink to write them to; without one a scan
+may skip the lanes that cannot change its state.  Because blocks are
+consumed strictly in index order and all floating-point grouping is tied
+to the fixed block size, a scan's output is byte-identical for any
+worker count and across a checkpoint/resume cycle.  A ``FusedScan``
+folds as any scan does: its reduce maps and folds its parts in turn.
 
 The fold is lazy: it takes blocks from any source with
 ``blocks(limit=, block_size=)`` one at a time, so over a
@@ -70,9 +71,10 @@ class BlockScan:
     def map_block(self, block):
         raise NotImplementedError
 
-    def reduce(self, state: dict, payload) -> tuple | None:
-        """Fold ``payload`` into ``state``; return the block's CSV rows as a
-        tuple of 1-D columns, one per field of ``header()``, or None."""
+    def reduce(self, state: dict, payload, rows: bool = False) -> tuple | None:
+        """Fold ``payload`` into ``state``.  With ``rows``, return the block's
+        CSV rows as a tuple of 1-D columns, one per field of ``header()``, or
+        None when it has none; without, return None."""
         raise NotImplementedError
 
     def result(self, state: dict):
@@ -90,8 +92,8 @@ class FusedScan(BlockScan):
     result is bit-identical to a separate run, while only one part's
     payload is alive at a time.  So there must be a part, and every part
     must end at the same ``limit``, which is the fused scan's.  The state
-    is ``{name: sub_state}``: one state, one checkpoint.  The parts'
-    rows, which would interleave, are dropped: no ``header()``, no sink.
+    is ``{name: sub_state}``: one state, one checkpoint.  The parts fold
+    without rows, which would interleave: no ``header()``, no sink.
     """
 
     name = "fused"
@@ -114,7 +116,7 @@ class FusedScan(BlockScan):
     def map_block(self, block):
         return block
 
-    def reduce(self, state: dict, block) -> None:
+    def reduce(self, state: dict, block, rows: bool = False) -> None:
         for name, scan in self.scans.items():
             scan.reduce(state[name], scan.map_block(block))
 
@@ -141,11 +143,12 @@ def run_scan(
     previously checkpointed ``state`` to resume: the fold skips the
     blocks before ``state["block"]`` and reproduces the uninterrupted
     run bit for bit.  With a ``sink``, a fresh fold writes the scan's
-    header and each block's rows; a scan without a ``header()`` writes no
-    rows and is refused one, a ``FusedScan`` too, which folds its parts
-    in its own reduce.  ``on_block(state)`` runs after every block once
-    the sink is synced, so it may commit the state with ``sink.offset``;
-    without ``on_block`` nothing is synced.
+    header and each block's rows, which it asks of ``reduce``; without
+    one it asks for none.  A scan without a ``header()``, such as a
+    ``FusedScan``, writes no rows and is refused a sink.
+    ``on_block(state)`` runs after every block once the sink is synced,
+    so it may commit the state with ``sink.offset``; without
+    ``on_block`` nothing is synced.
     """
     header = scan.header()
     if sink is not None and header is None:
@@ -165,7 +168,7 @@ def run_scan(
     # A stop below one block still folds one, so a stopped run leaves a checkpoint.
     count = None if stop_after_blocks is None else max(stop_after_blocks, 1)
     for block, payload in ordered_map(scan.map_block, islice(blocks, count), workers):
-        rows = scan.reduce(state, payload)
+        rows = scan.reduce(state, payload, rows=sink is not None)
         if sink is not None and rows is not None:
             sink.write_rows(*rows)
         del payload, rows  # free them before the next block maps

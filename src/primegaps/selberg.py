@@ -203,7 +203,7 @@ class SelbergScan(BlockScan):
 
         return fixed_column_units(his[live].max(initial=closed) - closed, products())
 
-    def reduce(self, state, payload):
+    def reduce(self, state, payload, rows: bool = False):
         ps, succ, logs, s1_units, total = payload
         cum = np.cumsum(np.concatenate([[state["theta"]], logs]))[1:]
         state["theta"] = float(cum[-1])
@@ -216,14 +216,14 @@ class SelbergScan(BlockScan):
         halves, state["open"] = state["open"][:count], state["open"][count:]
         new = slice(closed, closed + count)
         ordered = [2 * fixed_value(h) - r**2 for h, r in zip(halves, self._root[new])]
-        rows = [[x, fixed_value(state["s1"] + u), v2, _s2_unordered(v2, d)] for x, u, v2, d
+        sums = [[x, fixed_value(state["s1"] + u), v2, _s2_unordered(v2, d)] for x, u, v2, d
                 in zip(self.xs[new].tolist(), s1_units, ordered, self._diagonal[new])]
         state["s1"] += total
-        state["rows"] += rows
-        if not rows:
+        state["rows"] += sums
+        if not (rows and sums):
             return None
-        x, v1, v2, v2u = map(np.array, zip(*rows))
-        return x, v1, v2, v2u, np.array([_residual(*row[:3]) for row in rows]), v2 < v1
+        x, v1, v2, v2u = map(np.array, zip(*sums))
+        return x, v1, v2, v2u, np.array([_residual(*row[:3]) for row in sums]), v2 < v1
 
     def result(self, state) -> list[SelbergSums]:
         return [SelbergSums(*row, _residual(*row[:3])) for row in state["rows"]]
@@ -298,7 +298,7 @@ class PartialSumScan(BlockScan):
         local = np.cumsum(terms)
         return block.n0, ps, succ, local, fixed_sum(terms)
 
-    def reduce(self, state, payload):
+    def reduce(self, state, payload, rows: bool = False):
         n0, ps, succ, local, total = payload
         gap_cum = state["gap_sum"] + np.cumsum(succ - ps)
         if not np.array_equal(gap_cum + 2, succ):
@@ -314,7 +314,7 @@ class PartialSumScan(BlockScan):
             state["gap_sum"] = int(gap_cum[-1])
         prefix.add(total)
         state["logsq"] = prefix.state()
-        return np.arange(n0, n0 + len(ps)), gap_cum, logsq, holds
+        return (np.arange(n0, n0 + len(ps)), gap_cum, logsq, holds) if rows else None
 
     def result(self, state):
         return PartialSumResult(

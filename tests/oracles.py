@@ -237,7 +237,9 @@ def deriv_records_li(data, limit: int, c: float = 1.0, c3: float = 2.0):
 # ----------------------------------------------------------------------
 # CSV rows, one f-string per row: the scans' row formatting before it was
 # batched per block.  Each ``*_rows`` takes a scan's state before its
-# ``reduce`` and the block's payload, and returns that block's lines.
+# ``reduce`` and the block's payload, and returns that block's lines.  The
+# Schoenfeld and derivative maps pass the block on; their lanes, and the
+# |b| scan's, come from ``lane_rows_oracle``.
 
 
 def _fmt(v) -> str:
@@ -265,27 +267,25 @@ def _delta_rows(scan, state, payload):
     ]
 
 
-def _deriv_rows(scan, state, payload):
-    n0, ps, cols = payload
+def _deriv_rows(scan, state, block):
+    cols = lane_rows_oracle(scan, block)
     if cols is None:
         return []
-    b_prime, k_prime, b_rhs, k_rhs = cols
     if scan.sink_mode == "figure":
+        ps, k_prime, k_rhs = cols
         return [
             f"{int(ps[i])},{_fmt(k_prime[i])},{_fmt(k_rhs[i])}" for i in range(len(ps))
         ]
+    ns, ps, b_prime, k_prime, b_rhs, k_rhs, b_ok, k_ok = cols
     return [
-        f"{n0 + i},{int(ps[i])},{_fmt(b_prime[i])},{_fmt(k_prime[i])},"
-        f"{_fmt(b_rhs[i])},{_fmt(k_rhs[i])},"
-        f"{_flag(b_prime[i] > b_rhs[i])},{_flag(k_prime[i] > k_rhs[i])}"
+        f"{int(ns[i])},{int(ps[i])},{_fmt(b_prime[i])},{_fmt(k_prime[i])},"
+        f"{_fmt(b_rhs[i])},{_fmt(k_rhs[i])},{_flag(b_ok[i])},{_flag(k_ok[i])}"
         for i in range(len(ps))
     ]
 
 
-def _schoenfeld_rows(scan, state, payload):
-    xs, pis, livals, ratio = payload
-    if ratio is None:
-        return []
+def _schoenfeld_rows(scan, state, block):
+    xs, pis, livals, ratio = lane_rows_oracle(scan, block)
     return [
         f"{int(xs[i])},{int(pis[i])},{_fmt(livals[i])},{_fmt(ratio[i])}"
         for i in range(len(xs))
@@ -293,7 +293,8 @@ def _schoenfeld_rows(scan, state, payload):
 
 
 def _bbound_rows(scan, state, payload):
-    xs, pis, b = payload
+    xs, pis, _ = payload
+    b = _b_plain(xs, pis)
     return [f"{int(xs[i])},{int(pis[i])},{_fmt(b[i])}" for i in range(len(xs))]
 
 
@@ -360,7 +361,8 @@ def csv_rows_oracle(scan, data, limit: int) -> bytes:
 # path, the chunked quadrature loop, the shared logs, the cg map's
 # candidate lanes and the jump-grid runs of the |b| and Dusart scans.
 # Each map payload below is the scan's ``map_block`` payload built from
-# them.
+# them, and each set of lanes the rows its ``reduce`` returns at every
+# lane.
 
 
 def li_array_path(xs) -> np.ndarray:
@@ -420,19 +422,17 @@ def _cg_payload(scan, block):
     return np.arange(block.n0, block.n0 + len(ps)), ps, g, ratio, viol
 
 
-def _schoenfeld_payload(scan, block):
+def _schoenfeld_lanes(scan, block):
     xs, pis = _jump_grid(block)
-    if len(xs) == 0:
-        return xs, pis, None, None
     xf = xs.astype(np.float64)
     livals = li_ascending_unchunked(xf)
     return xs, pis, livals, np.abs(pis - livals) / (np.sqrt(xf) * np.log(xf))
 
 
-def _deriv_payload(scan, block):
+def _deriv_lanes(scan, block):
     ps, succ = _gap_pairs(block, scan.limit)
     if len(ps) == 0:
-        return block.n0, ps, None
+        return None
     pf = np.concatenate([ps, [succ[-1]]]).astype(np.float64)
     lg = np.log(pf)
     ns = np.arange(block.n0, block.n0 + len(pf), dtype=np.float64)
@@ -440,20 +440,31 @@ def _deriv_payload(scan, block):
     k = (ns - li_ascending_unchunked(pf)) / (np.sqrt(pf) * lg)
     dp = np.diff(pf)
     p, lp, c = pf[:-1], np.log(pf[:-1]), scan.c
+    b_prime, k_prime = np.diff(b) / dp, np.diff(k) / dp
     b_rhs = -(lp * lp / p) * (1.0 - 1.0 / (c * lp))
     k_rhs = -(1.0 / (np.sqrt(p) * lp * lp)) * (1.0 - 1.0 / (c * lp))
-    return block.n0, ps, (np.diff(b) / dp, np.diff(k) / dp, b_rhs, k_rhs)
+    if scan.sink_mode == "figure":
+        return ps, k_prime, k_rhs
+    return (np.arange(block.n0, block.n0 + len(ps)), ps, b_prime, k_prime, b_rhs,
+            k_rhs, b_prime > b_rhs, k_prime > k_rhs)
+
+
+def _b_plain(xs, pis):
+    xf = xs.astype(np.float64)
+    lg = np.log(xf)
+    return (pis - _expansion_plain(xf)) * lg**3 / xf
+
+
+def _bbound_lanes(scan, block):
+    xs, pis = _jump_grid(block)
+    return xs, pis, _b_plain(xs, pis)
 
 
 def _bbound_payload(scan, block):
-    """``BBoundScan.map_block`` with b at every lane; without rows, a bound
-    of inf on every run, so that its reduce evaluates every lane."""
+    """``BBoundScan.map_block`` with a bound of inf on every run, so that
+    its reduce evaluates every lane also without rows."""
     xs, pis = _jump_grid(block)
-    if not scan.rows:
-        return xs, pis, np.full(-(-len(xs) // RUN_LANES), np.inf)
-    xf = xs.astype(np.float64)
-    lg = np.log(xf)
-    return xs, pis, (pis - _expansion_plain(xf)) * lg**3 / xf
+    return xs, pis, np.full(-(-len(xs) // RUN_LANES), np.inf)
 
 
 def _dusart_payload(scan, block):
@@ -487,8 +498,6 @@ def _delta_payload(scan, block):
 
 _PAYLOADS = {
     "cg": _cg_payload,
-    "schoenfeld": _schoenfeld_payload,
-    "deriv": _deriv_payload,
     "bbound": _bbound_payload,
     "dusart": _dusart_payload,
     "delta": _delta_payload,
@@ -496,5 +505,20 @@ _PAYLOADS = {
 
 
 def map_payload_oracle(scan, block):
-    """``scan.map_block(block)`` from the reference kernels above."""
+    """``scan.map_block(block)`` from the reference kernels above; the |b|
+    scan's with unbounded runs."""
     return _PAYLOADS[scan.name](scan, block)
+
+
+_LANES = {
+    "schoenfeld": _schoenfeld_lanes,
+    "deriv": _deriv_lanes,
+    "bbound": _bbound_lanes,
+}
+
+
+def lane_rows_oracle(scan, block):
+    """The rows ``scan.reduce(state, scan.map_block(block), rows=True)``
+    returns, every lane of ``block``, for the Schoenfeld, derivative and |b|
+    scans, from the reference kernels above."""
+    return _LANES[scan.name](scan, block)

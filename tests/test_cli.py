@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps.cli import _COMMANDS, _parse, _parser, _write_checkpoint, main
+from primegaps.cli import _parser, _write_checkpoint, main
 from primegaps.fit import bin_average_k, fit_from_data, sample_fluctuations
+from primegaps.runner import run_scan
 
 LIMIT_1E5 = ["--limit", "100000"]
 LIMIT_1E6 = ["--limit", "1000000"]
@@ -122,15 +123,19 @@ def test_figure1_rows_and_script(tmp_path, capsys):
     assert "matplotlib" in script.read_text()
 
 
-def test_figure1_json_is_the_k_scan_json_folded_without_rows(tmp_path, capsys):
-    # Under --format json figure1 writes no row, so its scan makes none.
-    assert _COMMANDS["figure1"].make(
-        _parse(["figure1", *LIMIT_1E5, "--format", "json"])).header() is None
+def test_figure1_json_is_the_k_scan_json_folded_without_rows(tmp_path, capsys,
+                                                              monkeypatch):
+    # Under --format json figure1 writes no row, so its scan folds without
+    # a sink, which asks it for none.
+    sinks = []
+    monkeypatch.setattr("primegaps.cli.run_scan",
+                        lambda *a, **kw: sinks.append(kw["sink"]) or run_scan(*a, **kw))
     fig, k = tmp_path / "fig.json", tmp_path / "k.json"
     assert main(["figure1", *LIMIT_1E5, "--format", "json", "--out", str(fig)]) == 0
     assert main(["scan", "--which", "k", *LIMIT_1E5, "--format", "json",
                  "--out", str(k)]) == 0
     assert fig.read_bytes() == k.read_bytes()
+    assert sinks == [None, None]
     assert not (tmp_path / "fig.json.plot.py").exists()
 
 
@@ -247,6 +252,17 @@ def test_config_file_unknown_key(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("bogus = 1\n")
     assert main(["scan", "--which", "cg", "--config", str(cfgfile)]) == 2
+
+
+def test_config_file_with_a_non_ascii_byte_exits_2_naming_it(tmp_path, capsys):
+    # The file is read as ASCII, comments too; the decode error was a
+    # traceback and exit 1, the code for a violation found.
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes("limit = 100000  # \u00e9t\u00e9\n".encode("utf-8"))
+    assert main(["scan", "--which", "cg", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot read config file {cfgfile}" in captured.err
 
 
 def test_env_override(tmp_path, capsys, monkeypatch):
@@ -748,6 +764,51 @@ def test_resume_refusal_names_the_changed_fields(tmp_path, capsys):
     assert capsys.readouterr().err.rstrip().endswith("differs from this run in bins")
     assert main([*args, "--bins", "7", "--c", "2", "--resume"]) == 2
     assert capsys.readouterr().err.rstrip().endswith("in bins, config.c")
+
+
+def _drop(doc, *path):
+    for name in path[:-1]:
+        doc = doc[name]
+    del doc[path[-1]]
+
+
+def _put(doc, *path, value):
+    for name in path[:-1]:
+        doc = doc[name]
+    doc[path[-1]] = value
+
+
+_SCHOENFELD_JSON = ["scan", "--which", "schoenfeld", *LIMIT_1E6, "--format", "json"]
+
+
+@pytest.mark.parametrize("first, edit, says", [
+    pytest.param(_DELTA, lambda doc: _drop(doc, "scan_state"), "in block, count, ",
+                 id="no-scan-state"),
+    pytest.param(_SCHOENFELD_JSON, lambda doc: _drop(doc, "scan_state", "max_ratio"),
+                 "the schoenfeld scan's in max_ratio", id="missing-field"),
+    pytest.param(["report", *LIMIT_1E6],
+                 lambda doc: _put(doc, "scan_state", "dusart", "extra", value=1),
+                 "the fused scan's in dusart.extra", id="extra-nested-field"),
+    pytest.param(_DELTA, lambda doc: _put(doc, "scan_state", "block", value="x"),
+                 "has block 'x', not an int >= 0", id="block-not-an-int"),
+    pytest.param(_DELTA, lambda doc: _put(doc, "sink_offset", value=-1),
+                 "has sink_offset -1, not an int >= 0", id="negative-sink-offset"),
+])
+def test_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, first, edit, says):
+    # Version and key are right, so each reached the fold or the output
+    # and died there with a traceback and exit 1.  A CSV output is left as
+    # it was.
+    out, ck = tmp_path / "out", tmp_path / "ck.json"
+    tail = ["--out", str(out), "--checkpoint", str(ck)]
+    assert main([*first, *tail, "--stop-after-blocks", "1"]) == 0
+    doc = json.loads(ck.read_text())
+    edit(doc)
+    ck.write_text(json.dumps(doc))
+    before = out.read_bytes() if out.exists() else None
+    capsys.readouterr()
+    assert main([*first, *tail, "--resume"]) == 2
+    assert says in capsys.readouterr().err
+    assert (out.read_bytes() if out.exists() else None) == before
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -32,7 +32,7 @@ from primegaps.fluct import (
 from primegaps.selberg import PartialSumScan
 from primegaps.sieve import BLOCK_PRIMES, PrimeBlock, PrimeData, PrimeStream
 
-from .oracles import deriv_records_li, map_payload_oracle
+from .oracles import deriv_records_li, lane_rows_oracle, map_payload_oracle
 
 # Frozen regression values (1e6 scans, double-checked against the
 # quadrature li oracle and hand evaluation at small x).
@@ -442,7 +442,9 @@ def test_delta_scan_refuses_c_that_is_not_positive():
     # A NaN B passed every lane, and min(running maximum, NaN) would
     # leave the |b| runs unchecked.
     (lambda v: BBoundScan(1000, v), "the bbound scan requires finite B > 0"),
-    (lambda v: BBoundScan(1000, v, rows=False), "the bbound scan requires finite B > 0"),
+    # bbound_scan folds without rows; its scan is refused before any block.
+    (lambda v: bbound_scan(PrimeStream(1000), 1000, v),
+     "the bbound scan requires finite B > 0"),
     # A NaN k_all put x_star at the first grid point, 2.
     (lambda v: SchoenfeldScan(1000, v), "the schoenfeld scan requires finite k_all > 0"),
 ], ids=["delta", "deriv", "bbound", "bbound-no-rows", "schoenfeld"])
@@ -460,16 +462,22 @@ def test_fused_scan_folds_without_a_sink(data_1e6):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: BBoundScan(10**5, 5.0, rows=False),
-    lambda: SchoenfeldScan(10**5, 1.0 / 3.0, rows=False),
-    lambda: DerivScan(10**5, 1.0, sink_mode=None),
+    lambda: BBoundScan(10**5, 5.0),
+    lambda: SchoenfeldScan(10**5, 1.0 / 3.0),
+    lambda: DerivScan(10**5, 1.0),
 ], ids=["bbound", "schoenfeld", "deriv"])
-def test_scan_without_rows_is_refused_a_sink(data_1e5, make):
-    # A sink it never writes would leave an empty CSV behind a result.
+def test_scan_given_a_sink_writes_every_lanes_rows(data_1e5, make):
+    # The sink, not the scan, decides the rows: given one, each scan that
+    # clears lanes without rows writes a row for every lane.  A fused scan
+    # is still refused one (test_fused_scan_folds_without_a_sink).
     buf = io.BytesIO()
-    with pytest.raises(DomainError, match="writes no rows"):
-        run_to_end(data_1e5, make(), sink=RowSink(buf))
-    assert buf.getvalue() == b""
+    scan = make()
+    result = run_to_end(data_1e5, scan, sink=RowSink(buf))
+    lines = buf.getvalue().decode("ascii").splitlines()
+    assert lines[0] == scan.header()
+    lanes = (result.count if scan.name == "deriv"
+             else 2 * data_1e5.pi(10**5) - 2)  # p and p - 1, less 1 and 3 - 1
+    assert len(lines) - 1 == lanes
 
 
 def test_deriv_scan_resumed_from_json_equals_uninterrupted(data_1e6):
@@ -594,17 +602,24 @@ def test_map_payloads_equal_the_reference_kernels_block_by_block(data_1e6):
     # The scalar Ei anchors, the chunked quadrature loop and the shared
     # logs must leave every payload bit as the plain forms give it.  Bits,
     # not a pinned digest: numpy's log may take another SIMD kernel on
-    # another CPU, and both sides here run on the same one.
+    # another CPU, and both sides here run on the same one.  The Schoenfeld,
+    # derivative and |b| scans evaluate their lanes in the reduce: the rows
+    # it returns are checked, at every lane.
     limit = 10**6
-    scans = [SchoenfeldScan(limit, 1.0 / 3.0), DerivScan(limit, 1.0),
-             DerivScan(limit, 0.7), BBoundScan(limit, 5.0), DusartScan(limit),
-             DeltaScan(limit, 1.0), DeltaScan(limit, 1.3)]
+    lane_scans = [SchoenfeldScan(limit, 1.0 / 3.0), DerivScan(limit, 1.0),
+                  DerivScan(limit, 0.7), DerivScan(limit, 1.0, "figure"),
+                  BBoundScan(limit, 5.0)]
+    map_scans = [DusartScan(limit), DeltaScan(limit, 1.0), DeltaScan(limit, 1.3)]
     # the scans' own blocks, and short ones for more Li anchors
     for block_size, count in ((BLOCK_PRIMES, 3), (5000, 16)):
         blocks = list(data_1e6.blocks(limit=limit, block_size=block_size))
         assert len(blocks) == count
         for block in blocks:
-            for scan in scans:
+            for scan in lane_scans:
+                got = scan.reduce(scan.start(), scan.map_block(block), rows=True)
+                assert _same_bits(got, lane_rows_oracle(scan, block)), \
+                    (scan.name, block_size, block.index)
+            for scan in map_scans:
                 got = scan.map_block(block)
                 assert _same_bits(got, map_payload_oracle(scan, block)), \
                     (scan.name, block_size, block.index)
@@ -644,7 +659,7 @@ def test_cg_candidate_lanes_fold_as_every_lane(data_1e6, source, c):
 def _cg_block_alone(scan, block, payload):
     """A block's payload folded into a fresh state: the state and the rows."""
     state = scan.start()
-    rows = scan.reduce(state, payload)
+    rows = scan.reduce(state, payload, rows=True)
     return state, None if rows is None else [col.tolist() for col in rows]
 
 

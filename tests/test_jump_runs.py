@@ -31,7 +31,8 @@ class _FullLaneDusart(DusartScan):
 
 
 class _FullLaneBBound(BBoundScan):
-    """BBoundScan that evaluates b at every lane of every block."""
+    """BBoundScan that evaluates b at every lane of every block, also
+    without rows."""
 
     def map_block(self, block):
         return map_payload_oracle(self, block)
@@ -41,11 +42,12 @@ def _plain(result):
     return json.loads(json.dumps(result.to_json()))
 
 
-def _fold(data, scan, workers, stop=None, **fold):
-    """The result JSON and CSV bytes of ``scan``, stopped after ``stop``
-    blocks and resumed from its state as a checkpoint holds it."""
+def _fold(data, scan, workers, stop=None, rows=True, **fold):
+    """The result JSON and CSV bytes of ``scan``, with rows or without (a
+    fold without a sink), stopped after ``stop`` blocks and resumed from
+    its state as a checkpoint holds it."""
     buf = io.BytesIO()
-    sink = RowSink(buf) if scan.header() is not None else None
+    sink = RowSink(buf) if rows else None
     state, finished = run_scan(data, scan, workers=workers, sink=sink,
                                stop_after_blocks=stop, **fold)
     if stop is not None:
@@ -58,13 +60,14 @@ def _fold(data, scan, workers, stop=None, **fold):
 
 
 def _pairs(limit, bound, rows=True):
+    """(scan, full-lane scan, rows) to fold alike."""
     pairs = [
-        (DusartScan(limit), _FullLaneDusart(limit)),
-        (BBoundScan(limit, bound, rows=False), _FullLaneBBound(limit, bound, rows=False)),
+        (DusartScan(limit), _FullLaneDusart(limit), True),
+        (BBoundScan(limit, bound), _FullLaneBBound(limit, bound), False),
     ]
     # with rows every lane is evaluated: its CSV is checked on the table
     if rows:
-        pairs.append((BBoundScan(limit, bound), _FullLaneBBound(limit, bound)))
+        pairs.append((BBoundScan(limit, bound), _FullLaneBBound(limit, bound), True))
     return pairs
 
 
@@ -84,10 +87,10 @@ def test_run_bounds_fold_as_every_lane(data_1e6, source, bound):
         data = PrimeStream(limit)
         runs = [({}, 1, None), ({}, 2, 20)]
     for fold, workers, stop in runs:
-        for scan, full in _pairs(limit, bound, rows=source == "table"):
-            got = _fold(data, scan, workers, stop, **fold)
-            assert got == _fold(data, full, workers, stop, **fold), \
-                (scan.name, scan.header(), fold, workers, stop)
+        for scan, full, rows in _pairs(limit, bound, rows=source == "table"):
+            got = _fold(data, scan, workers, stop, rows, **fold)
+            assert got == _fold(data, full, workers, stop, rows, **fold), \
+                (scan.name, rows, fold, workers, stop)
     if bound == 0.5:
         assert got[0]["violations"]
 
@@ -95,8 +98,7 @@ def test_run_bounds_fold_as_every_lane(data_1e6, source, bound):
 def test_run_bounds_leave_most_blocks_unevaluated(monkeypatch):
     # The point of the runs: to 3e7 the |b| scan evaluates lanes in its
     # first block only, and the Dusart scan in its first few.
-    scans = {"dusart": DusartScan(3 * 10**7),
-             "bbound": BBoundScan(3 * 10**7, 5.0, rows=False)}
+    scans = {"dusart": DusartScan(3 * 10**7), "bbound": BBoundScan(3 * 10**7, 5.0)}
     states = {name: scan.start() for name, scan in scans.items()}
     evaluated = {name: [] for name in scans}
     span_of = fluct._run_span
@@ -124,10 +126,10 @@ def _block(n0, primes, index=1):
     return PrimeBlock(index, n0, np.asarray(primes, dtype=np.int64), None)
 
 
-def _reduced(scan, state, block):
+def _reduced(scan, state, block, rows=False):
     """``state`` after ``scan`` folds ``block`` into a copy, and the rows."""
     state = copy.deepcopy(state)
-    rows = scan.reduce(state, scan.map_block(block))
+    rows = scan.reduce(state, scan.map_block(block), rows=rows)
     return state, None if rows is None else [col.tolist() for col in rows]
 
 
@@ -181,8 +183,8 @@ def test_dusart_runs_keep_a_planted_violation(name):
     assert len(xs) <= RUN_LANES  # one run
     scan, full = DusartScan(10**16), _FullLaneDusart(10**16)
     state = {"violations": [7], "checked": 11}
-    got = _reduced(scan, state, block)
-    assert got == _reduced(full, state, block)
+    got = _reduced(scan, state, block, rows=True)
+    assert got == _reduced(full, state, block, rows=True)
     bad = got[0]["violations"][1:]
     assert bad and got[0]["checked"] == 11 + len(xs)
     if name.endswith("mid-run"):
@@ -210,10 +212,10 @@ def test_bbound_runs_keep_a_planted_maximum_and_violation(running, bound):
     block = _block(n0, primes, index=5)
     xs, pis = _jump_grid(block)
     assert len(xs) <= RUN_LANES
-    scan = BBoundScan(10**7, bound, rows=False)
+    scan = BBoundScan(10**7, bound)
     state = {"max_abs": running, "max_at": 10, "violations": [10]}
     got = _reduced(scan, state, block)
-    assert got == _reduced(_FullLaneBBound(10**7, bound, rows=False), state, block)
+    assert got == _reduced(_FullLaneBBound(10**7, bound), state, block)
     assert got[1] is None
     b = np.abs(fluct._b_at(xs, pis))
     assert 0.08 < b.max() < 0.1 and abs(b[0]) < 0.01 and abs(b[-1]) < 0.01
@@ -251,10 +253,10 @@ def test_bbound_runs_bound_from_the_right_ends(name):
     b = np.abs(fluct._b_at(xs, pis))
     if running is None:
         running = float(b.max()) * (1.0 - 1e-6)
-    scan = BBoundScan(10**16, 1e9, rows=False)
+    scan = BBoundScan(10**16, 1e9)
     state = {"max_abs": running, "max_at": 7, "violations": []}
     got = _reduced(scan, state, block)
-    assert got == _reduced(_FullLaneBBound(10**16, 1e9, rows=False), state, block)
+    assert got == _reduced(_FullLaneBBound(10**16, 1e9), state, block)
     assert got[0]["max_abs"] == float(b.max())
     assert got[0]["max_at"] == int(xs[np.argmax(b)])
 
@@ -267,7 +269,7 @@ def test_bbound_run_equal_to_the_running_maximum_leaves_its_place():
     xs, pis = _jump_grid(block)
     top = float(np.abs(fluct._b_at(xs, pis)).max())
     state = {"max_abs": top, "max_at": 10, "violations": []}
-    got = _reduced(BBoundScan(10**7, 5.0, rows=False), state, block)
+    got = _reduced(BBoundScan(10**7, 5.0), state, block)
     assert got[0] == state
 
 
@@ -294,8 +296,8 @@ def test_run_bounds_equal_every_lane_on_random_blocks(x0, gaps, shift, pick, bel
         running = float(np.nextafter(running, 0.0))
     limit = max(int(primes[-1]), 10**6)
     state = {"max_abs": running, "max_at": 7, "violations": []}
-    assert (_reduced(BBoundScan(limit, bound, rows=False), state, block)
-            == _reduced(_FullLaneBBound(limit, bound, rows=False), state, block))
+    assert (_reduced(BBoundScan(limit, bound), state, block)
+            == _reduced(_FullLaneBBound(limit, bound), state, block))
     state = {"violations": [], "checked": 0}
-    assert (_reduced(DusartScan(limit), state, block)
-            == _reduced(_FullLaneDusart(limit), state, block))
+    assert (_reduced(DusartScan(limit), state, block, rows=True)
+            == _reduced(_FullLaneDusart(limit), state, block, rows=True))

@@ -1,12 +1,13 @@
-"""The Schoenfeld and derivative scans without rows: the blocks they clear
-without Li at every lane cannot change the result, so it is that of their
-full-lane forms, the same scans with rows.
+"""The Schoenfeld and derivative scans folded without rows: the blocks they
+clear without Li at every lane cannot change the result, so it is that of
+the same scans folded with rows, which evaluate every lane.
 
 No scipy here, so these also run under the oldest numpy allowed, whose
 int64-against-float64 comparisons follow the rules before NEP 50.
 """
 
 import copy
+import io
 import json
 
 import numpy as np
@@ -17,32 +18,48 @@ from hypothesis import strategies as st
 from primegaps import fluct
 from primegaps.analytic import li
 from primegaps.errors import DomainError
-from primegaps.fluct import SCHOENFELD_CUTOFF, DerivScan, SchoenfeldScan, _jump_grid
-from primegaps.runner import FusedScan, run_scan
+from primegaps.fluct import (
+    SCHOENFELD_CUTOFF,
+    BBoundScan,
+    DerivScan,
+    SchoenfeldScan,
+    _jump_grid,
+)
+from primegaps.runner import FusedScan, RowSink, run_scan
 from primegaps.sieve import PrimeBlock, PrimeStream
 
 
-def _parts(limit, rows, windows):
-    mode = "records" if rows else None
-    return FusedScan({
-        "schoenfeld": SchoenfeldScan(limit, 1.0 / 3.0, windows, rows=rows),
-        "deriv": DerivScan(limit, 1.0, sink_mode=mode),
-        "deriv_c05": DerivScan(limit, 0.5, sink_mode=mode),
-    })
+class _Lanes(RowSink):
+    """A sink that counts the rows it is given instead of formatting them."""
+
+    def __init__(self):
+        super().__init__(io.BytesIO())
+        self.rows = 0
+
+    def write_rows(self, *cols):
+        self.rows += len(cols[0])
 
 
-def _fold(data, scan, workers, stop=None, **fold):
-    """The parts' result JSON, the fold stopped after ``stop`` blocks and
+def _parts(limit, windows):
+    return {
+        "schoenfeld": SchoenfeldScan(limit, 1.0 / 3.0, windows),
+        "deriv": DerivScan(limit, 1.0),
+        "deriv_c05": DerivScan(limit, 0.5),
+    }
+
+
+def _fold(data, scan, workers, stop=None, sink=None, **fold):
+    """The scan's result JSON, the fold stopped after ``stop`` blocks and
     resumed from its state as a checkpoint holds it."""
     state, finished = run_scan(data, scan, workers=workers, stop_after_blocks=stop,
-                               **fold)
+                               sink=sink, **fold)
     if stop is not None:
         assert not finished
         state = json.loads(json.dumps(state))
-        state, finished = run_scan(data, scan, workers=workers, state=state, **fold)
+        state, finished = run_scan(data, scan, workers=workers, state=state,
+                                   sink=sink, **fold)
     assert finished
-    return json.loads(json.dumps({name: res.to_json()
-                                  for name, res in scan.result(state).items()}))
+    return json.loads(json.dumps(scan.result(state).to_json()))
 
 
 @pytest.mark.parametrize("source", ["table", "stream"])
@@ -58,9 +75,11 @@ def test_cleared_folds_equal_every_lane(data_1e6, source):
         data = PrimeStream(limit)
         runs = [({}, 1, None), ({}, 2, 1)]
     for fold, workers, stop in runs:
-        got = _fold(data, _parts(limit, False, windows), workers, stop, **fold)
-        assert got == _fold(data, _parts(limit, True, windows), workers, stop, **fold), \
-            (fold, workers, stop)
+        got = {}
+        for name, scan in _parts(limit, windows).items():
+            got[name] = _fold(data, scan, workers, stop, **fold)
+            assert got[name] == _fold(data, scan, workers, stop, _Lanes(), **fold), \
+                (name, fold, workers, stop)
     assert got["schoenfeld"]["window_max"][next(iter(windows))] > 0
     assert got["deriv_c05"]["k_violations"]
 
@@ -76,18 +95,53 @@ def test_cleared_folds_take_li_in_their_first_block_only(monkeypatch):
     monkeypatch.setattr(fluct, "_deriv_block", lambda ps_ext, n0, c: (
         exact["deriv"].append(n0) or deriv_block(ps_ext, n0, c)))
     limit = 3 * 10**7
-    scan = FusedScan({"schoenfeld": SchoenfeldScan(limit, 1.0 / 3.0, rows=False),
-                      "deriv": DerivScan(limit, 1.0, sink_mode=None)})
+    scan = FusedScan({"schoenfeld": SchoenfeldScan(limit, 1.0 / 3.0),
+                      "deriv": DerivScan(limit, 1.0)})
     state, finished = run_scan(PrimeStream(limit), scan)
     assert finished and state["block"] > 50
     assert exact == {"schoenfeld": [2], "deriv": [1]}
 
 
-def test_sink_mode_is_one_of_three():
-    with pytest.raises(DomainError, match="sink_mode"):
-        DerivScan(1000, 1.0, sink_mode="figur")
-    assert DerivScan(1000, 1.0, sink_mode=None).header() is None
-    assert SchoenfeldScan(1000, 1.0 / 3.0, rows=False).header() is None
+def test_the_sink_decides_which_lanes_the_default_scans_evaluate(monkeypatch):
+    # The scans as built with their defaults: folded without a sink they
+    # evaluate lanes only where the run bounds let them, all in block 0
+    # (for Li too); given a sink, every lane, to write its row.  The
+    # results are the same.
+    limit = 3 * 10**7
+    lanes = []
+
+    def spy(name):
+        fn = getattr(fluct, name)
+        monkeypatch.setattr(fluct, name,
+                            lambda *args: lanes.append(len(args[0])) or fn(*args))
+
+    for name in ("_schoenfeld_at", "_deriv_block", "_b_at"):
+        spy(name)
+    for scan in (SchoenfeldScan(limit, 1.0 / 3.0), DerivScan(limit, 1.0),
+                 BBoundScan(limit, 5.0)):
+        lanes.clear()
+        state, finished = run_scan(PrimeStream(limit), scan)
+        assert finished and state["block"] > 50
+        # the |b| scan takes an empty span of each later block
+        assert lanes[0] > 0 and not any(lanes[1:]), scan.name
+        cleared = json.loads(json.dumps(scan.result(state).to_json()))
+        lanes.clear()
+        sink = _Lanes()
+        state, finished = run_scan(PrimeStream(limit), scan, sink=sink)
+        assert finished and len(lanes) == state["block"]
+        # the derivative scan's extended blocks hold one prime past the pairs
+        every = sum(lanes) - (len(lanes) if scan.name == "deriv" else 0)
+        assert every == sink.rows == (state["count"] if scan.name == "deriv"
+                                      else 2 * 1857859 - 2)  # 2 pi(3e7) - 2
+        assert json.loads(json.dumps(scan.result(state).to_json())) == cleared
+
+
+def test_sink_mode_is_records_or_figure():
+    # The scans take no rows setting: a fold without a sink asks for none.
+    for mode in ("figur", None):
+        with pytest.raises(DomainError, match="sink_mode"):
+            DerivScan(1000, 1.0, sink_mode=mode)
+    assert DerivScan(1000, 1.0, sink_mode="figure").header() == "p,k_prime,rhs24"
 
 
 # ----------------------------------------------------------------------
@@ -99,16 +153,15 @@ def _block(n0, primes, index=1):
     return PrimeBlock(index, n0, np.asarray(primes, dtype=np.int64), None)
 
 
-def _reduced(scan, state, block):
+def _reduced(scan, state, block, rows=False):
     """``state`` after ``scan`` maps and folds ``block`` into a copy."""
     state = copy.deepcopy(state)
-    scan.reduce(state, scan.map_block(block))
+    scan.reduce(state, scan.map_block(block), rows=rows)
     return state
 
 
-def _schoenfeld_pair(windows=None):
-    return (SchoenfeldScan(10**7, 1.0 / 3.0, windows, rows=False),
-            SchoenfeldScan(10**7, 1.0 / 3.0, windows))
+def _schoenfeld(windows=None):
+    return SchoenfeldScan(10**7, 1.0 / 3.0, windows)
 
 
 def _bump(x0=1_000_003):
@@ -133,16 +186,16 @@ def _state(max_tail, x_star=4, windows=()):
 
 @pytest.fixture
 def cleared(monkeypatch):
-    """``fold(scan, full, state, block)``: the state the cleared ``scan``
-    leaves, checked against the full-lane ``full``, and whether the cleared
-    scan left the block's ratio unevaluated."""
+    """``fold(scan, state, block)``: the state ``scan`` leaves without rows,
+    checked against the state it leaves with rows, at every lane, and
+    whether it left the block's ratio unevaluated without rows."""
     seen = []
     schoenfeld_at = fluct._schoenfeld_at
     monkeypatch.setattr(fluct, "_schoenfeld_at", lambda xs, pis: (
         seen.append(int(xs[0])) or schoenfeld_at(xs, pis)))
 
-    def fold(scan, full, state, block):
-        want = _reduced(full, state, block)
+    def fold(scan, state, block):
+        want = _reduced(scan, state, block, rows=True)
         seen.clear()
         got = _reduced(scan, state, block)
         assert got == want
@@ -159,14 +212,14 @@ def test_schoenfeld_run_bound_against_the_running_tail_maximum(running, cleared)
     xs, ratio = _ratios(block)
     assert len(xs) <= fluct.RUN_LANES
     assert ratio.max() > 20 * max(ratio[0], ratio[-1])
-    scan, full = _schoenfeld_pair()
-    (bound,) = scan.map_block(block)[2]
+    scan = _schoenfeld()
+    (bound,) = fluct._schoenfeld_runs(block)
     assert ratio.max() < bound < 2 * ratio.max()
     top = {"above-run-bound": float(np.nextafter(bound, 1.0)),
            "run-bound": float(bound), "largest-lane": float(ratio.max()),
            "below-largest-lane": float(np.nextafter(ratio.max(), 0.0))}[running]
     state = _state(top)
-    got, clear = cleared(scan, full, state, block)
+    got, clear = cleared(scan, state, block)
     # a run bound tied with the maximum is not below it
     assert clear == (running == "above-run-bound")
     if running == "below-largest-lane":
@@ -181,8 +234,7 @@ def test_schoenfeld_window_that_ends_mid_run_is_evaluated(cleared):
     xs, ratio = _ratios(block)
     hi = int(xs[len(xs) // 2])
     windows = {"w": (10**4, hi)}
-    got, clear = cleared(*_schoenfeld_pair(windows), _state(1.0, windows=windows),
-                         block)
+    got, clear = cleared(_schoenfeld(windows), _state(1.0, windows=windows), block)
     assert not clear
     assert got["windows"]["w"] == float(ratio[xs <= hi].max())
 
@@ -191,7 +243,7 @@ def test_schoenfeld_block_without_x_star_is_evaluated(cleared):
     # x_star is None after a block whose last lane exceeds k_all; the next
     # block without a violation puts it at its first lane.
     block = _block(*_bump())
-    got, clear = cleared(*_schoenfeld_pair(), _state(1.0, x_star=None), block)
+    got, clear = cleared(_schoenfeld(), _state(1.0, x_star=None), block)
     assert not clear
     assert got["x_star"] == int(_jump_grid(block)[0][0])
 
@@ -201,8 +253,7 @@ def test_schoenfeld_lanes_past_k_all_below_the_maximum_are_evaluated(cleared):
     block = _block(*_bump())
     xs, ratio = _ratios(block)
     k_all = float(ratio.max()) / 2
-    scan, full = (SchoenfeldScan(10**7, k_all, rows=False), SchoenfeldScan(10**7, k_all))
-    got, clear = cleared(scan, full, _state(1.0), block)
+    got, clear = cleared(SchoenfeldScan(10**7, k_all), _state(1.0), block)
     assert not clear
     assert got["x_star"] == int(xs[np.flatnonzero(ratio > k_all)[-1] + 1])
 
@@ -214,7 +265,7 @@ def test_schoenfeld_block_at_the_cutoff_is_evaluated(cleared):
     primes = [2591, 2593, 2609, 2617, 2621, 2633, 2647, 2657, 2659, 2663]
     block = _block(377, primes)
     assert _jump_grid(block)[0][0] <= SCHOENFELD_CUTOFF
-    got, clear = cleared(*_schoenfeld_pair(), {**_state(1.0), "max_ratio": 0.0}, block)
+    got, clear = cleared(_schoenfeld(), {**_state(1.0), "max_ratio": 0.0}, block)
     assert not clear
     assert got["max_ratio"] > 0
 
@@ -227,12 +278,8 @@ def _gap_block(f0, gap, x0=1_000_003):
     return int(round(li(float(x0)))) + f0, primes
 
 
-def _deriv_state(scan, block):
-    return _reduced(scan, scan.start(), block)
-
-
-def _deriv_pair(c):
-    return DerivScan(10**7, c, sink_mode=None), DerivScan(10**7, c)
+def _deriv_state(scan, block, rows=False):
+    return _reduced(scan, scan.start(), block, rows)
 
 
 def _clears(block, c):
@@ -252,9 +299,9 @@ def test_deriv_gap_just_under_and_just_over_the_bound(f0, c):
     for g, clear in ((gap, True), (gap + 1, False)):
         block = _block(*_gap_block(f0, g))
         assert all(_clears(block, c)) is clear
-        scan, full = _deriv_pair(c)
+        scan = DerivScan(10**7, c)
         got = _deriv_state(scan, block)
-        assert got == _deriv_state(full, block), (g, clear)
+        assert got == _deriv_state(scan, block, rows=True), (g, clear)
         assert not got["k_violations"] and not got["b_violations"]
 
 
@@ -265,9 +312,9 @@ def test_deriv_gap_below_c_log2_p_that_fails_is_found(f0):
     # and |fhat| t terms of the two eps are what send the block to its
     # lanes.  At f = -2000 the same terms help, and the lane holds.
     block = _block(*_gap_block(f0, 180))
-    scan, full = _deriv_pair(1.0)
+    scan = DerivScan(10**7, 1.0)
     got = _deriv_state(scan, block)
-    assert got == _deriv_state(full, block)
+    assert got == _deriv_state(scan, block, rows=True)
     assert bool(got["k_violations"]) == bool(got["b_violations"]) == (f0 > 0)
     assert _clears(block, 1.0) == (False, False)
 
@@ -294,12 +341,11 @@ def test_cleared_reduce_equals_every_lane_on_random_blocks(x0, gaps, shift, scal
     if below:
         top = float(np.nextafter(top, 0.0))
     windows = {"w": (x0, x0 + 1000)} if window else {}
-    scan = SchoenfeldScan(10**7, k_all, windows, rows=False)
-    full = SchoenfeldScan(10**7, k_all, windows)
+    scan = SchoenfeldScan(10**7, k_all, windows)
     state = _state(top, x_star, windows)
-    assert _reduced(scan, state, block) == _reduced(full, state, block)
-    scan, full = _deriv_pair(c)
-    want = _deriv_state(full, block)
+    assert _reduced(scan, state, block) == _reduced(scan, state, block, rows=True)
+    scan = DerivScan(10**7, c)
+    want = _deriv_state(scan, block, rows=True)
     assert _deriv_state(scan, block) == want
     # each side's bound holds on its own
     k_clear, b_clear = _clears(block, c)
