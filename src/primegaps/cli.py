@@ -13,7 +13,8 @@ PRIMEGAPS_<KEY> variable (any other key or PRIMEGAPS_* name is refused).
 value given wins: command-line flags, then env variables, then the file,
 then defaults.  ``_check`` then refuses, before anything is sieved,
 --stop-after-blocks below 1 or without --checkpoint, ``selberg --format
-json`` and a c, B or K that ``Constants`` refuses.
+json``, a c, B or K that ``Constants`` refuses, two of a run's files at
+one path and a --checkpoint in a directory that does not exist.
 The parsed namespace, with that ``Constants`` as ``args.constants``, is
 the one options object every command reads.
 
@@ -171,7 +172,29 @@ def _check(args) -> None:
         raise UsageError("--stop-after-blocks requires --checkpoint")
     if args.command == "selberg" and args.format == "json":
         raise UsageError("selberg writes CSV only, not --format json")
+    _check_paths(args)
     args.constants = Constants(c=args.c, B=args.B, K_all=args.K)
+
+
+def _check_paths(args) -> None:
+    """Refuse, before any file is opened, a --checkpoint whose directory does
+    not exist, and two of the run's files at one path: --out, figure1's plot
+    script, --checkpoint and the checkpoint's temporary file."""
+    files = {"--out": args.out, "--checkpoint": args.checkpoint}
+    if args.checkpoint:
+        folder = os.path.dirname(args.checkpoint) or "."
+        if not os.path.isdir(folder):
+            raise UsageError(f"cannot write checkpoint {args.checkpoint}: "
+                             f"no directory {folder}")
+        files["the checkpoint's temporary file"] = args.checkpoint + ".tmp"
+    if args.command == "figure1" and args.out and args.format == "csv":
+        files["the plot script"] = args.out + ".plot.py"
+    seen = {}
+    for name, path in files.items():
+        if path:
+            first = seen.setdefault(os.path.realpath(path), (name, path))
+            if first[0] != name:
+                raise UsageError(f"{first[0]} {first[1]} and {name} {path} are one file")
 
 
 # ----------------------------------------------------------------------
@@ -670,12 +693,12 @@ def _run(args) -> int:
     """
     cmd = _COMMANDS[args.command]
     shape = {name: getattr(args, name) for name in cmd.key}
-    # scan and figure1 name their --which scan in the messages
+    # scan and figure1 name their scan in the summaries, scan its --which
+    # in the refusal too
     head = {"command": args.command}
-    named = args.command
     if "which" in shape:
         head["which"] = args.which
-        named += f" --which {args.which}"
+    named = f"scan --which {args.which}" if args.command == "scan" else args.command
     least = cmd.minimum(args)
     if args.limit < least:
         raise UsageError(f"{named} needs --limit >= {least}, got {args.limit}")

@@ -18,14 +18,10 @@ x = 21 on Dusart's two bounds and the expansion x/L + x/L^2 + 2 x/L^3
 rise with x while L^3/x falls.  So the bracketing scan, and the |b|,
 Schoenfeld and derivative scans when they fold without a sink, cut a
 block's grid into runs of ``RUN_LANES`` lanes and bound each run from its
-two end points.  The bracketing and |b| scans evaluate only the slice of
-lanes from the first run whose bound leaves a violation or a new maximum
-possible to the last such run.  The Schoenfeld scan evaluates every
-lane of a block, or none when no run can change its result; the
-derivative scan evaluates every lane of a block whose largest gap its
-bounds do not clear, and none of any other.  What is evaluated takes the
-same expression as every lane would, so the results are those of every
-lane.
+two end points.  Each evaluates a block at every lane, or at none when
+no run's bound can change its result (for the derivative scan, when its
+bounds clear the block's largest gap).  What is evaluated takes the same
+expression as every lane would, so the results are those of every lane.
 """
 
 from __future__ import annotations
@@ -471,9 +467,6 @@ class DerivScan(BlockScan):
             return "p,k_prime,rhs24"
         return "n,p,b_prime,k_prime,b_rhs,k_rhs,b_ok,k_ok"
 
-    def map_block(self, block):
-        return block
-
     def reduce(self, state, block, rows: bool = False):
         ps, succ = _gap_pairs(block, self.limit)
         state["count"] += len(ps)
@@ -561,16 +554,6 @@ def _run_ends(n: int):
     return heads, np.minimum(heads + (RUN_LANES - 1), n - 1)
 
 
-def _run_span(runs: np.ndarray, n: int) -> slice:
-    """The lanes from the first run marked in ``runs`` to the end of the
-    last, among ``n`` lanes; empty when no run is marked."""
-    marked = np.flatnonzero(runs)
-    if len(marked) == 0:
-        return slice(0, 0)
-    return slice(int(marked[0]) * RUN_LANES,
-                 min((int(marked[-1]) + 1) * RUN_LANES, n))
-
-
 def _run_spread(block, fn, slack):
     """Per run of ``RUN_LANES`` grid lanes, max(|pi_h - F(x_t)|, |pi_t - F(x_h)|)
     + slack F(x_t) with F = ``fn`` at the run's head x_h and tail x_t.
@@ -620,6 +603,14 @@ def _schoenfeld_runs(block):
     return _li_spread(block) / (np.sqrt(xh) * np.log(xh)) * (1.0 + 1e-9)
 
 
+def _bbound_runs(block):
+    """Per run of ``RUN_LANES`` grid lanes, a bound on |b|: ``_e_spread``,
+    which bounds |pi - E| over the run, times L^3/x at its head x_h, the
+    largest over the run from x = 21 on, times 1 + 1e-9 for rounding."""
+    xh = _jump_grid(block)[0][::RUN_LANES].astype(np.float64)
+    return _e_spread(block) * (np.log(xh) ** 3 / xh) * (1.0 + 1e-9)
+
+
 class SchoenfeldScan(BlockScan):
     """The maxima of |pi(x) - Li(x)| / (sqrt(x) log x) on the jump-edge grid,
     overall, past ``SCHOENFELD_CUTOFF`` and in each window, and x_star, the
@@ -659,9 +650,6 @@ class SchoenfeldScan(BlockScan):
 
     def header(self):
         return "x,pi,li,ratio"
-
-    def map_block(self, block):
-        return block
 
     def reduce(self, state, block, rows: bool = False):
         xs, pis = _jump_grid(block)
@@ -741,14 +729,12 @@ class BBoundScan(BlockScan):
     """The maximum of |b(x)| on the jump-edge grid and the points where
     |b(x)| >= B.
 
-    The map bounds |b| over each run of ``RUN_LANES`` lanes from the run's
-    ends: for x_h <= x <= x_t from 21 on, |pi(x) - E(x)| is at most
-    ``_e_spread``, and L^3/x is at most its value at x_h.  A factor
-    1 + 1e-9 covers the rounding of the product.  Folded with rows (the
-    CSV) the reduce evaluates b at every lane.  Without, it evaluates b
-    from the first run whose bound reaches min(running maximum, B) to the
-    last: no lane of any other run can beat the strict running maximum or
-    reach B, so the result is that of every lane.
+    The map passes the block on.  Folded with rows (the CSV) the reduce
+    evaluates b at every lane.  Without, it leaves a block unevaluated
+    when every run's bound, ``_bbound_runs``, lies below min(running
+    maximum, B): then no lane can beat the strict running maximum or
+    reach B.  Any other block is evaluated at every lane, as with rows,
+    so the result is that of every lane.
     """
 
     name = "bbound"
@@ -767,16 +753,10 @@ class BBoundScan(BlockScan):
     def header(self):
         return "x,pi,b"
 
-    def map_block(self, block):
+    def reduce(self, state, block, rows: bool = False):
+        if not rows and np.all(_bbound_runs(block) < min(state["max_abs"], self.bound)):
+            return None  # no lane of the block can raise the maximum or reach B
         xs, pis = _jump_grid(block)
-        xh = xs[::RUN_LANES].astype(np.float64)
-        return xs, pis, _e_spread(block) * (np.log(xh) ** 3 / xh) * (1.0 + 1e-9)
-
-    def reduce(self, state, payload, rows: bool = False):
-        xs, pis, runs = payload
-        if not rows:
-            span = _run_span(runs >= min(state["max_abs"], self.bound), len(xs))
-            xs, pis = xs[span], pis[span]
         b = _b_at(xs, pis)
         ab = np.abs(b)
         _raise_max(state, "max_abs", "max_at", ab, xs)
@@ -835,9 +815,9 @@ class DusartScan(BlockScan):
     is clear when pi at its head exceeds the lower bound at its tail and pi
     at its tail falls short of the upper bound at its head, each by a
     relative 1e-9 for rounding.  As pi and both bounds rise with x, no lane
-    of a clear run violates.  The lanes from the first run that is not
-    clear to the last are evaluated as every lane would be, so the
-    violations, their rows and ``checked`` are those of every lane.
+    of a clear run violates.  A block whose runs are all clear is left
+    unevaluated; any other is evaluated at every lane from 32299 on, so
+    the violations, their rows and ``checked`` are those of every lane.
     """
 
     name = "dusart"
@@ -859,14 +839,16 @@ class DusartScan(BlockScan):
         if len(xs) == 0:
             return None
         heads, tails = _run_ends(len(xs))
-        clear = ((pis[heads] > _dusart_at(xs[tails])[0] * (1.0 + 1e-9))
-                 & (pis[tails] < _dusart_at(xs[heads])[1] * (1.0 - 1e-9)))
-        span = _run_span(~clear, len(xs))
-        x, pi = xs[span], pis[span]
-        lower, upper = _dusart_at(x)
-        bad = np.flatnonzero((pi <= lower)
-                             | ((x >= DUSART_UPPER_MIN_X) & (pi >= upper)))
-        return len(xs), x[bad], pi[bad], lower[bad], upper[bad]
+        ends = np.stack([xs[tails], xs[heads]]).astype(np.float64)
+        lg = np.log(ends)
+        lower, upper = _dusart_bounds(ends, lg, lg**3)
+        if np.all((pis[heads] > lower[0] * (1.0 + 1e-9))
+                  & (pis[tails] < upper[1] * (1.0 - 1e-9))):
+            return len(xs), xs[:0], pis[:0], np.empty(0), np.empty(0)
+        lower, upper = _dusart_at(xs)
+        bad = np.flatnonzero((pis <= lower)
+                             | ((xs >= DUSART_UPPER_MIN_X) & (pis >= upper)))
+        return len(xs), xs[bad], pis[bad], lower[bad], upper[bad]
 
     def reduce(self, state, payload, rows: bool = False):
         if payload is None:

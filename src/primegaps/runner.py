@@ -56,7 +56,8 @@ class RowSink:
 
 
 class BlockScan:
-    """Interface for block-folded scans; subclasses fill in the four hooks.
+    """Interface for block-folded scans: subclasses fill in the hooks, and
+    ``map_block`` passes the block on to ``reduce`` unless overridden.
 
     ``limit`` is the one place a scan's range is set: ``run_scan`` folds
     the blocks of the primes <= ``limit``.
@@ -69,7 +70,7 @@ class BlockScan:
         raise NotImplementedError
 
     def map_block(self, block):
-        raise NotImplementedError
+        return block
 
     def reduce(self, state: dict, payload, rows: bool = False) -> tuple | None:
         """Fold ``payload`` into ``state``.  With ``rows``, return the block's
@@ -112,9 +113,6 @@ class FusedScan(BlockScan):
 
     def start(self) -> dict:
         return {name: scan.start() for name, scan in self.scans.items()}
-
-    def map_block(self, block):
-        return block
 
     def reduce(self, state: dict, block, rows: bool = False) -> None:
         for name, scan in self.scans.items():

@@ -10,12 +10,13 @@ per-block batched row sink.
 The reference kernels at the end are the other kind: earlier forms of
 the library's own kernels (the array-only Ei path, the unchunked
 quadrature loop, a fresh ``np.log`` for every formula, the cg map's logs
-for every lane, the |b| and Dusart maps' arithmetic at every grid lane),
+for every lane, the |b| and Dusart arithmetic at every grid lane),
 kept to check that the faster forms give the same bits.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from typing import NamedTuple
 
@@ -38,7 +39,8 @@ from primegaps.analytic import (
     kprime_threshold,
     li,
 )
-from primegaps.fluct import RUN_LANES, _gap_pairs, _jump_grid
+from primegaps.fluct import _gap_pairs, _jump_grid
+from primegaps.runner import RowSink
 from primegaps.selberg import SelbergSums, s1, s2
 
 
@@ -238,8 +240,19 @@ def deriv_records_li(data, limit: int, c: float = 1.0, c3: float = 2.0):
 # CSV rows, one f-string per row: the scans' row formatting before it was
 # batched per block.  Each ``*_rows`` takes a scan's state before its
 # ``reduce`` and the block's payload, and returns that block's lines.  The
-# Schoenfeld and derivative maps pass the block on; their lanes, and the
-# |b| scan's, come from ``lane_rows_oracle``.
+# Schoenfeld, derivative and |b| maps pass the block on; their lanes come
+# from ``lane_rows_oracle``.
+
+
+class RowCounter(RowSink):
+    """A sink that counts the rows it is given instead of formatting them."""
+
+    def __init__(self):
+        super().__init__(io.BytesIO())
+        self.rows = 0
+
+    def write_rows(self, *cols):
+        self.rows += len(cols[0])
 
 
 def _fmt(v) -> str:
@@ -292,9 +305,8 @@ def _schoenfeld_rows(scan, state, block):
     ]
 
 
-def _bbound_rows(scan, state, payload):
-    xs, pis, _ = payload
-    b = _b_plain(xs, pis)
+def _bbound_rows(scan, state, block):
+    xs, pis, b = lane_rows_oracle(scan, block)
     return [f"{int(xs[i])},{int(pis[i])},{_fmt(b[i])}" for i in range(len(xs))]
 
 
@@ -460,13 +472,6 @@ def _bbound_lanes(scan, block):
     return xs, pis, _b_plain(xs, pis)
 
 
-def _bbound_payload(scan, block):
-    """``BBoundScan.map_block`` with a bound of inf on every run, so that
-    its reduce evaluates every lane also without rows."""
-    xs, pis = _jump_grid(block)
-    return xs, pis, np.full(-(-len(xs) // RUN_LANES), np.inf)
-
-
 def _dusart_payload(scan, block):
     """``DusartScan.map_block`` with both bounds at every lane."""
     xs, pis = _jump_grid(block)
@@ -498,15 +503,13 @@ def _delta_payload(scan, block):
 
 _PAYLOADS = {
     "cg": _cg_payload,
-    "bbound": _bbound_payload,
     "dusart": _dusart_payload,
     "delta": _delta_payload,
 }
 
 
 def map_payload_oracle(scan, block):
-    """``scan.map_block(block)`` from the reference kernels above; the |b|
-    scan's with unbounded runs."""
+    """``scan.map_block(block)`` from the reference kernels above."""
     return _PAYLOADS[scan.name](scan, block)
 
 

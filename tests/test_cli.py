@@ -629,6 +629,49 @@ def test_resume_refuses_output_shorter_than_checkpoint(tmp_path, capsys):
     assert out.stat().st_size == size - 10  # left as found
 
 
+# (command, --out, --checkpoint, the file both name), relative to a folder
+_ONE_FILE = {
+    "out-is-checkpoint": (["scan", "--which", "k"], "x.csv", "x.csv", "x.csv"),
+    "out-is-checkpoint-tmp": (["scan", "--which", "k"], "y.csv.tmp", "y.csv",
+                              "y.csv.tmp"),
+    "existing-out": (["scan", "--which", "delta"], "keep.csv", "keep.csv", "keep.csv"),
+    "checkpoint-is-plot-script": (["figure1"], "f.csv", "f.csv.plot.py",
+                                  "f.csv.plot.py"),
+    "through-a-symlink": (["scan", "--which", "k"], "link.csv", "keep.csv",
+                          "keep.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ONE_FILE))
+def test_two_files_at_one_path_exit_2_before_either_is_opened(tmp_path, capsys, case):
+    # Each run would write one file over the other and then remove the
+    # checkpoint, leaving no output, or an existing file deleted.
+    command, out, ck, shared = _ONE_FILE[case]
+    (tmp_path / shared).write_bytes(b"keep\n")
+    if case == "through-a-symlink":
+        (tmp_path / out).symlink_to(tmp_path / shared)
+    before = sorted(os.listdir(tmp_path))
+    args = [*command, *LIMIT_1E5, "--out", str(tmp_path / out),
+            "--checkpoint", str(tmp_path / ck)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("are one file\n")
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / shared).read_bytes() == b"keep\n"
+
+
+def test_figure1_least_limit_names_figure1_and_its_summaries_keep_which_k(
+        tmp_path, capsys):
+    assert main(["figure1", "--limit", "3"]) == 2
+    assert capsys.readouterr().err == "error: figure1 needs --limit >= 5, got 3\n"
+    ck = tmp_path / "f.ckpt"
+    args = ["figure1", *LIMIT_1E6, "--format", "json", "--checkpoint", str(ck)]
+    assert main([*args, "--stop-after-blocks", "1"]) == 0
+    assert _last_json(capsys) == {"command": "figure1", "which": "k",
+                                  "stopped_at_block": 1}
+
+
 def test_report_resume_refuses_changed_points(tmp_path, capsys):
     ck = tmp_path / "r.ckpt"
     args = ["report", *LIMIT_1E6, "--checkpoint", str(ck)]
@@ -834,10 +877,24 @@ def test_fit_checkpoint_resume_byte_identical(tmp_path, capsys, fmt):
 
 @pytest.mark.parametrize("command", _every_command())
 def test_unwritable_checkpoint_path(tmp_path, capsys, command):
+    # refused before the output is opened: no partial --out is left
     ck = tmp_path / "no-such-dir" / "a.ckpt"
     code = main([*command, "--out", str(tmp_path / "a.out"), "--checkpoint", str(ck)])
     assert code == 2
-    assert "cannot write checkpoint" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    err = capsys.readouterr().err
+    assert f"cannot write checkpoint {ck}: no directory {ck.parent}" in err
+
+
+def test_checkpoint_that_cannot_be_written_in_the_fold_exits_2(tmp_path, capsys):
+    # The directory exists, so the run starts; the rename onto a directory
+    # fails at the first checkpoint.
+    ck = tmp_path / "a.ckpt"
+    ck.mkdir()
+    code = main(["scan", "--which", "delta", *LIMIT_1E5, "--out", str(tmp_path / "a.out"),
+                 "--checkpoint", str(ck)])
+    assert code == 2
+    assert f"cannot write checkpoint {ck}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", _every_command(), ids=lambda command: command[0])

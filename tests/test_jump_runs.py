@@ -1,6 +1,7 @@
-"""The |b| and Dusart scans' run bounds: the lanes they leave unevaluated
+"""The |b| and Dusart scans' run bounds: the blocks they leave unevaluated
 can neither violate nor set a maximum, so every result and row is that of
-the full-lane maps in ``oracles``.
+the same scans at every lane: the |b| reduce as it folds with rows, the
+full-lane Dusart map in ``oracles``.
 
 No scipy here, so these also run under the oldest numpy allowed, whose
 int64-against-float64 comparisons follow the rules before NEP 50.
@@ -16,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegaps import fluct
+from primegaps.analytic import DUSART_LOWER_MIN_X
 from primegaps.fluct import RUN_LANES, BBoundScan, DusartScan, _jump_grid
 from primegaps.runner import RowSink, run_scan
 from primegaps.sieve import PrimeBlock, PrimeStream
 
-from .oracles import map_payload_oracle
+from .oracles import RowCounter, map_payload_oracle
 
 
 class _FullLaneDusart(DusartScan):
@@ -32,10 +34,11 @@ class _FullLaneDusart(DusartScan):
 
 class _FullLaneBBound(BBoundScan):
     """BBoundScan that evaluates b at every lane of every block, also
-    without rows."""
+    without rows, as its reduce does with rows."""
 
-    def map_block(self, block):
-        return map_payload_oracle(self, block)
+    def reduce(self, state, block, rows=False):
+        got = super().reduce(state, block, rows=True)
+        return got if rows else None
 
 
 def _plain(result):
@@ -96,25 +99,37 @@ def test_run_bounds_fold_as_every_lane(data_1e6, source, bound):
 
 
 def test_run_bounds_leave_most_blocks_unevaluated(monkeypatch):
-    # The point of the runs: to 3e7 the |b| scan evaluates lanes in its
-    # first block only, and the Dusart scan in its first few.
-    scans = {"dusart": DusartScan(3 * 10**7), "bbound": BBoundScan(3 * 10**7, 5.0)}
-    states = {name: scan.start() for name, scan in scans.items()}
-    evaluated = {name: [] for name in scans}
-    span_of = fluct._run_span
-    blocks = list(PrimeStream(3 * 10**7).blocks(limit=3 * 10**7))
-    for block in blocks:
-        for name, scan in scans.items():
-            def spy(runs, n, seen=evaluated[name], index=block.index):
-                span = span_of(runs, n)
-                if span.stop > span.start:
-                    seen.append(index)
-                return span
-            monkeypatch.setattr(fluct, "_run_span", spy)
-            scan.reduce(states[name], scan.map_block(block))
-    assert len(blocks) > 50
-    assert evaluated["bbound"] == [0]
-    assert 0 < len(evaluated["dusart"]) < len(blocks) // 4
+    # The point of the runs: to 3e7 the |b| scan evaluates b in its first
+    # block only, and the Dusart scan its bounds in fewer than a quarter of
+    # its blocks.  No fold evaluates part of a block's grid: each call
+    # takes a whole grid (Dusart's from 32299 on), with a sink or without.
+    limit = 3 * 10**7
+    grids = {"bbound": {}, "dusart": {}}
+    for block in PrimeStream(limit).blocks(limit=limit):
+        xs = _jump_grid(block)[0]
+        for name, lanes in (("bbound", xs), ("dusart", xs[xs >= DUSART_LOWER_MIN_X])):
+            if len(lanes):
+                grids[name][int(lanes[0]), int(lanes[-1]), len(lanes)] = block.index
+    blocks = len(grids["bbound"])
+    calls = []
+    for name, at in (("bbound", "_b_at"), ("dusart", "_dusart_at")):
+        def spy(xs, *rest, name=name, fn=getattr(fluct, at)):
+            calls.append(grids[name].get((int(xs[0]), int(xs[-1]), len(xs))))
+            return fn(xs, *rest)
+        monkeypatch.setattr(fluct, at, spy)
+    assert blocks > 50
+    for rows in (False, True):
+        evaluated = {}
+        for scan in (BBoundScan(limit, 5.0), DusartScan(limit)):
+            calls.clear()
+            _, finished = run_scan(PrimeStream(limit), scan,
+                                   sink=RowCounter() if rows else None)
+            assert finished and None not in calls, (scan.name, rows)
+            assert calls == sorted(set(calls))  # once per evaluated block
+            evaluated[scan.name] = calls[:]
+        # with a sink the |b| scan evaluates every block, to write its rows
+        assert evaluated["bbound"] == (list(range(blocks)) if rows else [0])
+        assert 0 < len(evaluated["dusart"]) < blocks // 4
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ int64-against-float64 comparisons follow the rules before NEP 50.
 """
 
 import copy
-import io
 import json
 
 import numpy as np
@@ -25,19 +24,10 @@ from primegaps.fluct import (
     SchoenfeldScan,
     _jump_grid,
 )
-from primegaps.runner import FusedScan, RowSink, run_scan
+from primegaps.runner import FusedScan, run_scan
 from primegaps.sieve import PrimeBlock, PrimeStream
 
-
-class _Lanes(RowSink):
-    """A sink that counts the rows it is given instead of formatting them."""
-
-    def __init__(self):
-        super().__init__(io.BytesIO())
-        self.rows = 0
-
-    def write_rows(self, *cols):
-        self.rows += len(cols[0])
+from .oracles import RowCounter
 
 
 def _parts(limit, windows):
@@ -78,7 +68,7 @@ def test_cleared_folds_equal_every_lane(data_1e6, source):
         got = {}
         for name, scan in _parts(limit, windows).items():
             got[name] = _fold(data, scan, workers, stop, **fold)
-            assert got[name] == _fold(data, scan, workers, stop, _Lanes(), **fold), \
+            assert got[name] == _fold(data, scan, workers, stop, RowCounter(), **fold), \
                 (name, fold, workers, stop)
     assert got["schoenfeld"]["window_max"][next(iter(windows))] > 0
     assert got["deriv_c05"]["k_violations"]
@@ -122,11 +112,11 @@ def test_the_sink_decides_which_lanes_the_default_scans_evaluate(monkeypatch):
         lanes.clear()
         state, finished = run_scan(PrimeStream(limit), scan)
         assert finished and state["block"] > 50
-        # the |b| scan takes an empty span of each later block
+        # no lane past block 0: a later block is evaluated whole or not at all
         assert lanes[0] > 0 and not any(lanes[1:]), scan.name
         cleared = json.loads(json.dumps(scan.result(state).to_json()))
         lanes.clear()
-        sink = _Lanes()
+        sink = RowCounter()
         state, finished = run_scan(PrimeStream(limit), scan, sink=sink)
         assert finished and len(lanes) == state["block"]
         # the derivative scan's extended blocks hold one prime past the pairs
