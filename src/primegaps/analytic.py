@@ -237,9 +237,10 @@ def monotonicity_threshold(c: float, big_b: float) -> float:
 
     exp(1/(2c) + sqrt(1/(4c^2) + B)).
     """
-    if c <= 0:
+    # Written so that NaN fails each test, as in ``Constants``.
+    if not c > 0:
         raise DomainError("monotonicity_threshold requires c > 0")
-    if big_b < 0:
+    if not big_b >= 0:
         raise DomainError("monotonicity_threshold requires B >= 0")
     return math.exp(1.0 / (2.0 * c) + math.sqrt(1.0 / (4.0 * c * c) + big_b))
 
@@ -294,6 +295,8 @@ def skewes_log10(alpha: float) -> float:
     Returned as a base-10 logarithm (= e^(e^alpha) / log 10) since the
     estimate itself overflows any float for interesting alpha.
     """
+    if math.isnan(alpha):
+        raise DomainError("skewes_log10 requires alpha to be a number, got nan")
     inner = math.exp(alpha)
     if inner > _EXP_OVERFLOW:
         raise OverflowError(
@@ -304,7 +307,7 @@ def skewes_log10(alpha: float) -> float:
 
 def skewes_mean_kprime(sk1: float) -> float:
     """Average slope of k over (2, Sk1) implied by the sign change: 1/(8 pi Sk1)."""
-    if sk1 <= 0:
+    if not sk1 > 0:  # NaN fails it too
         raise DomainError("skewes_mean_kprime requires sk1 > 0")
     return 1.0 / (8.0 * math.pi * sk1)
 

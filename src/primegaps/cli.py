@@ -14,7 +14,8 @@ value given wins: command-line flags, then env variables, then the file,
 then defaults.  ``_check`` then refuses, before anything is sieved,
 --stop-after-blocks below 1 or without --checkpoint, ``selberg --format
 json``, a c, B or K that ``Constants`` refuses, two of a run's files at
-one path and a --checkpoint in a directory that does not exist.
+one path, an --out, plot script or --checkpoint in a directory that does
+not exist and an --out or plot script that is a directory.
 The parsed namespace, with that ``Constants`` as ``args.constants``, is
 the one options object every command reads.
 
@@ -177,18 +178,25 @@ def _check(args) -> None:
 
 
 def _check_paths(args) -> None:
-    """Refuse, before any file is opened, a --checkpoint whose directory does
-    not exist, and two of the run's files at one path: --out, figure1's plot
-    script, --checkpoint and the checkpoint's temporary file."""
+    """Refuse, before any file is opened, an --out, figure1 plot script or
+    --checkpoint whose directory does not exist, an --out or plot script
+    that is a directory, and two of the run's files at one path: those
+    three and the checkpoint's temporary file."""
     files = {"--out": args.out, "--checkpoint": args.checkpoint}
     if args.checkpoint:
-        folder = os.path.dirname(args.checkpoint) or "."
-        if not os.path.isdir(folder):
-            raise UsageError(f"cannot write checkpoint {args.checkpoint}: "
-                             f"no directory {folder}")
         files["the checkpoint's temporary file"] = args.checkpoint + ".tmp"
     if args.command == "figure1" and args.out and args.format == "csv":
         files["the plot script"] = args.out + ".plot.py"
+    for name, what in (("--out", "output"), ("the plot script", "plot script"),
+                       ("--checkpoint", "checkpoint")):
+        path = files.get(name)
+        if not path:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise UsageError(f"cannot write {what} {path}: no directory {folder}")
+        if name != "--checkpoint" and os.path.isdir(path):
+            raise UsageError(f"cannot write {what} {path}: it is a directory")
     seen = {}
     for name, path in files.items():
         if path:

@@ -60,12 +60,9 @@ class SampleScan(BlockScan):
     def start(self) -> dict:
         return {"first": None, "decade": None, "open": [], "kept": []}
 
-    def map_block(self, block):
-        return block.n0, block.primes
-
-    def reduce(self, state, payload, rows: bool = False):
-        n0, ps = payload
-        base = n0 - 1  # 0-based index of ps[0]
+    def reduce(self, state, block, rows: bool = False):
+        ps = block.primes
+        base = block.n0 - 1  # 0-based index of ps[0]
         if state["first"] is None:
             j = int(np.searchsorted(ps, self.x_min, side="left"))
             if j == len(ps):

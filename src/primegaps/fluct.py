@@ -148,7 +148,7 @@ class CgScan(BlockScan):
     """Violations of g_n < c log^2 p_n and the running maximum of the ratio
     g_n / log^2 p_n, overall and from n = 5 on.
 
-    From n = 5 on a block's map takes logs only for the lanes whose gap
+    From n = 5 on the reduce takes logs only for the lanes whose gap
     reaches min(g_max (L0/L1)^2, c L0^2), less a 1e-9 margin for rounding,
     with L0 and L1 the logs of the block's first and last prime.  Any other
     lane's ratio is below g_max / L1^2, so strictly below the block's
@@ -163,7 +163,7 @@ class CgScan(BlockScan):
 
     def __init__(self, limit: int, c: float):
         _check_limit(self.name, limit, 3)
-        # The lane bound in map_block needs a positive, finite c.
+        # The lane bound in reduce needs a positive, finite c.
         if not 0 < c < math.inf:
             raise DomainError(f"the cg scan requires finite c > 0, got {c}")
         self.limit = limit
@@ -181,11 +181,12 @@ class CgScan(BlockScan):
     def header(self):
         return "n,p,g,ratio"
 
-    def map_block(self, block):
+    def reduce(self, state, block, rows: bool = False):
         ps, succ = _gap_pairs(block, self.limit)
         if len(ps) == 0:
             return None
         gaps = succ - ps
+        del succ
         if block.n0 < 5:
             lanes = np.arange(len(ps))
         else:
@@ -197,21 +198,14 @@ class CgScan(BlockScan):
         lg = np.log(ps.astype(np.float64))
         ratio = g / (lg * lg)
         viol = np.nonzero(g >= self.c * (lg * lg))[0]
-        return lanes + block.n0, ps, g, ratio, viol
-
-    def reduce(self, state, payload, rows: bool = False):
-        if payload is None:
-            return None
-        ns, ps, g, ratio, viol = payload
+        ns = lanes + block.n0
         _raise_max(state, "max_ratio", "max_at", ratio, ps)
         # Maximum restricted to n >= 5, where the c = 1 bound is
         # conjectured to hold without exception.
         lo = int(np.searchsorted(ns, 5))
         _raise_max(state, "tail_max", "tail_at", ratio[lo:], ps[lo:])
         state["violations"].extend(ns[viol].tolist())
-        if rows:
-            return ns[viol], ps[viol], g[viol].astype(np.int64), ratio[viol]
-        return None
+        return (ns[viol], ps[viol], gaps[viol], ratio[viol]) if rows else None
 
     def result(self, state):
         violations = state["violations"]
@@ -282,44 +276,30 @@ class DeltaScan(BlockScan):
     def header(self):
         return "p,delta,delta_hat"
 
-    def map_block(self, block):
+    def reduce(self, state, block, rows: bool = False):
         starts, succ = _gap_pairs(block, self.limit)
         gaps = (succ - starts).astype(np.float64)
-        ps = block.primes.astype(np.float64)
-        lg = np.log(ps)
+        ps = block.primes
+        pf = ps.astype(np.float64)
+        lg = np.log(pf)
         terms = lg[: len(gaps)] ** 2 - gaps / self.c
+        del starts, succ, gaps
         # a - b <= 0 exactly when a <= b: IEEE subtraction keeps the sign
         # and gives 0 only for equal operands.
-        viol = np.nonzero(terms <= 0.0)[0]
-        local = np.concatenate([[0.0], np.cumsum(terms)])[: len(ps)]
+        state["violations"].extend((np.nonzero(terms <= 0.0)[0] + block.n0).tolist())
+        prefix = NeumaierSum.from_state(state["prefix"])
+        delta = prefix.value + np.concatenate([[0.0], np.cumsum(terms)])[: len(ps)]
+        prefix.add(block_sum(terms))
+        del terms
+        delta_hat = delta - pf * lg + ((self.c + 1.0) / self.c) * pf
         # b recomputed from the gap-deficit remainder, for drift tracking
         # against the expansion-based definition.
         ns = np.arange(block.n0, block.n0 + len(ps), dtype=np.float64)
         lg3 = lg**3
-        b_exp = (ns - _expansion(ps, lg, lg3)) * lg3 / ps
-        return (
-            block.n0,
-            block.primes,
-            lg,
-            local,
-            block_sum(terms),
-            viol,
-            b_exp,
-        )
-
-    def reduce(self, state, payload, rows: bool = False):
-        n0, ps, lg, local, total, viol, b_exp = payload
-        prefix = NeumaierSum.from_state(state["prefix"])
-        delta = prefix.value + local
-        pf = ps.astype(np.float64)
-        delta_hat = delta - pf * lg + ((self.c + 1.0) / self.c) * pf
-        bhat = delta_hat * lg / pf
-        _raise_max(state, "drift", "drift_at", np.abs(bhat - b_exp), ps)
-        for i in viol:
-            state["violations"].append(n0 + int(i))
+        b_exp = (ns - _expansion(pf, lg, lg3)) * lg3 / pf
+        _raise_max(state, "drift", "drift_at", np.abs(delta_hat * lg / pf - b_exp), ps)
         state["count"] += len(ps)
         state["final"] = float(delta[-1])
-        prefix.add(total)
         state["prefix"] = prefix.state()
         return (ps, delta, delta_hat) if rows else None
 
@@ -404,9 +384,9 @@ class DerivScan(BlockScan):
     their lower bounds b_rhs and k_rhs.
 
     ``sink_mode`` "records" writes every condition and "figure" k' and
-    k_rhs for figure1.  The map passes the block on.  Folded with rows the
-    reduce evaluates every lane; without, a block whose gaps
-    ``_gaps_clear`` clears adds only its count: no lane of it can fail.
+    k_rhs for figure1.  Folded with rows the reduce evaluates every lane;
+    without, a block whose gaps ``_gaps_clear`` clears adds only its count:
+    no lane of it can fail.
     For primes p < q with g = q - p, t = g/p, L = log p and I the
     integral of dt/log t from p to q, which is at most g/L:
 
@@ -616,14 +596,13 @@ class SchoenfeldScan(BlockScan):
     overall, past ``SCHOENFELD_CUTOFF`` and in each window, and x_star, the
     least grid point from which it stays at most ``k_all``.
 
-    The map passes the block on.  Folded with rows (the CSV) the reduce
-    evaluates the ratio at every lane.  Without, it leaves a block
-    unevaluated when the block lies past the cutoff and outside every
-    window, x_star is set, and every run's bound, ``_schoenfeld_runs``, is
-    below both the running maximum past the cutoff and ``k_all``: then no
-    lane can raise a maximum, violate or move x_star.  Any other block is
-    evaluated at every lane, as with rows, so the result is that of every
-    lane.
+    Folded with rows (the CSV) the reduce evaluates the ratio at every
+    lane.  Without, it leaves a block unevaluated when the block lies past
+    the cutoff and outside every window, x_star is set, and every run's
+    bound, ``_schoenfeld_runs``, is below both the running maximum past the
+    cutoff and ``k_all``: then no lane can raise a maximum, violate or move
+    x_star.  Any other block is evaluated at every lane, as with rows, so
+    the result is that of every lane.
     """
 
     name = "schoenfeld"
@@ -729,12 +708,12 @@ class BBoundScan(BlockScan):
     """The maximum of |b(x)| on the jump-edge grid and the points where
     |b(x)| >= B.
 
-    The map passes the block on.  Folded with rows (the CSV) the reduce
-    evaluates b at every lane.  Without, it leaves a block unevaluated
-    when every run's bound, ``_bbound_runs``, lies below min(running
-    maximum, B): then no lane can beat the strict running maximum or
-    reach B.  Any other block is evaluated at every lane, as with rows,
-    so the result is that of every lane.
+    Folded with rows (the CSV) the reduce evaluates b at every lane.
+    Without, it leaves a block unevaluated when every run's bound,
+    ``_bbound_runs``, lies below min(running maximum, B): then no lane can
+    beat the strict running maximum or reach B.  Any other block is
+    evaluated at every lane, as with rows, so the result is that of every
+    lane.
     """
 
     name = "bbound"
@@ -811,9 +790,9 @@ class DusartScan(BlockScan):
     """Grid points from 32299 on where pi(x) <= Dusart's lower bound, or
     from 355991 on where pi(x) >= his upper bound.
 
-    The map bounds each run of ``RUN_LANES`` lanes from its ends: the run
-    is clear when pi at its head exceeds the lower bound at its tail and pi
-    at its tail falls short of the upper bound at its head, each by a
+    The reduce bounds each run of ``RUN_LANES`` lanes from its ends: the
+    run is clear when pi at its head exceeds the lower bound at its tail and
+    pi at its tail falls short of the upper bound at its head, each by a
     relative 1e-9 for rounding.  As pi and both bounds rise with x, no lane
     of a clear run violates.  A block whose runs are all clear is left
     unevaluated; any other is evaluated at every lane from 32299 on, so
@@ -832,31 +811,25 @@ class DusartScan(BlockScan):
     def header(self):
         return "x,pi,lower,upper"
 
-    def map_block(self, block):
+    def reduce(self, state, block, rows: bool = False):
         xs, pis = _jump_grid(block)
         first = int(np.searchsorted(xs, DUSART_LOWER_MIN_X))
         xs, pis = xs[first:], pis[first:]
         if len(xs) == 0:
             return None
+        state["checked"] += len(xs)
         heads, tails = _run_ends(len(xs))
         ends = np.stack([xs[tails], xs[heads]]).astype(np.float64)
         lg = np.log(ends)
         lower, upper = _dusart_bounds(ends, lg, lg**3)
         if np.all((pis[heads] > lower[0] * (1.0 + 1e-9))
                   & (pis[tails] < upper[1] * (1.0 - 1e-9))):
-            return len(xs), xs[:0], pis[:0], np.empty(0), np.empty(0)
+            return None  # every run is clear: no lane of the block violates
         lower, upper = _dusart_at(xs)
         bad = np.flatnonzero((pis <= lower)
                              | ((xs >= DUSART_UPPER_MIN_X) & (pis >= upper)))
-        return len(xs), xs[bad], pis[bad], lower[bad], upper[bad]
-
-    def reduce(self, state, payload, rows: bool = False):
-        if payload is None:
-            return None
-        checked, *cols = payload
-        state["checked"] += checked
-        state["violations"].extend(cols[0].tolist())
-        return tuple(cols) if rows else None
+        state["violations"].extend(xs[bad].tolist())
+        return (xs[bad], pis[bad], lower[bad], upper[bad]) if rows and len(bad) else None
 
     def result(self, state):
         return DusartResult(

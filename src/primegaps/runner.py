@@ -1,14 +1,18 @@
 """Deterministic block-fold driver for long scans.
 
-A scan is split into a pure per-block ``map_block`` (parallelizable)
-and an order-fixed ``reduce`` that folds payloads into a JSON-able
-state dict.  ``run_scan`` asks ``reduce`` for the block's CSV rows, as
+A scan folds each block into a JSON-able state dict in an order-fixed
+``reduce``.  ``run_scan`` asks ``reduce`` for the block's CSV rows, as
 columns, only when it has a sink to write them to; without one a scan
-may skip the lanes that cannot change its state.  Because blocks are
-consumed strictly in index order and all floating-point grouping is tied
-to the fixed block size, a scan's output is byte-identical for any
-worker count and across a checkpoint/resume cycle.  A ``FusedScan``
-folds as any scan does: its reduce maps and folds its parts in turn.
+may skip the lanes that cannot change its state.  A scan may also split
+off a pure per-block ``map_block``, which ``run_scan`` runs on its
+``workers`` threads ahead of the fold.  Only the Selberg scans keep one,
+for their exact per-block sums; the fluctuation and fit scans do a
+block's work in ``reduce``: their lane skips read the state there, and
+their maps bought no time on two threads.  Because blocks are consumed
+strictly in index order and all floating-point grouping is tied to the
+fixed block size, a scan's output is byte-identical for any worker count
+and across a checkpoint/resume cycle.  A ``FusedScan`` folds as any scan
+does: its reduce maps and folds its parts in turn.
 
 The fold is lazy: it takes blocks from any source with
 ``blocks(limit=, block_size=)`` one at a time, so over a
@@ -24,7 +28,7 @@ from typing import Callable
 
 from .errors import DomainError, PrimeGapsError
 from .rowfmt import format_rows
-from .sieve import BLOCK_PRIMES, PrimeData, PrimeStream, ordered_map
+from .sieve import BLOCK_PRIMES, PrimeData, PrimeStream, check_workers, ordered_map
 
 
 class RowSink:
@@ -56,8 +60,10 @@ class RowSink:
 
 
 class BlockScan:
-    """Interface for block-folded scans: subclasses fill in the hooks, and
-    ``map_block`` passes the block on to ``reduce`` unless overridden.
+    """Interface for block-folded scans: subclasses fill in the hooks.
+    ``map_block`` passes the block on to ``reduce`` unless overridden; only
+    ``SelbergScan`` and ``PartialSumScan`` override it, as their per-block
+    sums need no state.
 
     ``limit`` is the one place a scan's range is set: ``run_scan`` folds
     the blocks of the primes <= ``limit``.
@@ -73,9 +79,10 @@ class BlockScan:
         return block
 
     def reduce(self, state: dict, payload, rows: bool = False) -> tuple | None:
-        """Fold ``payload`` into ``state``.  With ``rows``, return the block's
-        CSV rows as a tuple of 1-D columns, one per field of ``header()``, or
-        None when it has none; without, return None."""
+        """Fold ``payload``, what ``map_block`` made of a block, into ``state``.
+        With ``rows``, return the block's CSV rows as a tuple of 1-D columns,
+        one per field of ``header()``, or None when it has none; without,
+        return None."""
         raise NotImplementedError
 
     def result(self, state: dict):
@@ -148,6 +155,7 @@ def run_scan(
     so it may commit the state with ``sink.offset``; without
     ``on_block`` nothing is synced.
     """
+    check_workers(workers)
     header = scan.header()
     if sink is not None and header is None:
         raise DomainError(f"the {scan.name} scan writes no rows, so it folds "

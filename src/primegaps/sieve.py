@@ -63,6 +63,11 @@ def _check_sieve(limit: int, segment_size: int, workers: int) -> None:
         raise DomainError(f"sieve limit {limit} exceeds the 64-bit cap 2**63")
     if segment_size < 64:
         raise DomainError(f"segment_size must be >= 64, got {segment_size}")
+    check_workers(workers)
+
+
+def check_workers(workers: int) -> None:
+    """Refuse a thread count below one, which no loop can run on."""
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
 

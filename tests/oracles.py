@@ -4,14 +4,16 @@ Each oracle deliberately takes a different computational route from the
 library path it checks: trial division vs the segmented sieve, adaptive
 quadrature vs the exponential-integral branches, direct pair loops and
 long-double accumulation vs the theta-table sums, pointwise ``li`` vs
-the scans' per-block quadrature steps, one f-string per CSV row vs the
+the scans' per-block quadrature steps, one string per CSV row vs the
 per-block batched row sink.
 
 The reference kernels at the end are the other kind: earlier forms of
 the library's own kernels (the array-only Ei path, the unchunked
-quadrature loop, a fresh ``np.log`` for every formula, the cg map's logs
-for every lane, the |b| and Dusart arithmetic at every grid lane),
-kept to check that the faster forms give the same bits.
+quadrature loop, a fresh ``np.log`` for every formula, the cg scan's
+logs for every lane, the |b| and Dusart arithmetic at every grid lane),
+kept to check that the faster forms give the same bits.  The cg, delta
+and Dusart references fold a block into a scan's state on their own,
+without the scan's ``reduce``.
 """
 
 from __future__ import annotations
@@ -237,11 +239,11 @@ def deriv_records_li(data, limit: int, c: float = 1.0, c3: float = 2.0):
 
 
 # ----------------------------------------------------------------------
-# CSV rows, one f-string per row: the scans' row formatting before it was
-# batched per block.  Each ``*_rows`` takes a scan's state before its
-# ``reduce`` and the block's payload, and returns that block's lines.  The
-# Schoenfeld, derivative and |b| maps pass the block on; their lanes come
-# from ``lane_rows_oracle``.
+# CSV rows, one string per row, field by field: the scans' row formatting
+# before it was batched per block.  The rows' columns come from the
+# reference kernels below (the full-lane folds of the cg, delta and Dusart
+# scans, the lanes of the Schoenfeld, derivative and |b| scans), and for
+# the partial sums from the scan's own payload and state.
 
 
 class RowCounter(RowSink):
@@ -255,90 +257,34 @@ class RowCounter(RowSink):
         self.rows += len(cols[0])
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _flag(v) -> str:
     return str(bool(v)).lower()
 
 
-def _cg_rows(scan, state, payload):
-    if payload is None:
-        return []
-    ns, ps, g, ratio, viol = payload
-    return [f"{int(ns[i])},{int(ps[i])},{int(g[i])},{_fmt(ratio[i])}" for i in viol]
+def _cell(v) -> str:
+    """One CSV field: an int, a float as its shortest repr, or a flag."""
+    if isinstance(v, bool):
+        return _flag(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
-def _delta_rows(scan, state, payload):
-    n0, ps, lg, local, total, viol, b_exp = payload
-    delta = NeumaierSum.from_state(state["prefix"]).value + local
-    pf = ps.astype(np.float64)
-    delta_hat = delta - pf * lg + ((scan.c + 1.0) / scan.c) * pf
-    return [
-        f"{int(ps[i])},{_fmt(delta[i])},{_fmt(delta_hat[i])}" for i in range(len(ps))
-    ]
-
-
-def _deriv_rows(scan, state, block):
-    cols = lane_rows_oracle(scan, block)
-    if cols is None:
-        return []
-    if scan.sink_mode == "figure":
-        ps, k_prime, k_rhs = cols
-        return [
-            f"{int(ps[i])},{_fmt(k_prime[i])},{_fmt(k_rhs[i])}" for i in range(len(ps))
-        ]
-    ns, ps, b_prime, k_prime, b_rhs, k_rhs, b_ok, k_ok = cols
-    return [
-        f"{int(ns[i])},{int(ps[i])},{_fmt(b_prime[i])},{_fmt(k_prime[i])},"
-        f"{_fmt(b_rhs[i])},{_fmt(k_rhs[i])},{_flag(b_ok[i])},{_flag(k_ok[i])}"
-        for i in range(len(ps))
-    ]
-
-
-def _schoenfeld_rows(scan, state, block):
-    xs, pis, livals, ratio = lane_rows_oracle(scan, block)
-    return [
-        f"{int(xs[i])},{int(pis[i])},{_fmt(livals[i])},{_fmt(ratio[i])}"
-        for i in range(len(xs))
-    ]
-
-
-def _bbound_rows(scan, state, block):
-    xs, pis, b = lane_rows_oracle(scan, block)
-    return [f"{int(xs[i])},{int(pis[i])},{_fmt(b[i])}" for i in range(len(xs))]
-
-
-def _dusart_rows(scan, state, payload):
-    if payload is None:
-        return []
-    checked, xs, pis, lower, upper = payload
-    return [
-        f"{int(xs[i])},{int(pis[i])},{_fmt(lower[i])},{_fmt(upper[i])}"
-        for i in range(len(xs))
-    ]
-
-
-def _partial_sum_rows(scan, state, payload):
-    n0, ps, succ, local, total = payload
+def _partial_sum_cols(scan, state, block):
+    """The partial-sum rows from the scan's payload and ``state`` before the
+    block, which the scan's own reduce then advances."""
+    payload = scan.map_block(block)
+    n0, ps, succ, local, _ = payload
     gap_cum = state["gap_sum"] + np.cumsum(succ - ps)
     logsq = NeumaierSum.from_state(state["logsq"]).value + local
-    return [
-        f"{n0 + i},{gap_cum[i]},{float(logsq[i])!r},{_flag(gap_cum[i] < logsq[i])}"
-        for i in range(len(ps))
-    ]
+    scan.reduce(state, payload)
+    return np.arange(n0, n0 + len(ps)), gap_cum, logsq, gap_cum < logsq
 
 
-_ROWS = {
-    "cg": _cg_rows,
-    "delta": _delta_rows,
-    "deriv": _deriv_rows,
-    "schoenfeld": _schoenfeld_rows,
-    "bbound": _bbound_rows,
-    "dusart": _dusart_rows,
-    "partial_sums": _partial_sum_rows,
-}
+def _row_cols(scan, state, block):
+    if scan.name in _FOLDS:
+        return fold_oracle(scan, state, block, rows=True)
+    if scan.name in _LANES:
+        return lane_rows_oracle(scan, block)
+    return _partial_sum_cols(scan, state, block)
 
 
 def selberg_csv_oracle(data, xs) -> bytes:
@@ -354,27 +300,25 @@ def selberg_csv_oracle(data, xs) -> bytes:
 def csv_rows_oracle(scan, data, limit: int) -> bytes:
     """The CSV bytes ``scan`` writes up to ``limit``, formatted row by row.
 
-    Folds the scan's own ``map_block`` and ``reduce`` over the default
-    blocks, drops the rows ``reduce`` returns, and formats each row from
-    the payload on the side.
+    Folds the default blocks through the references below, without the
+    scan's own reduce but for the partial sums, and formats each row from
+    the columns they return.
     """
-    rows_of = _ROWS[scan.name]
     lines = [scan.header()]
     state = scan.start()
     for block in data.blocks(limit=limit):
-        payload = scan.map_block(block)
-        lines += rows_of(scan, state, payload)
-        scan.reduce(state, payload)
+        cols = _row_cols(scan, state, block)
+        if cols is not None:
+            lines += [",".join(map(_cell, row)) for row in zip(*(c.tolist() for c in cols))]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 # ----------------------------------------------------------------------
 # Reference kernels: the scans' Li and log forms before the scalar Ei
-# path, the chunked quadrature loop, the shared logs, the cg map's
+# path, the chunked quadrature loop, the shared logs, the cg scan's
 # candidate lanes and the jump-grid runs of the |b| and Dusart scans.
-# Each map payload below is the scan's ``map_block`` payload built from
-# them, and each set of lanes the rows its ``reduce`` returns at every
-# lane.
+# Each fold below is a scan's ``reduce`` built from them at every lane, and
+# each set of lanes the rows its ``reduce`` returns at every lane.
 
 
 def li_array_path(xs) -> np.ndarray:
@@ -422,16 +366,28 @@ def _expansion_plain(x):
     return x / lg + x / lg**2 + 2.0 * x / lg**3
 
 
-def _cg_payload(scan, block):
-    """``CgScan.map_block`` with a log and a ratio for every lane."""
+def _raise_to(state, key, at, values, xs):
+    """Raise ``state[key]`` to the largest of ``values`` when that is greater,
+    with ``state[at]`` the x in ``xs`` where it first occurs."""
+    if len(values) and values.max() > state[key]:
+        i = int(np.argmax(values))
+        state[key], state[at] = float(values[i]), int(xs[i])
+
+
+def _cg_fold(scan, state, block, rows):
+    """``CgScan.reduce`` with a log and a ratio for every lane."""
     ps, succ = _gap_pairs(block, scan.limit)
     if len(ps) == 0:
         return None
     g = (succ - ps).astype(np.float64)
     lg = np.log(ps.astype(np.float64))
     ratio = g / (lg * lg)
-    viol = np.nonzero(g >= scan.c * (lg * lg))[0]
-    return np.arange(block.n0, block.n0 + len(ps)), ps, g, ratio, viol
+    ns = np.arange(block.n0, block.n0 + len(ps))
+    bad = g >= scan.c * (lg * lg)
+    _raise_to(state, "max_ratio", "max_at", ratio, ps)
+    _raise_to(state, "tail_max", "tail_at", ratio[ns >= 5], ps[ns >= 5])
+    state["violations"] += ns[bad].tolist()
+    return (ns[bad], ps[bad], succ[bad] - ps[bad], ratio[bad]) if rows else None
 
 
 def _schoenfeld_lanes(scan, block):
@@ -472,8 +428,8 @@ def _bbound_lanes(scan, block):
     return xs, pis, _b_plain(xs, pis)
 
 
-def _dusart_payload(scan, block):
-    """``DusartScan.map_block`` with both bounds at every lane."""
+def _dusart_fold(scan, state, block, rows):
+    """``DusartScan.reduce`` with both bounds at every lane."""
     xs, pis = _jump_grid(block)
     keep = xs >= DUSART_LOWER_MIN_X
     xs, pis = xs[keep], pis[keep]
@@ -485,32 +441,47 @@ def _dusart_payload(scan, block):
     lower = base + DUSART_LOWER_COEFF * xf / lg**3
     upper = base + DUSART_UPPER_COEFF * xf / lg**3
     bad = (pis <= lower) | ((xs >= DUSART_UPPER_MIN_X) & (pis >= upper))
-    return len(xs), xs[bad], pis[bad], lower[bad], upper[bad]
+    state["checked"] += len(xs)
+    state["violations"] += xs[bad].tolist()
+    return (xs[bad], pis[bad], lower[bad], upper[bad]) if rows and bad.any() else None
 
 
-def _delta_payload(scan, block):
+def _delta_fold(scan, state, block, rows):
+    """``DeltaScan.reduce`` with the plain expansion and the violations
+    found as log^2 p <= g / c."""
     starts, succ = _gap_pairs(block, scan.limit)
     gaps = (succ - starts).astype(np.float64)
-    ps = block.primes.astype(np.float64)
-    lg = np.log(ps)
+    ps = block.primes
+    pf = ps.astype(np.float64)
+    lg = np.log(pf)
     terms = lg[: len(gaps)] ** 2 - gaps / scan.c
-    viol = np.nonzero(lg[: len(gaps)] ** 2 <= gaps / scan.c)[0]
-    local = np.concatenate([[0.0], np.cumsum(terms)])[: len(ps)]
+    prefix = NeumaierSum.from_state(state["prefix"])
+    delta = prefix.value + np.concatenate([[0.0], np.cumsum(terms)])[: len(ps)]
+    delta_hat = delta - pf * lg + ((scan.c + 1.0) / scan.c) * pf
     ns = np.arange(block.n0, block.n0 + len(ps), dtype=np.float64)
-    b_exp = (ns - _expansion_plain(ps)) * lg**3 / ps
-    return block.n0, block.primes, lg, local, math.fsum(terms), viol, b_exp
+    b_exp = (ns - _expansion_plain(pf)) * lg**3 / pf
+    _raise_to(state, "drift", "drift_at", np.abs(delta_hat * lg / pf - b_exp), ps)
+    viol = np.flatnonzero(lg[: len(gaps)] ** 2 <= gaps / scan.c)
+    state["violations"] += (block.n0 + viol).tolist()
+    state["count"] += len(ps)
+    state["final"] = float(delta[-1])
+    prefix.add(math.fsum(terms))
+    state["prefix"] = prefix.state()
+    return (ps, delta, delta_hat) if rows else None
 
 
-_PAYLOADS = {
-    "cg": _cg_payload,
-    "dusart": _dusart_payload,
-    "delta": _delta_payload,
+_FOLDS = {
+    "cg": _cg_fold,
+    "dusart": _dusart_fold,
+    "delta": _delta_fold,
 }
 
 
-def map_payload_oracle(scan, block):
-    """``scan.map_block(block)`` from the reference kernels above."""
-    return _PAYLOADS[scan.name](scan, block)
+def fold_oracle(scan, state, block, rows=False):
+    """``scan.reduce(state, block, rows)`` for the cg, delta and Dusart scans
+    from the reference kernels above, at every lane: it folds ``block`` into
+    ``state`` and returns the rows, or None when there are none."""
+    return _FOLDS[scan.name](scan, state, block, rows)
 
 
 _LANES = {

@@ -385,6 +385,18 @@ def test_skewes_mean_kprime():
     )
 
 
+@pytest.mark.parametrize("call", [
+    lambda: monotonicity_threshold(math.nan, 5.0),
+    lambda: monotonicity_threshold(1.0, math.nan),
+    lambda: skewes_mean_kprime(math.nan),
+    lambda: skewes_log10(math.nan),
+], ids=["threshold-c", "threshold-B", "mean-kprime", "log10"])
+def test_analytic_checks_refuse_nan(call):
+    # Each returned nan: NaN fails no <= or < comparison.
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_constants_defaults_and_validation():
     c = Constants()
     assert c.c == 1.0

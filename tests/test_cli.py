@@ -886,6 +886,45 @@ def test_unwritable_checkpoint_path(tmp_path, capsys, command):
     assert f"cannot write checkpoint {ck}: no directory {ck.parent}" in err
 
 
+_UNWRITABLE_OUT = {
+    **{command[0]: command for command in _every_command()},
+    "scan-json": ["scan", "--which", "delta", "--format", "json", *LIMIT_1E6],
+    "fit-json": [*_FIT, "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("case", list(_UNWRITABLE_OUT))
+def test_unwritable_out_exits_2_before_the_fold(tmp_path, capsys, monkeypatch, case):
+    # Each run sieved and folded every block, then exited 2 when it wrote
+    # --out, leaving its checkpoint behind.
+    def fold(*args, **kwargs):
+        raise AssertionError("the run folded")
+
+    monkeypatch.setattr("primegaps.cli.run_scan", fold)
+    (tmp_path / "dir").mkdir()
+    ck = tmp_path / "x.ckpt"
+    missing = tmp_path / "no-such-dir"
+    for out, why in ((missing / "x.out", f"no directory {missing}"),
+                     (tmp_path / "dir", "it is a directory")):
+        args = [*_UNWRITABLE_OUT[case], "--out", str(out), "--checkpoint", str(ck)]
+        assert main(args) == 2
+        assert f"error: cannot write output {out}: {why}\n" == capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["dir"] and os.listdir(tmp_path / "dir") == []
+
+
+def test_figure1_plot_script_that_is_a_directory_exits_2_before_the_fold(tmp_path,
+                                                                         capsys):
+    # The run wrote its whole CSV, then exited 2 at the plot script.
+    out = tmp_path / "f.csv"
+    (tmp_path / "f.csv.plot.py").mkdir()
+    assert main(["figure1", *LIMIT_1E5, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write plot script {out}.plot.py: "
+                                       "it is a directory\n")
+    assert os.listdir(tmp_path) == ["f.csv.plot.py"]
+    # under --format json figure1 writes no plot script
+    assert main(["figure1", *LIMIT_1E5, "--format", "json", "--out", str(out)]) == 0
+
+
 def test_checkpoint_that_cannot_be_written_in_the_fold_exits_2(tmp_path, capsys):
     # The directory exists, so the run starts; the rename onto a directory
     # fails at the first checkpoint.

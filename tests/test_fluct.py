@@ -32,7 +32,7 @@ from primegaps.fluct import (
 from primegaps.selberg import PartialSumScan
 from primegaps.sieve import BLOCK_PRIMES, PrimeBlock, PrimeData, PrimeStream
 
-from .oracles import deriv_records_li, lane_rows_oracle, map_payload_oracle
+from .oracles import deriv_records_li, fold_oracle, lane_rows_oracle
 
 # Frozen regression values (1e6 scans, double-checked against the
 # quadrature li oracle and hand evaluation at small x).
@@ -410,6 +410,19 @@ def test_fused_scan_refuses_no_parts():
         FusedScan({})
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_scan_refuses_workers_below_one(workers):
+    # Such a count folded on one thread, where the sieve refused it; the
+    # refusal comes before the header, so before any block.
+    buf = io.BytesIO()
+    with pytest.raises(DomainError, match=f"workers must be >= 1, got {workers}"):
+        run_scan(PrimeData.build(10**4), DeltaScan(10**4, 1.0), workers=workers,
+                 sink=RowSink(buf))
+    assert buf.getvalue() == b""
+    with pytest.raises(DomainError, match=f"workers must be >= 1, got {workers}"):
+        cg_scan(PrimeData.build(10**4), 10**4, 1.0, workers=workers)
+
+
 @pytest.mark.parametrize(
     "make, least",
     [(lambda limit: CgScan(limit, 1.0), 3), (lambda limit: DeltaScan(limit, 1.0), 3),
@@ -598,38 +611,46 @@ def _same_bits(got, ref):
     return type(got) is type(ref) and got == ref
 
 
-def test_map_payloads_equal_the_reference_kernels_block_by_block(data_1e6):
-    # The scalar Ei anchors, the chunked quadrature loop and the shared
-    # logs must leave every payload bit as the plain forms give it.  Bits,
-    # not a pinned digest: numpy's log may take another SIMD kernel on
-    # another CPU, and both sides here run on the same one.  The Schoenfeld,
-    # derivative and |b| scans evaluate their lanes in the reduce: the rows
-    # it returns are checked, at every lane.
+def test_block_folds_equal_the_reference_kernels_block_by_block(data_1e6):
+    # The scalar Ei anchors, the chunked quadrature loop, the shared logs
+    # and the cg candidate lanes must leave every row and state bit as the
+    # plain forms give them.  Bits, not a pinned digest: numpy's log may
+    # take another SIMD kernel on another CPU, and both sides here run on
+    # the same one.  The Schoenfeld, derivative and |b| rows are checked at
+    # every lane of each block; the cg, delta and Dusart folds carry their
+    # states from block to block, against the reference folds', and both
+    # the rows and the states are checked after every block.
     limit = 10**6
     lane_scans = [SchoenfeldScan(limit, 1.0 / 3.0), DerivScan(limit, 1.0),
                   DerivScan(limit, 0.7), DerivScan(limit, 1.0, "figure"),
                   BBoundScan(limit, 5.0)]
-    map_scans = [DusartScan(limit), DeltaScan(limit, 1.0), DeltaScan(limit, 1.3)]
+    fold_scans = [CgScan(limit, 1.0), CgScan(limit, 0.3), DusartScan(limit),
+                  DeltaScan(limit, 1.0), DeltaScan(limit, 1.3)]
     # the scans' own blocks, and short ones for more Li anchors
     for block_size, count in ((BLOCK_PRIMES, 3), (5000, 16)):
         blocks = list(data_1e6.blocks(limit=limit, block_size=block_size))
         assert len(blocks) == count
         for block in blocks:
             for scan in lane_scans:
-                got = scan.reduce(scan.start(), scan.map_block(block), rows=True)
+                got = scan.reduce(scan.start(), block, rows=True)
                 assert _same_bits(got, lane_rows_oracle(scan, block)), \
                     (scan.name, block_size, block.index)
-            for scan in map_scans:
-                got = scan.map_block(block)
-                assert _same_bits(got, map_payload_oracle(scan, block)), \
+        for scan in fold_scans:
+            state, ref = scan.start(), scan.start()
+            for block in blocks:
+                got = scan.reduce(state, block, rows=True)
+                assert _same_bits(got, fold_oracle(scan, ref, block, rows=True)), \
+                    (scan.name, block_size, block.index)
+                assert json.dumps(state) == json.dumps(ref), \
                     (scan.name, block_size, block.index)
 
 
 class _FullLaneCg(CgScan):
-    """CgScan with a log and a ratio for every lane of every block."""
+    """CgScan with a log and a ratio for every lane of every block, folded
+    by the reference in ``oracles``, not by its own reduce."""
 
-    def map_block(self, block):
-        return map_payload_oracle(self, block)
+    def reduce(self, state, block, rows=False):
+        return fold_oracle(self, state, block, rows)
 
 
 def _cg_fold(data, scan, workers, **fold):
@@ -656,10 +677,10 @@ def test_cg_candidate_lanes_fold_as_every_lane(data_1e6, source, c):
     assert got[1].count(b"\n") - 1 == len(got[0]["violations"])
 
 
-def _cg_block_alone(scan, block, payload):
-    """A block's payload folded into a fresh state: the state and the rows."""
+def _cg_block_alone(scan, block):
+    """A block folded into a fresh state: the state and the rows."""
     state = scan.start()
-    rows = scan.reduce(state, payload, rows=True)
+    rows = scan.reduce(state, block, rows=True)
     return state, None if rows is None else [col.tolist() for col in rows]
 
 
@@ -672,8 +693,8 @@ def test_cg_candidate_lanes_give_each_blocks_own_maxima(data_1e6, c):
                               (10**4, 7)):
         scan = CgScan(limit, c)
         for block in data_1e6.blocks(limit=limit, block_size=block_size):
-            got = _cg_block_alone(scan, block, scan.map_block(block))
-            assert got == _cg_block_alone(scan, block, map_payload_oracle(scan, block)), \
+            got = _cg_block_alone(scan, block)
+            assert got == _cg_block_alone(_FullLaneCg(limit, c), block), \
                 (block_size, block.index)
 
 
@@ -697,15 +718,27 @@ def test_cg_candidate_lanes_give_each_blocks_own_maxima(data_1e6, c):
     # drop n = 5, the largest ratio from n = 5 on.
     pytest.param(3, 5, [20, 2, 2], 1.0, [3, 4, 5], 1, id="below-n5"),
 ])
-def test_cg_candidate_lanes_on_synthetic_blocks(n0, p0, gaps, c, kept, ties):
+def test_cg_candidate_lanes_on_synthetic_blocks(monkeypatch, n0, p0, gaps, c, kept,
+                                                ties):
+    from primegaps import fluct
+
     primes = p0 + np.cumsum([0, *gaps], dtype=np.int64)
     block = PrimeBlock(1, n0, primes[:-1], int(primes[-1]))
     scan = CgScan(2 * int(primes[-1]), c)
-    assert scan.map_block(block)[0].tolist() == kept
-    state, rows = _cg_block_alone(scan, block, scan.map_block(block))
-    assert (state, rows) == _cg_block_alone(scan, block, map_payload_oracle(scan, block))
+    # the reduce raises the overall maximum over the lanes it keeps
+    raised, raise_max = [], fluct._raise_max
+
+    def spy(state, key, at, values, xs):
+        raised.append(xs.tolist())
+        raise_max(state, key, at, values, xs)
+
+    monkeypatch.setattr(fluct, "_raise_max", spy)
+    state, rows = _cg_block_alone(scan, block)
+    assert raised[0] == primes[np.array(kept) - n0].tolist()
+    assert (state, rows) == _cg_block_alone(_FullLaneCg(scan.limit, c), block)
     # np.argmax is the first lane at the maximum
-    ratio = map_payload_oracle(scan, block)[3]
+    lg = np.log(primes[:-1].astype(np.float64))
+    ratio = np.diff(primes) / (lg * lg)
     assert np.count_nonzero(ratio == ratio.max()) == ties
     assert state["max_at"] == int(primes[int(np.argmax(ratio))])
 

@@ -1,7 +1,7 @@
 """The |b| and Dusart scans' run bounds: the blocks they leave unevaluated
 can neither violate nor set a maximum, so every result and row is that of
 the same scans at every lane: the |b| reduce as it folds with rows, the
-full-lane Dusart map in ``oracles``.
+full-lane Dusart fold in ``oracles``.
 
 No scipy here, so these also run under the oldest numpy allowed, whose
 int64-against-float64 comparisons follow the rules before NEP 50.
@@ -22,14 +22,15 @@ from primegaps.fluct import RUN_LANES, BBoundScan, DusartScan, _jump_grid
 from primegaps.runner import RowSink, run_scan
 from primegaps.sieve import PrimeBlock, PrimeStream
 
-from .oracles import RowCounter, map_payload_oracle
+from .oracles import RowCounter, fold_oracle
 
 
 class _FullLaneDusart(DusartScan):
-    """DusartScan with both bounds at every lane of every block."""
+    """DusartScan with both bounds at every lane of every block, folded by
+    the reference in ``oracles``, not by its own reduce."""
 
-    def map_block(self, block):
-        return map_payload_oracle(self, block)
+    def reduce(self, state, block, rows=False):
+        return fold_oracle(self, state, block, rows)
 
 
 class _FullLaneBBound(BBoundScan):
@@ -144,7 +145,7 @@ def _block(n0, primes, index=1):
 def _reduced(scan, state, block, rows=False):
     """``state`` after ``scan`` folds ``block`` into a copy, and the rows."""
     state = copy.deepcopy(state)
-    rows = scan.reduce(state, scan.map_block(block), rows=rows)
+    rows = scan.reduce(state, block, rows=rows)
     return state, None if rows is None else [col.tolist() for col in rows]
 
 
