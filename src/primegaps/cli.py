@@ -15,7 +15,8 @@ then defaults.  ``_check`` then refuses, before anything is sieved,
 --stop-after-blocks below 1 or without --checkpoint, ``selberg --format
 json``, a c, B or K that ``Constants`` refuses, two of a run's files at
 one path, an --out, plot script or --checkpoint in a directory that does
-not exist and an --out or plot script that is a directory.
+not exist and an --out, plot script, --checkpoint or checkpoint
+temporary file that is a directory.
 The parsed namespace, with that ``Constants`` as ``args.constants``, is
 the one options object every command reads.
 
@@ -179,23 +180,24 @@ def _check(args) -> None:
 
 def _check_paths(args) -> None:
     """Refuse, before any file is opened, an --out, figure1 plot script or
-    --checkpoint whose directory does not exist, an --out or plot script
-    that is a directory, and two of the run's files at one path: those
-    three and the checkpoint's temporary file."""
+    --checkpoint whose directory does not exist, one of those or the
+    checkpoint's temporary file that is a directory, and two of the run's
+    files at one path: those four."""
     files = {"--out": args.out, "--checkpoint": args.checkpoint}
     if args.checkpoint:
         files["the checkpoint's temporary file"] = args.checkpoint + ".tmp"
     if args.command == "figure1" and args.out and args.format == "csv":
         files["the plot script"] = args.out + ".plot.py"
     for name, what in (("--out", "output"), ("the plot script", "plot script"),
-                       ("--checkpoint", "checkpoint")):
+                       ("--checkpoint", "checkpoint"),
+                       ("the checkpoint's temporary file", "checkpoint")):
         path = files.get(name)
         if not path:
             continue
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise UsageError(f"cannot write {what} {path}: no directory {folder}")
-        if name != "--checkpoint" and os.path.isdir(path):
+        if os.path.isdir(path):
             raise UsageError(f"cannot write {what} {path}: it is a directory")
     seen = {}
     for name, path in files.items():
@@ -483,6 +485,10 @@ def _write_plot_script(path: str, csv_name: str) -> None:
 def _selberg_points(limit: int, count: int) -> list[int]:
     if count < 2:
         raise UsageError(f"--points must be >= 2, got {count}")
+    if limit < 10:  # the log-spaced points start at 10: only the limit is left
+        return [limit]
+    if count > limit:  # the points are distinct integers in [10, limit]
+        raise UsageError(f"--points must be <= --limit {limit}, got {count}")
     pts = np.unique(np.rint(np.geomspace(10, limit, count)).astype(np.int64))
     pts = pts[(pts >= 4) & (pts <= limit)]
     if len(pts) == 0 or pts[-1] != limit:
@@ -742,8 +748,9 @@ def main(argv=None) -> int:
         return _run(_parse(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:  # argparse: --help, or a value it refuses
         return int(exc.code) if exc.code else 0
-    except (UsageError, PrimeGapsError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # a MemoryError is a resource error, as a full disk is
+    except (UsageError, PrimeGapsError, OverflowError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         try:
             sys.stdout.flush()
         except OSError:  # so the flush at exit neither fails nor prints

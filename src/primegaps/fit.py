@@ -219,6 +219,8 @@ class FitScan(SampleScan):
             raise DomainError(f"fit range must start above {MIN_FIT_X:.2f}")
         if bin_count < 1:
             raise DomainError(f"bin_count must be >= 1, got {bin_count}")
+        if bin_count > x_max:  # the bins could outnumber the samples
+            raise DomainError(f"bin_count must be <= x_max {x_max}, got {bin_count}")
         super().__init__(x_min, x_max, stride=stride, per_decade=FIT_PER_DECADE)
         self.bin_count = bin_count
 

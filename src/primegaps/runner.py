@@ -3,15 +3,15 @@
 A scan folds each block into a JSON-able state dict in an order-fixed
 ``reduce``.  ``run_scan`` asks ``reduce`` for the block's CSV rows, as
 columns, only when it has a sink to write them to; without one a scan
-may skip the lanes that cannot change its state.  A scan may also split
-off a pure per-block ``map_block``, which ``run_scan`` runs on its
-``workers`` threads ahead of the fold.  Only the Selberg scans keep one,
-for their exact per-block sums; the fluctuation and fit scans do a
-block's work in ``reduce``: their lane skips read the state there, and
-their maps bought no time on two threads.  Because blocks are consumed
-strictly in index order and all floating-point grouping is tied to the
-fixed block size, a scan's output is byte-identical for any worker count
-and across a checkpoint/resume cycle.  A ``FusedScan`` folds as any scan
+may skip the lanes that cannot change its state.  ``run_scan`` runs a
+scan's ``map_block`` on its ``workers`` threads ahead of the fold, but no
+scan here overrides it: each does a block's work in ``reduce``, where its
+lane skips read the state.  Split-off maps bought no time on two
+threads and held ``workers + 2`` blocks' payloads at once.  Because
+blocks are consumed strictly in index order and all floating-point
+grouping is tied to the fixed block size, a scan's output is
+byte-identical for any worker count and across a checkpoint/resume
+cycle.  A ``FusedScan`` folds as any scan
 does: its reduce maps and folds its parts in turn.
 
 The fold is lazy: it takes blocks from any source with
@@ -61,9 +61,8 @@ class RowSink:
 
 class BlockScan:
     """Interface for block-folded scans: subclasses fill in the hooks.
-    ``map_block`` passes the block on to ``reduce`` unless overridden; only
-    ``SelbergScan`` and ``PartialSumScan`` override it, as their per-block
-    sums need no state.
+    ``map_block`` passes the block on to ``reduce`` unless overridden; no
+    scan in this package overrides it.
 
     ``limit`` is the one place a scan's range is set: ``run_scan`` folds
     the blocks of the primes <= ``limit``.
@@ -97,11 +96,11 @@ class FusedScan(BlockScan):
 
     Its map passes the block on and its reduce maps and folds it through
     the parts in turn, so each sees the blocks it would alone and its
-    result is bit-identical to a separate run, while only one part's
-    payload is alive at a time.  So there must be a part, and every part
-    must end at the same ``limit``, which is the fused scan's.  The state
-    is ``{name: sub_state}``: one state, one checkpoint.  The parts fold
-    without rows, which would interleave: no ``header()``, no sink.
+    result is bit-identical to a separate run.  So there must be a part,
+    and every part must end at the same ``limit``, which is the fused
+    scan's.  The state is ``{name: sub_state}``: one state, one
+    checkpoint.  The parts fold without rows, which would interleave: no
+    ``header()``, no sink.
     """
 
     name = "fused"

@@ -174,14 +174,6 @@ class SelbergScan(BlockScan):
     def header(self):
         return "x,s1,s2_ordered,s2_unordered,residual_per_x,lemma1_holds"
 
-    def map_block(self, block):
-        ps, logs = block.primes, _logs(block.primes)
-        # the points the block closes: those its primes, or the end of the data, reach
-        lo, hi = np.searchsorted(self.xs, [ps[0], block.succ or math.inf], side="left")
-        cuts = np.searchsorted(ps, self.xs[lo:hi], side="right")
-        *s1_units, total = fixed_prefix_units(logs * logs, [*cuts, len(ps)])
-        return ps, block.succ, logs, s1_units, total
-
     def _answer(self, ps, succ, cum, closed: int) -> list[int]:
         """Per point from ``closed`` on, the exact sum of log p * theta(x // p)
         over its queries x // p among ``ps``, whose theta is ``cum``."""
@@ -203,12 +195,16 @@ class SelbergScan(BlockScan):
 
         return fixed_column_units(his[live].max(initial=closed) - closed, products())
 
-    def reduce(self, state, payload, rows: bool = False):
-        ps, succ, logs, s1_units, total = payload
+    def reduce(self, state, block, rows: bool = False):
+        ps, logs = block.primes, _logs(block.primes)
+        # the points the block closes: those its primes, or the end of the data, reach
+        lo, hi = np.searchsorted(self.xs, [ps[0], block.succ or math.inf], side="left")
+        cuts = np.searchsorted(ps, self.xs[lo:hi], side="right")
+        *s1_units, total = fixed_prefix_units(logs * logs, [*cuts, len(ps)])
         cum = np.cumsum(np.concatenate([[state["theta"]], logs]))[1:]
         state["theta"] = float(cum[-1])
         closed = len(state["rows"])
-        answered = zip_longest(state["open"], self._answer(ps, succ, cum, closed),
+        answered = zip_longest(state["open"], self._answer(ps, block.succ, cum, closed),
                                fillvalue=0)
         state["open"] = [a + b for a, b in answered]
         # a closing point's last query, x // 2, is among the primes up to x
@@ -291,30 +287,26 @@ class PartialSumScan(BlockScan):
     def header(self):
         return "N,gap_sum,logsq_sum,holds"
 
-    def map_block(self, block):
+    def reduce(self, state, block, rows: bool = False):
         ps, succ = _gap_pairs(block, math.inf)  # every successor the fold sees
-        logs = _logs(ps)
-        terms = logs * logs
-        local = np.cumsum(terms)
-        return block.n0, ps, succ, local, fixed_sum(terms)
-
-    def reduce(self, state, payload, rows: bool = False):
-        n0, ps, succ, local, total = payload
+        terms = np.square(_logs(ps))  # log^2 p, without keeping the logs alive
         gap_cum = state["gap_sum"] + np.cumsum(succ - ps)
         if not np.array_equal(gap_cum + 2, succ):
             state["identity_exact"] = False
         prefix = NeumaierSum.from_state(state["logsq"])
-        logsq = prefix.value + local
+        logsq = prefix.value + np.cumsum(terms)
         holds = gap_cum < logsq
         false_idx = np.nonzero(~holds)[0]
         if len(false_idx):
-            state["last_false"] = n0 + int(false_idx[-1])
+            state["last_false"] = block.n0 + int(false_idx[-1])
         state["count"] += len(ps)
         if len(ps):
             state["gap_sum"] = int(gap_cum[-1])
-        prefix.add(total)
+        prefix.add(fixed_sum(terms))
         state["logsq"] = prefix.state()
-        return (np.arange(n0, n0 + len(ps)), gap_cum, logsq, holds) if rows else None
+        if not rows:
+            return None
+        return np.arange(block.n0, block.n0 + len(ps)), gap_cum, logsq, holds
 
     def result(self, state):
         return PartialSumResult(

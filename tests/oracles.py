@@ -11,15 +11,16 @@ The reference kernels at the end are the other kind: earlier forms of
 the library's own kernels (the array-only Ei path, the unchunked
 quadrature loop, a fresh ``np.log`` for every formula, the cg scan's
 logs for every lane, the |b| and Dusart arithmetic at every grid lane),
-kept to check that the faster forms give the same bits.  The cg, delta
-and Dusart references fold a block into a scan's state on their own,
-without the scan's ``reduce``.
+kept to check that the faster forms give the same bits.  The cg, delta,
+Dusart and partial-sum references fold a block into a scan's state on
+their own, without the scan's ``reduce``.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -241,9 +242,9 @@ def deriv_records_li(data, limit: int, c: float = 1.0, c3: float = 2.0):
 # ----------------------------------------------------------------------
 # CSV rows, one string per row, field by field: the scans' row formatting
 # before it was batched per block.  The rows' columns come from the
-# reference kernels below (the full-lane folds of the cg, delta and Dusart
-# scans, the lanes of the Schoenfeld, derivative and |b| scans), and for
-# the partial sums from the scan's own payload and state.
+# reference kernels below: the full-lane folds of the cg, delta, Dusart
+# and partial-sum scans, and the lanes of the Schoenfeld, derivative and
+# |b| scans.
 
 
 class RowCounter(RowSink):
@@ -268,23 +269,10 @@ def _cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _partial_sum_cols(scan, state, block):
-    """The partial-sum rows from the scan's payload and ``state`` before the
-    block, which the scan's own reduce then advances."""
-    payload = scan.map_block(block)
-    n0, ps, succ, local, _ = payload
-    gap_cum = state["gap_sum"] + np.cumsum(succ - ps)
-    logsq = NeumaierSum.from_state(state["logsq"]).value + local
-    scan.reduce(state, payload)
-    return np.arange(n0, n0 + len(ps)), gap_cum, logsq, gap_cum < logsq
-
-
 def _row_cols(scan, state, block):
     if scan.name in _FOLDS:
         return fold_oracle(scan, state, block, rows=True)
-    if scan.name in _LANES:
-        return lane_rows_oracle(scan, block)
-    return _partial_sum_cols(scan, state, block)
+    return lane_rows_oracle(scan, block)
 
 
 def selberg_csv_oracle(data, xs) -> bytes:
@@ -300,8 +288,8 @@ def selberg_csv_oracle(data, xs) -> bytes:
 def csv_rows_oracle(scan, data, limit: int) -> bytes:
     """The CSV bytes ``scan`` writes up to ``limit``, formatted row by row.
 
-    Folds the default blocks through the references below, without the
-    scan's own reduce but for the partial sums, and formats each row from
+    Folds the default blocks through the references below, never through
+    the scan's own ``map_block`` or ``reduce``, and formats each row from
     the columns they return.
     """
     lines = [scan.header()]
@@ -470,17 +458,46 @@ def _delta_fold(scan, state, block, rows):
     return (ps, delta, delta_hat) if rows else None
 
 
+def _partial_sum_fold(scan, state, block, rows):
+    """``PartialSumScan.reduce`` with the pairs cut from the block and its
+    successor, the gap sums as Python integers, the telescoping identity
+    checked as gap_sum == p_{N+1} - 2 and the block's log^2 prefix as a
+    running float sum over the lanes."""
+    pf = block.primes if block.succ is None else np.append(block.primes, block.succ)
+    ps, succ = pf[:-1], pf[1:]
+    sums = list(accumulate((succ - ps).tolist(), initial=state["gap_sum"]))
+    gap_cum = np.array(sums[1:], dtype=np.int64)
+    lg = np.log(ps.astype(np.float64))
+    terms = (lg * lg).tolist()
+    prefix = NeumaierSum.from_state(state["logsq"])
+    logsq = np.array([prefix.value + t for t in accumulate(terms)], dtype=np.float64)
+    holds = gap_cum < logsq
+    if sums[1:] != (succ - 2).tolist():
+        state["identity_exact"] = False
+    if not holds.all():
+        state["last_false"] = block.n0 + int(np.flatnonzero(~holds)[-1])
+    state["count"] += len(ps)
+    state["gap_sum"] = sums[-1]
+    prefix.add(math.fsum(terms))
+    state["logsq"] = prefix.state()
+    if not rows:
+        return None
+    return np.arange(block.n0, block.n0 + len(ps)), gap_cum, logsq, holds
+
+
 _FOLDS = {
     "cg": _cg_fold,
     "dusart": _dusart_fold,
     "delta": _delta_fold,
+    "partial_sums": _partial_sum_fold,
 }
 
 
 def fold_oracle(scan, state, block, rows=False):
-    """``scan.reduce(state, block, rows)`` for the cg, delta and Dusart scans
-    from the reference kernels above, at every lane: it folds ``block`` into
-    ``state`` and returns the rows, or None when there are none."""
+    """``scan.reduce(state, block, rows)`` for the cg, delta, Dusart and
+    partial-sum scans from the reference kernels above, at every lane: it
+    folds ``block`` into ``state`` and returns the rows, or None when there
+    are none."""
     return _FOLDS[scan.name](scan, state, block, rows)
 
 
@@ -492,7 +509,7 @@ _LANES = {
 
 
 def lane_rows_oracle(scan, block):
-    """The rows ``scan.reduce(state, scan.map_block(block), rows=True)``
-    returns, every lane of ``block``, for the Schoenfeld, derivative and |b|
-    scans, from the reference kernels above."""
+    """The rows ``scan.reduce(state, block, rows=True)`` returns, every lane
+    of ``block``, for the Schoenfeld, derivative and |b| scans, from the
+    reference kernels above."""
     return _LANES[scan.name](scan, block)

@@ -615,6 +615,52 @@ def test_points_below_two_is_usage_error(capsys, command, points):
     assert f"--points must be >= 2, got {points}" in captured.err
 
 
+def _no_fold(*args, **kwargs):
+    raise AssertionError("the run folded")
+
+
+@pytest.mark.parametrize("command", [["selberg", *LIMIT_1E5], ["report", *LIMIT_1E6]])
+@pytest.mark.parametrize("points", ["limit+1", "1000000000000000",
+                                    "10000000000000000000"])
+def test_points_above_the_limit_exit_2_before_the_fold(tmp_path, capsys, monkeypatch,
+                                                       command, points):
+    # numpy failed to allocate the points, 7.11 PiB of them at 10**15, or
+    # refused the size at 10**19: an exit 1 with a traceback.
+    monkeypatch.setattr("primegaps.cli.run_scan", _no_fold)
+    limit = command[-1]
+    points = str(int(limit) + 1) if points == "limit+1" else points
+    out = tmp_path / "s.out"
+    assert main([*command, "--points", points, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: --points must be <= --limit {limit}, got {points}\n"
+
+
+def test_fit_bins_above_the_limit_exit_2_before_the_fold(tmp_path, capsys, monkeypatch):
+    # The fold ran whole, then binning failed to allocate: exit 1.
+    monkeypatch.setattr("primegaps.cli.run_scan", _no_fold)
+    ck = tmp_path / "f.ckpt"
+    bins = "1000000000000000"
+    assert main(["fit", *LIMIT_1E6, "--bins", bins, "--checkpoint", str(ck)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not ck.exists()
+    assert captured.err == f"error: bin_count must be <= x_max 1000000, got {bins}\n"
+
+
+@pytest.mark.parametrize("error, says", [
+    (MemoryError("Unable to allocate 7.11 PiB"), "Unable to allocate 7.11 PiB"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                  error, says):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("primegaps.cli.run_scan", exhausted)
+    assert main(["scan", "--which", "cg", *LIMIT_1E5, "--format", "json"]) == 2
+    assert capsys.readouterr() == ("", f"error: {says}\n")
+
+
 def test_resume_refuses_output_shorter_than_checkpoint(tmp_path, capsys):
     out = tmp_path / "d.csv"
     ck = tmp_path / "d.ckpt"
@@ -925,15 +971,38 @@ def test_figure1_plot_script_that_is_a_directory_exits_2_before_the_fold(tmp_pat
     assert main(["figure1", *LIMIT_1E5, "--format", "json", "--out", str(out)]) == 0
 
 
-def test_checkpoint_that_cannot_be_written_in_the_fold_exits_2(tmp_path, capsys):
-    # The directory exists, so the run starts; the rename onto a directory
-    # fails at the first checkpoint.
+@pytest.mark.parametrize("suffix", ["", ".tmp"], ids=["checkpoint", "tmp"])
+@pytest.mark.parametrize("command", _every_command(), ids=lambda command: command[0])
+def test_checkpoint_that_is_a_directory_exits_2_before_the_fold(tmp_path, capsys,
+                                                                monkeypatch, command,
+                                                                suffix):
+    # Each run folded a block and then failed to write its checkpoint,
+    # leaving the --out file's first block and the checkpoint's .tmp behind.
+    monkeypatch.setattr("primegaps.cli.run_scan", _no_fold)
     ck = tmp_path / "a.ckpt"
-    ck.mkdir()
+    folder = tmp_path / f"a.ckpt{suffix}"
+    folder.mkdir()
+    args = [*command, "--out", str(tmp_path / "a.out"), "--checkpoint", str(ck)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (f"error: cannot write checkpoint {folder}: "
+                                       "it is a directory\n")
+    assert os.listdir(tmp_path) == [folder.name] and os.listdir(folder) == []
+
+
+def test_checkpoint_that_cannot_be_written_in_the_fold_exits_2(tmp_path, capsys,
+                                                               monkeypatch):
+    # The paths pass the checks before the fold, so the run starts; the
+    # rename fails at the first checkpoint.
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    ck = tmp_path / "a.ckpt"
     code = main(["scan", "--which", "delta", *LIMIT_1E5, "--out", str(tmp_path / "a.out"),
                  "--checkpoint", str(ck)])
     assert code == 2
-    assert f"cannot write checkpoint {ck}" in capsys.readouterr().err
+    assert f"error: cannot write checkpoint {ck}: " in capsys.readouterr().err
+    assert not ck.exists()
 
 
 @pytest.mark.parametrize("command", _every_command(), ids=lambda command: command[0])
@@ -1295,8 +1364,11 @@ def uninterrupted(tmp_path_factory):
      for step, nth in _STEPS for workers in ("1", "2")]
     + [pytest.param("report", step, nth, "1", id=f"report-{step}")
        for step, nth in _STEPS[2:]]
+    + [pytest.param("selberg", step, nth, workers,
+                    id=f"selberg-{step}" + ("-workers-2" if workers == "2" else ""))
+       for step, nth in _STEPS for workers in ("1", "2")]
     + [pytest.param(name, step, nth, "1", id=f"{name}-{step}")
-       for name in ("figure1", "selberg", "fit")
+       for name in ("figure1", "fit")
        for step, nth in _STEPS if step in ("tmp-write", "replace")
        or (step == "sink-sync" and name in _STREAMED)],
 )

@@ -193,3 +193,13 @@ def test_fit_scan_refuses_bin_count_below_one_before_folding(bin_count):
         FitScan(10**4, 10**6, bin_count=bin_count)
     with pytest.raises(DomainError, match="bin_count must be >= 1"):
         fit_from_data(_NoBlocks(), 10**4, 10**6, bin_count=bin_count)
+
+
+def test_fit_scan_refuses_bin_count_above_x_max_before_folding():
+    # 10**15 bins failed only once the fold ended: numpy could not
+    # allocate the bin edges.
+    for make in (FitScan, lambda *a, **k: fit_from_data(_NoBlocks(), *a, **k)):
+        with pytest.raises(DomainError, match=r"bin_count must be <= x_max 1000000, "
+                                              r"got 1000001"):
+            make(10**4, 10**6, bin_count=10**6 + 1)
+    assert FitScan(10**4, 10**6, bin_count=10**6).bin_count == 10**6

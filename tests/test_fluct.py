@@ -617,15 +617,15 @@ def test_block_folds_equal_the_reference_kernels_block_by_block(data_1e6):
     # plain forms give them.  Bits, not a pinned digest: numpy's log may
     # take another SIMD kernel on another CPU, and both sides here run on
     # the same one.  The Schoenfeld, derivative and |b| rows are checked at
-    # every lane of each block; the cg, delta and Dusart folds carry their
-    # states from block to block, against the reference folds', and both
-    # the rows and the states are checked after every block.
+    # every lane of each block; the cg, delta, Dusart and partial-sum folds
+    # carry their states from block to block, against the reference folds',
+    # and both the rows and the states are checked after every block.
     limit = 10**6
     lane_scans = [SchoenfeldScan(limit, 1.0 / 3.0), DerivScan(limit, 1.0),
                   DerivScan(limit, 0.7), DerivScan(limit, 1.0, "figure"),
                   BBoundScan(limit, 5.0)]
     fold_scans = [CgScan(limit, 1.0), CgScan(limit, 0.3), DusartScan(limit),
-                  DeltaScan(limit, 1.0), DeltaScan(limit, 1.3)]
+                  DeltaScan(limit, 1.0), DeltaScan(limit, 1.3), PartialSumScan(limit)]
     # the scans' own blocks, and short ones for more Li anchors
     for block_size, count in ((BLOCK_PRIMES, 3), (5000, 16)):
         blocks = list(data_1e6.blocks(limit=limit, block_size=block_size))
